@@ -19,6 +19,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Union
 
 from .errors import (
@@ -32,30 +33,41 @@ from .errors import (
 Expr = Union["Num", "Var", "Neg", "Bin", "Call"]
 
 
+class _Node:
+    """Base of the node classes.  ``_fn`` is the node compiled to a
+    closure ``(t, eps) -> float``, built on first use and kept in the
+    instance ``__dict__``; the dataclass ``==``, ``hash`` and ``repr``
+    only see the fields, so caching it changes none of them."""
+
+    @cached_property
+    def _fn(self):
+        return _compile(self)
+
+
 @dataclass(frozen=True)
-class Num:
+class Num(_Node):
     value: float
 
 
 @dataclass(frozen=True)
-class Var:
+class Var(_Node):
     name: str
 
 
 @dataclass(frozen=True)
-class Neg:
+class Neg(_Node):
     arg: Expr
 
 
 @dataclass(frozen=True)
-class Bin:
+class Bin(_Node):
     op: str  # one of + - * / ^
     left: Expr
     right: Expr
 
 
 @dataclass(frozen=True)
-class Call:
+class Call(_Node):
     fn: str
     arg: Expr
 
@@ -197,7 +209,53 @@ class _Parser:
 # -- evaluation ---------------------------------------------------------------
 
 def evaluate(e: Expr, t: float, eps: float | None = None) -> float:
-    """Evaluate at t (and eps for two-variable expressions)."""
+    """Evaluate at t (and eps for two-variable expressions).
+
+    Runs the closure compiled from ``e`` on its first evaluation; the
+    result is bit-identical to the tree walk :func:`_walk`.
+    """
+    return e._fn(t, eps)
+
+
+def _compile(e: Expr):
+    """Nested closures doing the float operations of :func:`_walk` in the
+    same order: left before right, ``+ - *`` and sin/cos inline, every
+    guarded operation through ``_apply_bin``/``_apply_fn``."""
+    if isinstance(e, Num):
+        value = e.value
+        return lambda t, eps: value
+    if isinstance(e, Var):
+        name = e.name
+        if name == "t":
+            return lambda t, eps: t
+
+        def other(t, eps):
+            if name == "eps" and eps is not None:
+                return eps
+            raise EvalError(f"variable {name!r} is not bound")
+        return other
+    if isinstance(e, Neg):
+        arg = e.arg._fn
+        return lambda t, eps: -arg(t, eps)
+    if isinstance(e, Bin):
+        op, left, right = e.op, e.left._fn, e.right._fn
+        if op == "+":
+            return lambda t, eps: left(t, eps) + right(t, eps)
+        if op == "-":
+            return lambda t, eps: left(t, eps) - right(t, eps)
+        if op == "*":
+            return lambda t, eps: left(t, eps) * right(t, eps)
+        return lambda t, eps: _apply_bin(op, left(t, eps), right(t, eps))
+    fn, arg = e.fn, e.arg._fn
+    if fn == "sin":
+        return lambda t, eps: math.sin(arg(t, eps))
+    if fn == "cos":
+        return lambda t, eps: math.cos(arg(t, eps))
+    return lambda t, eps: _apply_fn(fn, arg(t, eps))
+
+
+def _walk(e: Expr, t: float, eps: float | None = None) -> float:
+    """Reference tree walk; tests hold :func:`evaluate` to it."""
     if isinstance(e, Num):
         return e.value
     if isinstance(e, Var):
@@ -207,12 +265,12 @@ def evaluate(e: Expr, t: float, eps: float | None = None) -> float:
             return eps
         raise EvalError(f"variable {e.name!r} is not bound")
     if isinstance(e, Neg):
-        return -evaluate(e.arg, t, eps)
+        return -_walk(e.arg, t, eps)
     if isinstance(e, Bin):
-        a = evaluate(e.left, t, eps)
-        b = evaluate(e.right, t, eps)
+        a = _walk(e.left, t, eps)
+        b = _walk(e.right, t, eps)
         return _apply_bin(e.op, a, b)
-    return _apply_fn(e.fn, evaluate(e.arg, t, eps))
+    return _apply_fn(e.fn, _walk(e.arg, t, eps))
 
 
 def _apply_bin(op: str, a: float, b: float) -> float:

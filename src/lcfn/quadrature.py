@@ -45,7 +45,18 @@ def adaptive_simpson(fn, a: float, b: float,
     m = 0.5 * (a + b)
     fm = fn(m)
     whole = (b - a) / 6.0 * (fa + 4.0 * fm + fb)
-    return _simpson_rec(fn, a, b, fa, fm, fb, whole, abs_tol, max_depth)
+    try:
+        return _simpson_rec(fn, a, b, fa, fm, fb, whole, abs_tol, max_depth)
+    except _LeafNotConverged as leaf:
+        lo, hi = leaf.args
+        raise QuadratureNonConvergent(
+            f"tolerance {abs_tol:g} not met on [{a!r}, {b!r}]: leaf "
+            f"[{lo!r}, {hi!r}] did not converge within "
+            f"max_depth={max_depth}") from None
+
+
+class _LeafNotConverged(Exception):
+    """Raised by the leaf that ran out of depth; args are its interval."""
 
 
 def _simpson_rec(fn, a, b, fa, fm, fb, whole, tol, depth):
@@ -59,8 +70,7 @@ def _simpson_rec(fn, a, b, fa, fm, fb, whole, tol, depth):
     if abs(delta) <= 15.0 * tol:
         return left + right + delta / 15.0
     if depth <= 0:
-        raise QuadratureNonConvergent(
-            f"tolerance {tol:g} not met on [{a!r}, {b!r}]")
+        raise _LeafNotConverged(a, b)
     half = 0.5 * tol
     return (_simpson_rec(fn, a, m, fa, flm, fm, left, half, depth - 1)
             + _simpson_rec(fn, m, b, fm, frm, fb, right, half, depth - 1))

@@ -16,8 +16,6 @@ from __future__ import annotations
 
 import enum
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from . import expr as ex
@@ -368,7 +366,7 @@ def lagrange_scan(f: FuzzyFunction, epsilon: float = 0.2, smoothness: int = 1,
         record["passed"] = ok and record["recovery_ok"]
         return record
 
-    records = _parallel_map(scan_one, t0s)
+    records = [scan_one(t0) for t0 in t0s]
     worst = max(r["recovery_error"] for r in records)
     return CheckReport(
         check="lagrange-scan",
@@ -420,7 +418,7 @@ def dbr_forward_check(f: FuzzyFunction, g: FuzzyFunction,
         integrand = f.cross_with(eta).plus(g.cross_with(eta.derivative()))
         return integrate(integrand, spec).norm()
 
-    residuals = _parallel_map(residual_for, list(catalog))
+    residuals = [residual_for(eta) for eta in catalog]
     records = tuple(
         {"eta": i, "r": ex.to_source(eta.r), "q": ex.to_source(eta.q),
          "residual": res, "passed": res < tolerance}
@@ -483,16 +481,3 @@ def dbr_reconstruct(f: FuzzyFunction, spec: QuadratureSpec | None = None,
                                 residual_grid=tuple(rows),
                                 max_center_residual=max_center,
                                 max_coord_residual=max_coord)
-
-
-def _parallel_map(fn, items):
-    """Deterministic map that fans out when LCFN_THREADS allows it;
-    results keep the input order."""
-    try:
-        threads = int(os.environ.get("LCFN_THREADS", "1"))
-    except ValueError:
-        threads = 1
-    if threads <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))

@@ -121,6 +121,14 @@ def test_quadrature_nonconvergent():
                          1e-14, max_depth=3)
 
 
+def test_nonconvergent_message_names_caller_tolerance_and_intervals():
+    with pytest.raises(QuadratureNonConvergent) as err:
+        adaptive_simpson(math.sqrt, 0.0, 1.0, 1e-10, max_depth=40)
+    assert str(err.value) == (
+        f"tolerance 1e-10 not met on [0.0, 1.0]: leaf [0.0, {2.0 ** -40!r}] "
+        "did not converge within max_depth=40")
+
+
 def test_cumulative_integral_matches_closed_form(tri_am0):
     f = fn("t", "t", tri_am0)
     cumulative = CumulativeIntegral(f, nodes=33)

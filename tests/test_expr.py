@@ -90,6 +90,82 @@ def test_two_variable_evaluation():
         ex.evaluate(ex.parse("eps", ("t", "eps")), 1.0)  # eps unbound
 
 
+# -- compiled evaluation against the tree walk -------------------------------
+
+def _outcome(evaluator, e, t, eps):
+    """The value, or the error class and message, of one evaluation."""
+    try:
+        return evaluator(e, t, eps)
+    except EvalError as err:
+        return type(err), str(err)
+
+
+def _compiled_cases():
+    from lcfn.scenarios import load_catalog
+    from lcfn.variational import DiracKernel
+    for s in load_catalog():
+        a, b = s.domain
+        eps = s.eps0
+        f = s.f
+        cross = f.cross_with(s.partner or f.derivative())
+        trees = [f.r, f.q, f.center_expr(), cross.r, cross.q]
+        trees += [ex.differentiate(c, "t", k) for c in (f.r, f.q)
+                  for k in (1, 2, 3)]
+        # a margin outside the domain reaches the guarded operations too
+        ts = [a - 0.25 + (b - a + 0.5) * i / 40 for i in range(41)]
+        yield s.name, trees, ts, eps
+    kernel = DiracKernel.build(0.2, 1, 2)
+    yield "dirac-kernel", [kernel.expression(0.5)], \
+        [0.3 + 0.4 * i / 40 for i in range(41)], None
+    two = ex.parse("t*eps^2 - sin(eps*t)/(1 + eps) + log(t)*exp(-eps)",
+                   ("t", "eps"))
+    for eps in (-1.0, 0.0, 0.3, 2.0):
+        yield f"two-variable eps={eps}", [two], \
+            [-1.0 + 3.0 * i / 40 for i in range(41)], eps
+
+
+def test_compiled_evaluation_matches_walk_bit_for_bit():
+    checked = 0
+    for name, trees, ts, eps in _compiled_cases():
+        for tree in trees:
+            for t in ts:
+                got = _outcome(ex.evaluate, tree, t, eps)
+                want = _outcome(ex._walk, tree, t, eps)
+                # repr tells -0.0 from 0.0 and prints every NaN as 'nan'
+                assert repr(got) == repr(want), (name, ex.to_source(tree), t)
+                checked += 1
+    assert checked > 5000
+
+
+@pytest.mark.parametrize("src, cls", [
+    ("1/(t-t)", DivisionByZero),
+    ("0^-1", DivisionByZero),
+    ("log(-1)", EvalDomainError),
+    ("sqrt(-1)", EvalDomainError),
+    ("(-2)^0.5", EvalDomainError),
+    ("eps*t", EvalError),
+    ("exp(1000)", EvalError),
+])
+def test_compiled_errors_match_walk(src, cls):
+    tree = ex.parse(src, ("t", "eps"))
+    with pytest.raises(cls) as compiled:
+        ex.evaluate(tree, 0.5)
+    with pytest.raises(cls) as walked:
+        ex._walk(tree, 0.5)
+    assert type(compiled.value) is type(walked.value) is cls
+    assert str(compiled.value) == str(walked.value)
+
+
+def test_compiling_leaves_equality_hash_and_repr_unchanged():
+    src = "sin(t)^2 - 3*t/(1 + abs(t))"
+    tree, twin = ex.parse(src), ex.parse(src)
+    before = (repr(tree), hash(tree))
+    ex.evaluate(tree, 0.3)
+    assert (repr(tree), hash(tree)) == before
+    assert tree == twin and hash(tree) == hash(twin)
+    assert "_fn" in vars(tree) and "_fn" not in vars(twin)
+
+
 # -- differentiation --------------------------------------------------------
 
 def test_derivative_examples():

@@ -359,11 +359,3 @@ def test_newton_polish_flag(tri_am1):
     assert len(polished) == 1
     assert abs(polished[0].center_d1) <= 1e-12
     assert polished[0].t_star == pytest.approx(-0.5, abs=1e-12)
-
-
-def test_parallel_scan_matches_serial(monkeypatch):
-    scenario = catalog_scenario("s06_recovery_window")
-    serial = lagrange_scan(scenario.f, grid=3)
-    monkeypatch.setenv("LCFN_THREADS", "4")
-    parallel = lagrange_scan(scenario.f, grid=3)
-    assert parallel == serial
