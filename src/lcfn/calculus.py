@@ -25,6 +25,7 @@ DERIV_FD_TOL = 1e-6
 INTERCHANGE_TOL = 1e-6
 AE_GRID_POINTS = 2048
 AE_THRESHOLD = 1e-9  # |center| above this counts as a grid violation
+SPOT_FRACTIONS = (0.21, 0.5, 0.79)  # FTC spot checks, as domain fractions
 
 
 @dataclass(frozen=True)
@@ -155,16 +156,17 @@ class CumulativeIntegral:
 
     def __init__(self, f: FuzzyFunction, spec: QuadratureSpec | None = None,
                  nodes: int = 257):
+        if nodes < 2:
+            raise ValueError(f"need at least 2 grid nodes, got {nodes!r}")
         self.f = f
         a, b = f.domain
-        self._spec = (spec or QuadratureSpec())
-        seg_spec = self._spec.with_tol(self._spec.abs_tol / (nodes - 1))
-        self._seg_spec = seg_spec
+        spec = spec or QuadratureSpec()
+        self._seg_spec = spec.with_tol(spec.abs_tol / (nodes - 1))
         self._ts = [a + (b - a) * i / (nodes - 1) for i in range(nodes)]
         self._ts[-1] = b
         values = [LCFN.zero(f.gen)]
         for i in range(1, nodes):
-            seg = integrate(f, seg_spec, self._ts[i - 1], self._ts[i])
+            seg = integrate(f, self._seg_spec, self._ts[i - 1], self._ts[i])
             values.append(values[-1] + seg)
         self._values = values
 
@@ -186,8 +188,7 @@ class CumulativeIntegral:
 
 # -- checkers -----------------------------------------------------------------
 
-def ftc_check(f: FuzzyFunction, spec: QuadratureSpec | None = None,
-              spot_fractions=(0.21, 0.5, 0.79)) -> CheckReport:
+def ftc_check(f: FuzzyFunction, spec: QuadratureSpec | None = None) -> CheckReport:
     """integral of f' against f(b) - f(a), plus mean-value spot checks of
     F' = f at interior points."""
     spec = spec or QuadratureSpec()
@@ -200,7 +201,7 @@ def ftc_check(f: FuzzyFunction, spec: QuadratureSpec | None = None,
     h = min(3e-4, 0.05 * (b - a))
     tight = spec.with_tol(min(spec.abs_tol, 1e-13))
     spots = []
-    for u in spot_fractions:
+    for u in SPOT_FRACTIONS:
         t = a + (b - a) * u
         window = integrate(f, tight, t - h, t + h).scaled(1.0 / (2.0 * h))
         spots.append((window - f.at(t)).norm())

@@ -25,7 +25,7 @@ TRIANGULAR = "triangular"
 PIECEWISE_LINEAR = "piecewise-linear"
 
 #: Reflected-branch deviation below this means mirror symmetry.
-DEFAULT_MIRROR_TOL = 1e-12
+MIRROR_TOL = 1e-12
 
 Knot = tuple[float, float]
 
@@ -52,16 +52,15 @@ class Generator:
     a_m: float
 
     @classmethod
-    def triangular(cls, left: float, peak: float, right: float,
-                   mirror_tol: float = DEFAULT_MIRROR_TOL) -> "Generator":
+    def triangular(cls, left: float, peak: float, right: float) -> "Generator":
         knots = ((float(left), 0.0), (float(peak), 1.0), (float(right), 0.0))
-        report = validate(knots, mirror_tol=mirror_tol)
+        report = validate(knots)
         return cls(TRIANGULAR, knots, report.a_m)
 
     @classmethod
-    def piecewise_linear(cls, knots, mirror_tol: float = DEFAULT_MIRROR_TOL) -> "Generator":
+    def piecewise_linear(cls, knots) -> "Generator":
         knots = tuple((float(x), float(mu)) for x, mu in knots)
-        report = validate(knots, mirror_tol=mirror_tol)
+        report = validate(knots)
         return cls(PIECEWISE_LINEAR, knots, report.a_m)
 
     @classmethod
@@ -123,7 +122,7 @@ class Generator:
         raise NotNormal("no knot with membership 1")  # unreachable post-validation
 
 
-def validate(knots, mirror_tol: float = DEFAULT_MIRROR_TOL) -> ValidationReport:
+def validate(knots) -> ValidationReport:
     """Check all generator invariants, returning a report or raising.
 
     Raises UnsortedKnots, NotNormal, PlateauAtOne, Symmetric, or the base
@@ -168,9 +167,9 @@ def validate(knots, mirror_tol: float = DEFAULT_MIRROR_TOL) -> ValidationReport:
     for mu in grid:
         reflected = 2.0 * a_m - _branch_x_at(left, mu)
         gap = max(gap, abs(reflected - _branch_x_at(right, mu)))
-    if gap < mirror_tol:
+    if gap < MIRROR_TOL:
         raise Symmetric(
-            f"branches mirror each other within {mirror_tol:g}; "
+            f"branches mirror each other within {MIRROR_TOL:g}; "
             "coordinates would not be unique")
 
     return ValidationReport(a_m=a_m, support=(knots[0][0], knots[-1][0]),

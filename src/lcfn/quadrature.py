@@ -5,42 +5,37 @@ through both to guard against silent quadrature failure.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-import numpy as np
-
 from .errors import QuadratureNonConvergent
 
-ADAPTIVE_SIMPSON = "adaptive-simpson"
-GAUSS_LEGENDRE = "gauss-legendre"
+MAX_DEPTH = 40  # adaptive Simpson recursion limit
 
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    method: str = ADAPTIVE_SIMPSON
-    abs_tol: float = 1e-10
-    max_depth: int = 40
-    nodes: int = 64  # Gauss-Legendre only
+    abs_tol: float = 1e-10  # adaptive Simpson
+    nodes: int = 64         # Gauss-Legendre cross-check
 
     def __post_init__(self):
-        if self.abs_tol <= 0.0:
-            raise ValueError("abs_tol must be positive")
+        if not (math.isfinite(self.abs_tol) and self.abs_tol > 0.0):
+            raise ValueError(
+                f"abs_tol must be finite and positive, got {self.abs_tol!r}")
 
     def with_tol(self, abs_tol: float) -> "QuadratureSpec":
-        return QuadratureSpec(self.method, abs_tol, self.max_depth, self.nodes)
+        return QuadratureSpec(abs_tol, self.nodes)
 
 
 def integrate_scalar(fn, a: float, b: float, spec: QuadratureSpec) -> float:
     if a == b:
         return 0.0
-    if spec.method == GAUSS_LEGENDRE:
-        return gauss_legendre(fn, a, b, spec.nodes)
-    return adaptive_simpson(fn, a, b, spec.abs_tol, spec.max_depth)
+    return adaptive_simpson(fn, a, b, spec.abs_tol)
 
 
 def adaptive_simpson(fn, a: float, b: float,
-                     abs_tol: float = 1e-10, max_depth: int = 40) -> float:
+                     abs_tol: float = 1e-10, max_depth: int = MAX_DEPTH) -> float:
     fa, fb = fn(a), fn(b)
     m = 0.5 * (a + b)
     fm = fn(m)
@@ -78,8 +73,31 @@ def _simpson_rec(fn, a, b, fa, fm, fb, whole, tol, depth):
 
 @lru_cache(maxsize=16)
 def _leggauss(n: int):
-    xs, ws = np.polynomial.legendre.leggauss(n)
-    return tuple(xs.tolist()), tuple(ws.tolist())
+    """Nodes (ascending) and weights of the n-point Gauss-Legendre rule:
+    Newton's method on P_n from a cosine estimate of each positive root,
+    mirrored for the negative ones; odd n adds the root 0."""
+    roots = []  # positive, descending
+    for i in range(n // 2):
+        x = math.cos(math.pi * (i + 0.75) / (n + 0.5))
+        for _ in range(100):
+            p, dp = _legendre(n, x)
+            step = p / dp
+            x -= step
+            if abs(step) <= 1e-16:  # under one ulp of x near 1
+                break
+        roots.append(x)
+    xs = [-x for x in roots] + [0.0] * (n % 2) + roots[::-1]
+    dps = [_legendre(n, x)[1] for x in xs]
+    ws = [2.0 / ((1.0 - x * x) * dp * dp) for x, dp in zip(xs, dps)]
+    return tuple(xs), tuple(ws)
+
+
+def _legendre(n: int, x: float) -> tuple[float, float]:
+    """P_n(x) and P_n'(x) from the three-term recurrence, |x| < 1."""
+    p0, p1 = 1.0, x
+    for k in range(2, n + 1):
+        p0, p1 = p1, ((2 * k - 1) * x * p1 - (k - 1) * p0) / k
+    return p1, n * (x * p1 - p0) / (x * x - 1.0)
 
 
 def gauss_legendre(fn, a: float, b: float, n: int = 64) -> float:

@@ -39,6 +39,7 @@ SCAN_GRID = 1024          # critical-point scan resolution
 TOUCH_FACTOR = 1e-4       # node |g'| must be this small (relative) to try
 ACCEPT_FACTOR = 1e-9      # ... and this small at the refined point to accept
 MOLLIFIER_TOL = 0.05      # recovery accuracy for the default index ladder
+KERNEL_MASS_TOL = 1e-12   # quadrature tolerance of the kernel mass
 DBR_TOL = 1e-7
 DETECT_TOL = 1e-3
 BOUNDARY_TOL = 1e-12
@@ -65,19 +66,17 @@ class CriticalPoint:
                 "d2": self.center_d2, "verdict": self.verdict.value}
 
 
-def critical_points(f: FuzzyFunction, grid: int = SCAN_GRID,
-                    root_tol: float = ROOT_TOL,
-                    classify_tol: float = CLASSIFY_TOL,
-                    newton_polish: bool = False) -> tuple[CriticalPoint, ...]:
+def critical_points(f: FuzzyFunction, grid: int = SCAN_GRID
+                    ) -> tuple[CriticalPoint, ...]:
     """Interior zeros of the center derivative, classified by curvature.
 
     Sign changes of g' are bracketed and bisected (guaranteed
     convergence); touching zeros (g' grazing zero without a sign change,
     as for cubic centers) are caught at grid nodes where |g'| is locally
-    minimal and tiny, refined on the sign change of g''.  newton_polish
-    runs a few Newton steps after bisection and keeps them only when they
-    improve |g'|.
+    minimal and tiny, refined on the sign change of g''.
     """
+    if grid < 2:
+        raise ValueError(f"critical-point scan needs grid >= 2, got {grid!r}")
     a, b = f.domain
     g = f.center_expr()
     g1 = ex.differentiate(g, "t", 1)
@@ -98,7 +97,7 @@ def critical_points(f: FuzzyFunction, grid: int = SCAN_GRID,
         if v0 == 0.0:
             add(ts[i - 1])
         elif v0 * v1 < 0.0:
-            add(_bisect(g1, ts[i - 1], ts[i], v0, root_tol))
+            add(_bisect(g1, ts[i - 1], ts[i], v0))
 
     for i in range(1, grid - 1):
         v = abs(vals[i])
@@ -111,19 +110,17 @@ def critical_points(f: FuzzyFunction, grid: int = SCAN_GRID,
         w0 = ex.evaluate(g2, ts[i - 1])
         w1 = ex.evaluate(g2, ts[i + 1])
         if w0 * w1 < 0.0:  # extremum of g' inside; refine there
-            t_hat = _bisect(g2, ts[i - 1], ts[i + 1], w0, root_tol)
+            t_hat = _bisect(g2, ts[i - 1], ts[i + 1], w0)
             if abs(ex.evaluate(g1, t_hat)) <= ACCEPT_FACTOR * scale:
                 add(t_hat)
 
     points = []
     for t in sorted(roots):
-        if newton_polish:
-            t = _newton_polish(g1, g2, t, a, b)
         d1 = ex.evaluate(g1, t)
         d2 = ex.evaluate(g2, t)
-        if d2 > classify_tol:
+        if d2 > CLASSIFY_TOL:
             verdict = Verdict.LOCAL_MIN
-        elif d2 < -classify_tol:
+        elif d2 < -CLASSIFY_TOL:
             verdict = Verdict.LOCAL_MAX
         else:
             verdict = Verdict.INCONCLUSIVE
@@ -131,25 +128,8 @@ def critical_points(f: FuzzyFunction, grid: int = SCAN_GRID,
     return tuple(points)
 
 
-def _newton_polish(g1: ex.Expr, g2: ex.Expr, t: float,
-                   a: float, b: float, steps: int = 3) -> float:
-    best = t
-    best_val = abs(ex.evaluate(g1, t))
-    for _ in range(steps):
-        slope = ex.evaluate(g2, t)
-        if slope == 0.0:
-            break
-        t = t - ex.evaluate(g1, t) / slope
-        if not a < t < b:
-            break
-        val = abs(ex.evaluate(g1, t))
-        if val < best_val:
-            best, best_val = t, val
-    return best
-
-
-def _bisect(fn: ex.Expr, lo: float, hi: float, flo: float, width_tol: float) -> float:
-    while hi - lo > width_tol:
+def _bisect(fn: ex.Expr, lo: float, hi: float, flo: float) -> float:
+    while hi - lo > ROOT_TOL:
         mid = 0.5 * (lo + hi)
         fmid = ex.evaluate(fn, mid)
         if fmid == 0.0:
@@ -218,8 +198,8 @@ class DiracKernel:
         return (self.smoothness + 1) * self.index
 
     @classmethod
-    def build(cls, epsilon: float, smoothness: int = 1, index: int = 1,
-              tol: float = 1e-12) -> "DiracKernel":
+    def build(cls, epsilon: float, smoothness: int = 1,
+              index: int = 1) -> "DiracKernel":
         if epsilon <= 0.0:
             raise ValueError("epsilon must be positive")
         if index < 1 or smoothness < 0:
@@ -227,7 +207,7 @@ class DiracKernel:
         n = (smoothness + 1) * index
         mass = adaptive_simpson(
             lambda x: ((math.cos(math.pi * x / epsilon) + 1.0) / 2.0) ** n,
-            -epsilon, epsilon, tol, 40)
+            -epsilon, epsilon, KERNEL_MASS_TOL)
         return cls(epsilon, smoothness, index, mass)
 
     def __call__(self, x: float) -> float:
@@ -331,11 +311,12 @@ def mollifier_recovery(f: FuzzyFunction, t0: float, epsilon: float = 0.2,
 
 def lagrange_scan(f: FuzzyFunction, epsilon: float = 0.2, smoothness: int = 1,
                   indices=DEFAULT_INDICES, grid: int = 17,
-                  recovery_tol: float = MOLLIFIER_TOL,
                   spec: QuadratureSpec | None = None) -> CheckReport:
     """Scan interior points: wherever the center of f is materially
     nonzero the witness sequence must end positive and near its target;
     everywhere the crisp mollifier must recover the components."""
+    if grid < 1:
+        raise ValueError(f"Lagrange scan needs grid >= 1, got {grid!r}")
     spec = spec or QuadratureSpec()
     a, b = f.domain
     t0s = [a + (b - a) * (i + 1) / (grid + 1) for i in range(grid)]
@@ -354,7 +335,7 @@ def lagrange_scan(f: FuzzyFunction, epsilon: float = 0.2, smoothness: int = 1,
             last = ws[-1]
             witness_ok = (last.b_k > 0.0 and
                           abs(last.b_k - last.limit)
-                          <= recovery_tol * max(1.0, last.limit))
+                          <= MOLLIFIER_TOL * max(1.0, last.limit))
             record["witness_ok"] = witness_ok
             ok = ok and witness_ok
         recovered, exact = mollifier_recovery(f, t0, epsilon, smoothness,
@@ -362,7 +343,7 @@ def lagrange_scan(f: FuzzyFunction, epsilon: float = 0.2, smoothness: int = 1,
         err = max(abs(recovered.r - exact.r), abs(recovered.q - exact.q))
         record["recovered"] = [recovered.r, recovered.q]
         record["recovery_error"] = err
-        record["recovery_ok"] = err <= recovery_tol
+        record["recovery_ok"] = err <= MOLLIFIER_TOL
         record["passed"] = ok and record["recovery_ok"]
         return record
 
@@ -371,7 +352,7 @@ def lagrange_scan(f: FuzzyFunction, epsilon: float = 0.2, smoothness: int = 1,
     return CheckReport(
         check="lagrange-scan",
         passed=all(r["passed"] for r in records),
-        tolerance=recovery_tol,
+        tolerance=MOLLIFIER_TOL,
         residuals={"max_recovery_error": worst},
         notes=(
             "test functions: windowed mollifier products and crisp "
@@ -398,8 +379,8 @@ def default_eta_catalog(gen, domain, modes: int = 4) -> tuple[FuzzyFunction, ...
 
 
 def dbr_forward_check(f: FuzzyFunction, g: FuzzyFunction,
-                      catalog=None, spec: QuadratureSpec | None = None,
-                      tolerance: float = DBR_TOL) -> CheckReport:
+                      catalog=None, spec: QuadratureSpec | None = None
+                      ) -> CheckReport:
     """Forward direction of the du Bois-Reymond identity: when g' = f,
     integral(f (*) eta + g (*) eta') vanishes for every admissible eta."""
     spec = spec or QuadratureSpec()
@@ -421,12 +402,12 @@ def dbr_forward_check(f: FuzzyFunction, g: FuzzyFunction,
     residuals = [residual_for(eta) for eta in catalog]
     records = tuple(
         {"eta": i, "r": ex.to_source(eta.r), "q": ex.to_source(eta.q),
-         "residual": res, "passed": res < tolerance}
+         "residual": res, "passed": res < DBR_TOL}
         for i, (eta, res) in enumerate(zip(catalog, residuals)))
     return CheckReport(
         check="dbr-forward",
         passed=all(r["passed"] for r in records),
-        tolerance=tolerance,
+        tolerance=DBR_TOL,
         residuals={"max": max(residuals)},
         notes=(f"test-function universe: {len(catalog)} sine catalog entries",),
         records=records)

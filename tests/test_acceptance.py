@@ -11,11 +11,8 @@ Sampling conventions (shared with the unit suites):
   coordinate formulas is exactly representable, so float evaluation
   coincides with real arithmetic and the stated slacks are pure headroom.
 """
-import json
 import math
 import random
-import subprocess
-import sys
 import time
 
 from lcfn import (
@@ -39,6 +36,7 @@ from lcfn import (
 )
 from lcfn.scenarios import catalog_scenario, load_catalog
 
+import cli_golden
 from conftest import (
     continuous_element,
     lattice_element,
@@ -274,49 +272,17 @@ def test_criterion_11_reconstruction_gap():
 
 
 def test_criterion_12_cli_determinism(tmp_path):
-    gen_path = tmp_path / "tri.json"
-    gen_path.write_text(json.dumps(
-        {"kind": "triangular", "left": -1.0, "peak": 0.0, "right": 2.0}))
-    from importlib import resources
-    scenarios = {}
-    for name in ("s01_sine_poly.json", "s09_dbr_pair.json",
-                 "s12_reconstruction_gap.json", "s06_recovery_window.json"):
-        data = resources.files("lcfn.scenarios").joinpath(name).read_text()
-        path = tmp_path / name
-        path.write_text(data)
-        scenarios[name] = str(path)
-
-    gen = str(gen_path)
-    invocations = [
-        ("compare", "--gen", gen, "3+2A", "3-2A"),
-        ("norm", "--gen", gen, "1.5-2A"),
-        ("classify", "--gen", gen, "0.25+A"),
-        ("cross", "--gen", gen, "3+2A", "1-A"),
-        ("alpha-level", "--gen", gen, "--alpha", "0.25", "3+2A"),
-        ("differentiate", "--gen", gen, "--r", "t^2", "--q", "t",
-         "--domain", "0", "2", "--at", "0.5"),
-        ("integrate", "--gen", gen, "--r", "sin(t)", "--q", "t^2",
-         "--domain", "0", "1"),
-        ("critical-points", "--gen", gen, "--r", "t^2 - t", "--q", "t",
-         "--domain", "-1", "2"),
-        ("verify", "ftc", "--scenario", scenarios["s01_sine_poly.json"]),
-        ("verify", "ibp", "--scenario", scenarios["s01_sine_poly.json"]),
-        ("verify", "dbr-forward", "--scenario", scenarios["s09_dbr_pair.json"]),
-        ("verify", "dbr-reconstruct", "--grid", "17",
-         "--scenario", scenarios["s12_reconstruction_gap.json"]),
-        ("verify", "interchange", "--gen", gen, "--r", "t * eps",
-         "--q", "eps^2", "--domain", "0", "1", "--eps0", "1.0"),
-        ("verify", "lagrange", "--grid", "2", "--k", "1,2",
-         "--scenario", scenarios["s06_recovery_window.json"]),
-    ]
     mismatched = []
-    for argv in invocations:
-        runs = [subprocess.run([sys.executable, "-m", "lcfn.cli", *argv],
-                               capture_output=True, text=True)
-                for _ in range(2)]
+    invocations = cli_golden.materialize(tmp_path)
+    for name, argv in invocations:
+        runs = [cli_golden.run(argv) for _ in range(2)]
         if runs[0].stdout != runs[1].stdout or not runs[0].stdout:
-            mismatched.append(argv[0])
+            mismatched.append(name)
         if runs[0].returncode != runs[1].returncode:
-            mismatched.append(argv[0])
-    report(12, "byte-identical JSON across repeated runs of every verb",
-           not mismatched, f"checked {len(invocations)} invocations")
+            mismatched.append(name)
+        if any(cli_golden.render(r) != cli_golden.golden(name) for r in runs):
+            mismatched.append(f"{name} (golden)")
+    report(12, "byte-identical JSON across repeated runs of every verb, "
+               "equal to the recorded goldens",
+           not mismatched, f"checked {len(invocations)} invocations, "
+                           f"mismatched {sorted(set(mismatched))}")

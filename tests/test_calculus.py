@@ -129,6 +129,11 @@ def test_nonconvergent_message_names_caller_tolerance_and_intervals():
         "did not converge within max_depth=40")
 
 
+def test_cumulative_integral_needs_two_nodes(tri_am0):
+    with pytest.raises(ValueError, match="got 1"):
+        CumulativeIntegral(fn("t", "t", tri_am0), nodes=1)
+
+
 def test_cumulative_integral_matches_closed_form(tri_am0):
     f = fn("t", "t", tri_am0)
     cumulative = CumulativeIntegral(f, nodes=33)
@@ -246,10 +251,3 @@ def test_product_rule_across_catalog():
         report = product_rule_check(scenario.f, scenario.partner,
                                     a + 0.37 * (b - a))
         assert report.passed, scenario.name
-
-
-def test_integrate_with_gauss_legendre_spec(tri_am0):
-    spec = QuadratureSpec(method="gauss-legendre", nodes=64)
-    value = integrate(fn("sin(t)", "t^2", tri_am0), spec)
-    assert value.r == pytest.approx(1.0 - math.cos(1.0), abs=1e-12)
-    assert value.q == pytest.approx(1.0 / 3.0, abs=1e-12)

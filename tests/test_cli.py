@@ -225,6 +225,39 @@ def test_nonconvergent_quadrature_exits_3(tri):
     assert result.returncode == 3
 
 
+def test_critical_points_grid_one_exits_2(tri):
+    result = run_cli("critical-points", "--gen", tri, "--r", "t^2", "--q", "t",
+                     "--domain", "-2", "1", "--grid", "1")
+    assert result.returncode == 2
+    assert "grid >= 2, got 1" in result.stderr
+    assert "Traceback" not in result.stderr
+
+
+def test_dbr_reconstruct_grid_one_exits_2(tmp_path):
+    path = scenario_path(tmp_path, "s12_reconstruction_gap.json")
+    result = run_cli("verify", "dbr-reconstruct", "--scenario", path,
+                     "--grid", "1")
+    assert result.returncode == 2
+    assert "got 1" in result.stderr
+    assert "Traceback" not in result.stderr
+
+
+def test_lagrange_grid_zero_exits_2(tmp_path):
+    path = scenario_path(tmp_path, "s06_recovery_window.json")
+    result = run_cli("verify", "lagrange", "--scenario", path, "--grid", "0")
+    assert result.returncode == 2
+    assert "grid >= 1, got 0" in result.stderr
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf"])
+def test_non_finite_tolerance_exits_2(tri, tol):
+    result = run_cli("integrate", "--gen", tri, "--r", "t", "--q", "t",
+                     "--domain", "0", "1", "--tol", tol)
+    assert result.returncode == 2
+    assert f"got {tol}" in result.stderr
+    assert result.stdout == ""
+
+
 def test_output_file(tri, tmp_path):
     out = tmp_path / "report.json"
     result = run_cli("norm", "--gen", tri, "--out", str(out), "3+2A")

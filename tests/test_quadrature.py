@@ -1,0 +1,51 @@
+"""Gauss-Legendre nodes built without numpy, and quadrature settings."""
+import math
+import subprocess
+import sys
+
+import pytest
+
+from lcfn.quadrature import QuadratureSpec, _leggauss, gauss_legendre
+
+
+def test_import_lcfn_leaves_numpy_out():
+    code = "import sys, lcfn, lcfn.cli; print('numpy' in sys.modules)"
+    result = subprocess.run([sys.executable, "-c", code],
+                            capture_output=True, text=True, check=True)
+    assert result.stdout.strip() == "False"
+
+
+def test_gauss_legendre_64_exact_on_even_monomials():
+    for k in range(64):  # degree 2k <= 126 < 2*64
+        value = gauss_legendre(lambda t: t ** (2 * k), -1.0, 1.0, 64)
+        assert value == pytest.approx(2.0 / (2 * k + 1), rel=1e-13), k
+
+
+@pytest.mark.parametrize("n", [1, 3, 5, 33, 65])
+def test_odd_rule_has_node_at_zero_and_is_exact(n):
+    xs, ws = _leggauss(n)
+    assert len(xs) == len(ws) == n
+    assert xs[n // 2] == 0.0
+    assert list(xs) == sorted(xs)
+    assert all(xs[i] == -xs[-1 - i] and ws[i] == ws[-1 - i]
+               for i in range(n))
+    for k in range(n):  # degree 2k <= 2n - 2
+        value = gauss_legendre(lambda t: t ** (2 * k), -1.0, 1.0, n)
+        assert value == pytest.approx(2.0 / (2 * k + 1), rel=1e-13), (n, k)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 8, 16, 33, 63, 64, 65])
+def test_nodes_and_weights_match_numpy(n):
+    np = pytest.importorskip("numpy")
+    ref_xs, ref_ws = np.polynomial.legendre.leggauss(n)
+    xs, ws = _leggauss(n)
+    for x, ref in zip(xs, ref_xs.tolist()):
+        assert abs(x - ref) <= 2 * math.ulp(ref), (n, x, ref)
+    for w, ref in zip(ws, ref_ws.tolist()):
+        assert abs(w - ref) <= 1e-11 * ref, (n, w, ref)
+
+
+@pytest.mark.parametrize("tol", [0.0, -1e-10, math.nan, math.inf])
+def test_spec_rejects_tolerance_that_is_not_finite_positive(tol):
+    with pytest.raises(ValueError, match=repr(tol)):
+        QuadratureSpec(abs_tol=tol)

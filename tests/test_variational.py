@@ -348,14 +348,27 @@ def test_dbr_residual_scales_with_quadrature_tolerance():
     scenario = catalog_scenario("s09_dbr_pair")
     for tol in (1e-4, 1e-7, 1e-10):
         report = dbr_forward_check(scenario.f, scenario.partner,
-                                   spec=QuadratureSpec(abs_tol=tol),
-                                   tolerance=10 * tol)
+                                   spec=QuadratureSpec(abs_tol=tol))
         assert report.residuals["max"] <= 10 * tol
 
 
-def test_newton_polish_flag(tri_am1):
+def test_bisection_lands_on_parabola_vertex(tri_am1):
     f = fn("t^2", "t", tri_am1, (-2.0, 1.0))
-    polished = critical_points(f, newton_polish=True)
-    assert len(polished) == 1
-    assert abs(polished[0].center_d1) <= 1e-12
-    assert polished[0].t_star == pytest.approx(-0.5, abs=1e-12)
+    points = critical_points(f)
+    assert len(points) == 1
+    assert abs(points[0].center_d1) <= 1e-12
+    assert points[0].t_star == pytest.approx(-0.5, abs=1e-12)
+
+
+@pytest.mark.parametrize("grid", [1, 0, -3])
+def test_critical_points_rejects_grid_below_two(tri_am1, grid):
+    f = fn("t^2", "t", tri_am1, (-2.0, 1.0))
+    with pytest.raises(ValueError, match=f"got {grid}"):
+        critical_points(f, grid=grid)
+
+
+@pytest.mark.parametrize("grid", [0, -1])
+def test_lagrange_scan_rejects_empty_grid(grid):
+    f = catalog_scenario("s06_recovery_window").f
+    with pytest.raises(ValueError, match=f"got {grid}"):
+        lagrange_scan(f, grid=grid)
