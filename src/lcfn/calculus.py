@@ -99,11 +99,6 @@ class FuzzyFunction:
                              ex.add(self.q, ex.mul(lam_e, other.q)),
                              self.gen, self.domain)
 
-    def scaled(self, lam: float) -> "FuzzyFunction":
-        lam_e = ex.num(lam)
-        return FuzzyFunction(ex.mul(lam_e, self.r), ex.mul(lam_e, self.q),
-                             self.gen, self.domain)
-
     def cross_with(self, other: "FuzzyFunction") -> "FuzzyFunction":
         """Pointwise product, composed through the coordinate formulas so
         the result is again expression-backed (and symbolically
@@ -133,17 +128,28 @@ def deriv(f: FuzzyFunction, t: float, eps: float | None = None) -> LCFN:
 
 
 def integrate(f: FuzzyFunction, spec: QuadratureSpec | None = None,
-              lo: float | None = None, hi: float | None = None) -> LCFN:
-    """Componentwise quadrature over the domain (or a sub-interval)."""
+              lo: float | None = None, hi: float | None = None,
+              eps: float | None = None) -> LCFN:
+    """Componentwise quadrature over the domain (or a sub-interval); eps
+    binds the second variable of a two-variable function."""
     spec = spec or QuadratureSpec()
     a, b = f.domain
     lo = a if lo is None else lo
     hi = b if hi is None else hi
     if not (a <= lo <= hi <= b):
         raise OutsideDomain(f"[{lo!r}, {hi!r}] not inside [{a!r}, {b!r}]")
-    r_val = integrate_scalar(lambda t: ex.evaluate(f.r, t), lo, hi, spec)
-    q_val = integrate_scalar(lambda t: ex.evaluate(f.q, t), lo, hi, spec)
+    r_val = integrate_scalar(lambda t: ex.evaluate(f.r, t, eps), lo, hi, spec)
+    q_val = integrate_scalar(lambda t: ex.evaluate(f.q, t, eps), lo, hi, spec)
     return LCFN(r_val, q_val, f.gen)
+
+
+def node_grid(a: float, b: float, nodes: int) -> list[float]:
+    """``nodes`` equally spaced points from a to b, both ends exact."""
+    if nodes < 2:
+        raise ValueError(f"need at least 2 grid nodes, got {nodes!r}")
+    ts = [a + (b - a) * i / (nodes - 1) for i in range(nodes)]
+    ts[-1] = b
+    return ts
 
 
 class CumulativeIntegral:
@@ -156,23 +162,15 @@ class CumulativeIntegral:
 
     def __init__(self, f: FuzzyFunction, spec: QuadratureSpec | None = None,
                  nodes: int = 257):
-        if nodes < 2:
-            raise ValueError(f"need at least 2 grid nodes, got {nodes!r}")
         self.f = f
-        a, b = f.domain
+        self._ts = node_grid(*f.domain, nodes)
         spec = spec or QuadratureSpec()
         self._seg_spec = spec.with_tol(spec.abs_tol / (nodes - 1))
-        self._ts = [a + (b - a) * i / (nodes - 1) for i in range(nodes)]
-        self._ts[-1] = b
         values = [LCFN.zero(f.gen)]
         for i in range(1, nodes):
             seg = integrate(f, self._seg_spec, self._ts[i - 1], self._ts[i])
             values.append(values[-1] + seg)
         self._values = values
-
-    @property
-    def grid(self) -> tuple[float, ...]:
-        return tuple(self._ts)
 
     def at(self, t: float) -> LCFN:
         a, b = self.f.domain
@@ -300,21 +298,11 @@ def interchange_check(g: FuzzyFunction, eps0: float,
     if not g.eps_aware:
         raise ValueError("interchange_check needs a two-variable function")
     spec = spec or QuadratureSpec()
-    a, b = g.domain
     tight = spec.with_tol(min(spec.abs_tol, 1e-13))
     h = 1e-4 * max(1.0, abs(eps0))
-
-    def integral_at(eps: float) -> LCFN:
-        r = integrate_scalar(lambda t: ex.evaluate(g.r, t, eps), a, b, tight)
-        q = integrate_scalar(lambda t: ex.evaluate(g.q, t, eps), a, b, tight)
-        return LCFN(r, q, g.gen)
-
-    lhs = (integral_at(eps0 + h) - integral_at(eps0 - h)).scaled(1.0 / (2.0 * h))
-
-    partial = g.derivative(var="eps")
-    r = integrate_scalar(lambda t: ex.evaluate(partial.r, t, eps0), a, b, spec)
-    q = integrate_scalar(lambda t: ex.evaluate(partial.q, t, eps0), a, b, spec)
-    rhs = LCFN(r, q, g.gen)
+    lhs = (integrate(g, tight, eps=eps0 + h)
+           - integrate(g, tight, eps=eps0 - h)).scaled(1.0 / (2.0 * h))
+    rhs = integrate(g.derivative(var="eps"), spec, eps=eps0)
 
     residual = (lhs - rhs).norm()
     return CheckReport(

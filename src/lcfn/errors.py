@@ -62,10 +62,6 @@ class EvalDomainError(EvalError):
     """log of a nonpositive value, sqrt of a negative value, and similar."""
 
 
-class NonDifferentiable(LcfnError):
-    pass
-
-
 class OutsideDomain(LcfnError):
     pass
 

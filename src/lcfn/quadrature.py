@@ -23,6 +23,9 @@ class QuadratureSpec:
         if not (math.isfinite(self.abs_tol) and self.abs_tol > 0.0):
             raise ValueError(
                 f"abs_tol must be finite and positive, got {self.abs_tol!r}")
+        if self.nodes < 1:
+            raise ValueError(
+                f"Gauss-Legendre nodes must be >= 1, got {self.nodes!r}")
 
     def with_tol(self, abs_tol: float) -> "QuadratureSpec":
         return QuadratureSpec(abs_tol, self.nodes)

@@ -19,12 +19,7 @@ import math
 from dataclasses import dataclass
 
 from . import expr as ex
-from .calculus import (
-    CheckReport,
-    CumulativeIntegral,
-    FuzzyFunction,
-    integrate,
-)
+from .calculus import CheckReport, FuzzyFunction, integrate, node_grid
 from .core import LCFN, Ordering, compare
 from .errors import (
     CatalogBoundaryViolation,
@@ -200,8 +195,9 @@ class DiracKernel:
     @classmethod
     def build(cls, epsilon: float, smoothness: int = 1,
               index: int = 1) -> "DiracKernel":
-        if epsilon <= 0.0:
-            raise ValueError("epsilon must be positive")
+        if not (math.isfinite(epsilon) and epsilon > 0.0):
+            raise ValueError(
+                f"epsilon must be finite and positive, got {epsilon!r}")
         if index < 1 or smoothness < 0:
             raise ValueError("need index >= 1 and smoothness >= 0")
         n = (smoothness + 1) * index
@@ -245,6 +241,38 @@ class WitnessResult:
     limit: float          # (r(t0) + a_m*q(t0))^2, the k -> inf target
 
 
+def _window(f: FuzzyFunction, t0: float, epsilon: float) -> float:
+    """Half-width of the mollifier window at t0, clamped into the domain."""
+    a, b = f.domain
+    if not a < t0 < b:
+        raise WindowOutsideDomain(f"t0={t0!r} not interior to [{a!r}, {b!r}]")
+    return min(epsilon, EPS_CLAMP * min(t0 - a, b - t0))
+
+
+def _witness(f: FuzzyFunction, t0: float, kernel: DiracKernel,
+             spec: QuadratureSpec) -> tuple[FuzzyFunction, float]:
+    """eta = f times the kernel window at t0, and b_k = center of
+    integral(f (*) eta) over that window."""
+    window = (t0 - kernel.epsilon, t0 + kernel.epsilon)
+    delta_e = kernel.expression(t0)
+    eta = FuzzyFunction(ex.mul(f.r, delta_e), ex.mul(f.q, delta_e),
+                        f.gen, window)
+    f_win = FuzzyFunction(f.r, f.q, f.gen, window)
+    return eta, integrate(f_win.cross_with(eta), spec).center()
+
+
+def _recover(f: FuzzyFunction, t0: float, kernel: DiracKernel,
+             spec: QuadratureSpec) -> LCFN:
+    """The crisp mollifier (kernel, 0) against f: the kernel-weighted
+    component averages over the window at t0."""
+    lo, hi = t0 - kernel.epsilon, t0 + kernel.epsilon
+    r_hat = integrate_scalar(
+        lambda t: ex.evaluate(f.r, t) * kernel(t - t0), lo, hi, spec)
+    q_hat = integrate_scalar(
+        lambda t: ex.evaluate(f.q, t) * kernel(t - t0), lo, hi, spec)
+    return LCFN(r_hat, q_hat, f.gen)
+
+
 def lagrange_witness(f: FuzzyFunction, t0: float, epsilon: float = 0.2,
                      smoothness: int = 1, index: int = 1,
                      spec: QuadratureSpec | None = None) -> WitnessResult:
@@ -256,27 +284,18 @@ def lagrange_witness(f: FuzzyFunction, t0: float, epsilon: float = 0.2,
     positive for large index whenever the center of f(t0) is nonzero.
     """
     spec = spec or QuadratureSpec()
-    a, b = f.domain
-    if not a < t0 < b:
-        raise WindowOutsideDomain(f"t0={t0!r} not interior to [{a!r}, {b!r}]")
+    eps_eff = _window(f, t0, epsilon)
     center0 = f.at(t0).center()
     if center0 == 0.0:
         raise ZeroCenterAtT0(f"center of f({t0!r}) is zero; no witness exists")
 
-    eps_eff = min(epsilon, EPS_CLAMP * min(t0 - a, b - t0))
     kernel = DiracKernel.build(eps_eff, smoothness, index)
-    window = (t0 - eps_eff, t0 + eps_eff)
-    delta_e = kernel.expression(t0)
+    eta, b_k = _witness(f, t0, kernel, spec)
 
-    eta = FuzzyFunction(ex.mul(f.r, delta_e), ex.mul(f.q, delta_e),
-                        f.gen, window)
-    f_win = FuzzyFunction(f.r, f.q, f.gen, window)
-    b_k = integrate(f_win.cross_with(eta), spec).center()
-
-    squared = ex.pow_(f_win.center_expr(), ex.Num(2.0))
+    squared = ex.pow_(f.center_expr(), ex.Num(2.0))
     b_direct = integrate_scalar(
         lambda t: ex.evaluate(squared, t) * kernel(t - t0),
-        window[0], window[1], spec)
+        t0 - eps_eff, t0 + eps_eff, spec)
 
     return WitnessResult(t0=t0, index=index, epsilon=eps_eff, eta=eta,
                          b_k=b_k, b_direct=b_direct, limit=center0 * center0)
@@ -295,18 +314,8 @@ def mollifier_recovery(f: FuzzyFunction, t0: float, epsilon: float = 0.2,
     """Recover (r(t0), q(t0)) through the crisp mollifier: the product of
     f with the window (delta_k, 0) integrates to the component averages.
     Returns (recovered, exact)."""
-    spec = spec or QuadratureSpec()
-    a, b = f.domain
-    if not a < t0 < b:
-        raise WindowOutsideDomain(f"t0={t0!r} not interior to [{a!r}, {b!r}]")
-    eps_eff = min(epsilon, EPS_CLAMP * min(t0 - a, b - t0))
-    kernel = DiracKernel.build(eps_eff, smoothness, index)
-    lo, hi = t0 - eps_eff, t0 + eps_eff
-    r_hat = integrate_scalar(
-        lambda t: ex.evaluate(f.r, t) * kernel(t - t0), lo, hi, spec)
-    q_hat = integrate_scalar(
-        lambda t: ex.evaluate(f.q, t) * kernel(t - t0), lo, hi, spec)
-    return LCFN(r_hat, q_hat, f.gen), f.at(t0)
+    kernel = DiracKernel.build(_window(f, t0, epsilon), smoothness, index)
+    return _recover(f, t0, kernel, spec or QuadratureSpec()), f.at(t0)
 
 
 def lagrange_scan(f: FuzzyFunction, epsilon: float = 0.2, smoothness: int = 1,
@@ -314,7 +323,10 @@ def lagrange_scan(f: FuzzyFunction, epsilon: float = 0.2, smoothness: int = 1,
                   spec: QuadratureSpec | None = None) -> CheckReport:
     """Scan interior points: wherever the center of f is materially
     nonzero the witness sequence must end positive and near its target;
-    everywhere the crisp mollifier must recover the components."""
+    everywhere the crisp mollifier must recover the components.
+
+    Each kernel is built once per point and index; the recovery reuses
+    the last one of the witness sequence."""
     if grid < 1:
         raise ValueError(f"Lagrange scan needs grid >= 1, got {grid!r}")
     spec = spec or QuadratureSpec()
@@ -322,29 +334,25 @@ def lagrange_scan(f: FuzzyFunction, epsilon: float = 0.2, smoothness: int = 1,
     t0s = [a + (b - a) * (i + 1) / (grid + 1) for i in range(grid)]
 
     def scan_one(t0: float) -> dict:
-        record: dict = {"t0": t0}
         center0 = f.at(t0).center()
-        record["center"] = center0
         admissible = abs(center0) > ADMISSIBLE_CENTER
-        record["admissible"] = admissible
-        ok = True
+        record: dict = {"t0": t0, "center": center0, "admissible": admissible}
+        eps_eff = _window(f, t0, epsilon)
+        kernels = [DiracKernel.build(eps_eff, smoothness, k)
+                   for k in (indices if admissible else indices[-1:])]
         if admissible:
-            ws = witness_sequence(f, t0, epsilon, smoothness, indices, spec)
-            record["b"] = [w.b_k for w in ws]
-            record["limit"] = ws[-1].limit
-            last = ws[-1]
-            witness_ok = (last.b_k > 0.0 and
-                          abs(last.b_k - last.limit)
-                          <= MOLLIFIER_TOL * max(1.0, last.limit))
-            record["witness_ok"] = witness_ok
-            ok = ok and witness_ok
-        recovered, exact = mollifier_recovery(f, t0, epsilon, smoothness,
-                                              indices[-1], spec)
+            bs = [_witness(f, t0, kernel, spec)[1] for kernel in kernels]
+            limit = center0 * center0
+            record.update(b=bs, limit=limit, witness_ok=(
+                bs[-1] > 0.0
+                and abs(bs[-1] - limit) <= MOLLIFIER_TOL * max(1.0, limit)))
+        recovered = _recover(f, t0, kernels[-1], spec)
+        exact = f.at(t0)
         err = max(abs(recovered.r - exact.r), abs(recovered.q - exact.q))
-        record["recovered"] = [recovered.r, recovered.q]
-        record["recovery_error"] = err
-        record["recovery_ok"] = err <= MOLLIFIER_TOL
-        record["passed"] = ok and record["recovery_ok"]
+        record.update(recovered=[recovered.r, recovered.q],
+                      recovery_error=err, recovery_ok=err <= MOLLIFIER_TOL)
+        record["passed"] = (record.get("witness_ok", True)
+                            and record["recovery_ok"])
         return record
 
     records = [scan_one(t0) for t0 in t0s]
@@ -415,19 +423,20 @@ def dbr_forward_check(f: FuzzyFunction, g: FuzzyFunction,
 
 @dataclass(frozen=True)
 class ReconstructionResult:
-    """Mean value u, cumulative integral F, and the f(t) - u residual
-    grid that separates 'constant modulo the zero class' from genuinely
-    constant."""
+    """Mean value u of f, and the f(t) - u residual grid that separates
+    'constant modulo the zero class' from genuinely constant."""
 
     u: LCFN
-    cumulative: CumulativeIntegral
+    f: FuzzyFunction
+    spec: QuadratureSpec
     residual_grid: tuple[tuple[float, float, float], ...]  # (t, center, coord)
     max_center_residual: float
     max_coord_residual: float
 
     def g_tilde(self, t: float) -> LCFN:
-        """The continuous reconstruction F(t) + u."""
-        return self.cumulative.at(t) + self.u
+        """The continuous reconstruction F(t) + u, where F(t) is the
+        integral of f from the left endpoint, computed on demand."""
+        return integrate(self.f, self.spec, hi=t) + self.u
 
     def to_report(self) -> CheckReport:
         return CheckReport(
@@ -447,18 +456,17 @@ def dbr_reconstruct(f: FuzzyFunction, spec: QuadratureSpec | None = None,
     spec = spec or QuadratureSpec()
     a, b = f.domain
     u = integrate(f, spec).scaled(1.0 / (b - a))
-    cumulative = CumulativeIntegral(f, spec, nodes=grid)
     rows = []
     max_center = 0.0
     max_coord = 0.0
-    for t in cumulative.grid:
+    for t in node_grid(a, b, grid):
         e = f.at(t) - u
         center = e.center()
         coord = max(abs(e.r), abs(e.q))
         rows.append((t, center, coord))
         max_center = max(max_center, abs(center))
         max_coord = max(max_coord, coord)
-    return ReconstructionResult(u=u, cumulative=cumulative,
+    return ReconstructionResult(u=u, f=f, spec=spec,
                                 residual_grid=tuple(rows),
                                 max_center_residual=max_center,
                                 max_coord_residual=max_coord)

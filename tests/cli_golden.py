@@ -7,6 +7,12 @@ output bytes across changes and interpreters, not only across two runs of
 one build.  Regenerate them only on purpose, and explain the diff:
 
     PYTHONPATH=src python tests/cli_golden.py
+
+``--check`` compares every invocation with its file instead, writes
+nothing, and exits 1 naming each mismatch (no pytest needed, so it runs
+under any interpreter):
+
+    PYTHONPATH=src python tests/cli_golden.py --check
 """
 from __future__ import annotations
 
@@ -80,13 +86,27 @@ def golden(name: str) -> str:
     return (GOLDEN_DIR / f"{name}.out").read_text(encoding="utf-8")
 
 
-def main() -> None:
+def main(argv: list[str]) -> int:
+    check = argv == ["--check"]
+    if argv and not check:
+        print("usage: cli_golden.py [--check]", file=sys.stderr)
+        return 2
     GOLDEN_DIR.mkdir(exist_ok=True)
+    mismatches = []
     with tempfile.TemporaryDirectory() as tmp:
-        for name, argv in materialize(Path(tmp)):
-            (GOLDEN_DIR / f"{name}.out").write_text(render(run(argv)),
-                                                     encoding="utf-8")
+        for name, args in materialize(Path(tmp)):
+            out = render(run(args))
+            if not check:
+                (GOLDEN_DIR / f"{name}.out").write_text(out, encoding="utf-8")
+            elif not (GOLDEN_DIR / f"{name}.out").exists() or out != golden(name):
+                mismatches.append(name)
+    for name in mismatches:
+        print(f"mismatch: {name}", file=sys.stderr)
+    if check:
+        print(f"{len(INVOCATIONS) - len(mismatches)} of {len(INVOCATIONS)} "
+              "invocations match tests/golden/")
+    return 1 if mismatches else 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main(sys.argv[1:]))

@@ -249,6 +249,16 @@ def test_lagrange_grid_zero_exits_2(tmp_path):
     assert "grid >= 1, got 0" in result.stderr
 
 
+def test_lagrange_nan_epsilon_exits_2(tmp_path):
+    path = scenario_path(tmp_path, "s06_recovery_window.json")
+    result = run_cli("verify", "lagrange", "--scenario", path, "--grid", "1",
+                     "--epsilon", "nan")
+    assert result.returncode == 2
+    assert "got nan" in result.stderr
+    assert "Traceback" not in result.stderr
+    assert result.stdout == ""
+
+
 @pytest.mark.parametrize("tol", ["nan", "inf"])
 def test_non_finite_tolerance_exits_2(tri, tol):
     result = run_cli("integrate", "--gen", tri, "--r", "t", "--q", "t",
@@ -293,3 +303,20 @@ def test_verify_verbs_byte_identical(tmp_path):
         runs = [run_cli("verify", what, "--scenario", path) for _ in range(2)]
         assert runs[0].stdout == runs[1].stdout
         assert runs[0].returncode == runs[1].returncode == 0
+
+
+def test_golden_check_reports_mismatch_without_writing(tmp_path, monkeypatch,
+                                                        capsys):
+    import cli_golden
+    name, argv = cli_golden.INVOCATIONS[1]  # 02-norm: one cheap launch
+    recorded = cli_golden.golden(name)
+    monkeypatch.setattr(cli_golden, "INVOCATIONS", ((name, argv),))
+    monkeypatch.setattr(cli_golden, "GOLDEN_DIR", tmp_path)
+    stale = tmp_path / f"{name}.out"
+    stale.write_text("exit: 0\nstale\n", encoding="utf-8")
+    assert cli_golden.main(["--check"]) == 1
+    assert f"mismatch: {name}" in capsys.readouterr().err
+    assert stale.read_text(encoding="utf-8") == "exit: 0\nstale\n"
+    stale.write_text(recorded, encoding="utf-8")
+    assert cli_golden.main(["--check"]) == 0
+    assert cli_golden.main(["--bogus"]) == 2

@@ -63,4 +63,31 @@ def test_ftc_check_evals_over_catalog(counts):
 
 def test_lagrange_scan_evals(counts):
     variational.lagrange_scan(catalog_scenario("s06_recovery_window").f, grid=3)
-    assert counts == {"evals": 111065, "evaluate": 68561}
+    assert counts == {"evals": 83391, "evaluate": 48060}
+
+
+def test_dbr_reconstruct_evals_over_catalog(counts):
+    # the mean value (one integral) plus f at each of the 257 grid nodes
+    for scenario in load_catalog():
+        variational.dbr_reconstruct(scenario.f)
+    assert counts == {"evals": 1708, "evaluate": 7876}
+
+
+@pytest.mark.parametrize("name", ["s06_recovery_window", "s03_center_zero_line"])
+def test_lagrange_scan_matches_witness_and_recovery(name):
+    """The scan shares kernels between the witness ladder and the
+    recovery instead of calling the public harnesses; its numbers must
+    still be theirs, bit for bit."""
+    f = catalog_scenario(name).f
+    indices = (1, 2, 4)
+    report = variational.lagrange_scan(f, indices=indices, grid=3)
+    assert len(report.records) == 3
+    for record in report.records:
+        t0 = record["t0"]
+        if record["admissible"]:
+            ws = variational.witness_sequence(f, t0, indices=indices)
+            assert record["b"] == [w.b_k for w in ws]
+        recovered, _ = variational.mollifier_recovery(f, t0, index=indices[-1])
+        assert record["recovered"] == [recovered.r, recovered.q]
+    admissible = [r["admissible"] for r in report.records]
+    assert admissible == ([True] * 3 if name.startswith("s06") else [False] * 3)

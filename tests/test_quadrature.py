@@ -45,7 +45,13 @@ def test_nodes_and_weights_match_numpy(n):
         assert abs(w - ref) <= 1e-11 * ref, (n, w, ref)
 
 
-@pytest.mark.parametrize("tol", [0.0, -1e-10, math.nan, math.inf])
-def test_spec_rejects_tolerance_that_is_not_finite_positive(tol):
-    with pytest.raises(ValueError, match=repr(tol)):
-        QuadratureSpec(abs_tol=tol)
+@pytest.mark.parametrize("kwargs", [
+    pytest.param({"abs_tol": tol}, id=repr(tol))
+    for tol in (0.0, -1e-10, math.nan, math.inf)
+] + [pytest.param({"nodes": n}, id=f"nodes={n}") for n in (0, -1)])
+def test_spec_rejects_tolerance_that_is_not_finite_positive(kwargs):
+    """A tolerance that is not finite and positive, or fewer than one
+    Gauss-Legendre node."""
+    (value,) = kwargs.values()
+    with pytest.raises(ValueError, match=f"got {value!r}"):
+        QuadratureSpec(**kwargs)

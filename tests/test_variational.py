@@ -163,6 +163,21 @@ def test_kernel_rejects_bad_params():
         DiracKernel.build(0.5, 1, 0)
 
 
+@pytest.mark.parametrize("epsilon", [math.nan, math.inf, -math.inf, -0.1])
+def test_kernel_rejects_epsilon_that_is_not_finite_positive(epsilon):
+    with pytest.raises(ValueError, match=f"got {epsilon!r}"):
+        DiracKernel.build(epsilon, 1, 1)
+
+
+def test_lagrange_harnesses_reject_nan_epsilon():
+    f = catalog_scenario("s06_recovery_window").f
+    for run in (lambda: lagrange_witness(f, 1.5, epsilon=math.nan),
+                lambda: mollifier_recovery(f, 1.5, epsilon=math.nan),
+                lambda: lagrange_scan(f, epsilon=math.nan, grid=1)):
+        with pytest.raises(ValueError, match="got nan"):
+            run()
+
+
 # -- Lagrange witness ---------------------------------------------------------
 
 def test_witness_constant_function(tri_am0):
@@ -315,6 +330,10 @@ def test_dbr_reconstruct_g_tilde(tri_am0):
     t = 1.2
     approx = (result.g_tilde(t + h) - result.g_tilde(t - h)).scaled(1 / (2 * h))
     assert (approx - f.at(t)).norm() < 1e-5
+    # and matches the closed form F(t) = sin(t) + t^2 A
+    value = result.g_tilde(t) - result.u
+    assert value.r == pytest.approx(math.sin(t), abs=1e-10)
+    assert value.q == pytest.approx(t * t, abs=1e-10)
 
 
 def test_catalog_extrema_respect_order_definition():
