@@ -9,7 +9,6 @@ integral interchange) into numeric residuals with pinned tolerances.
 """
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass, field
 
 from . import expr as ex
@@ -153,35 +152,16 @@ def node_grid(a: float, b: float, nodes: int) -> list[float]:
 
 
 class CumulativeIntegral:
-    """F(t) = integral of f from the left endpoint, cached on a node grid.
+    """F(t) = integral of f from the left endpoint, computed on demand:
+    each query is one ``integrate`` call over [a, t], so nothing is
+    cached and a t outside the domain raises ``OutsideDomain``."""
 
-    Values at grid nodes carry the full quadrature accuracy (segment
-    tolerances sum to the requested tolerance); off-node queries
-    integrate the remainder from the nearest node on the left.
-    """
-
-    def __init__(self, f: FuzzyFunction, spec: QuadratureSpec | None = None,
-                 nodes: int = 257):
+    def __init__(self, f: FuzzyFunction, spec: QuadratureSpec | None = None):
         self.f = f
-        self._ts = node_grid(*f.domain, nodes)
-        spec = spec or QuadratureSpec()
-        self._seg_spec = spec.with_tol(spec.abs_tol / (nodes - 1))
-        values = [LCFN.zero(f.gen)]
-        for i in range(1, nodes):
-            seg = integrate(f, self._seg_spec, self._ts[i - 1], self._ts[i])
-            values.append(values[-1] + seg)
-        self._values = values
+        self.spec = spec
 
     def at(self, t: float) -> LCFN:
-        a, b = self.f.domain
-        if not a <= t <= b:
-            raise OutsideDomain(f"t={t!r} outside [{a!r}, {b!r}]")
-        i = bisect_right(self._ts, t) - 1
-        i = min(max(i, 0), len(self._ts) - 1)
-        base = self._values[i]
-        if t == self._ts[i]:
-            return base
-        return base + integrate(self.f, self._seg_spec, self._ts[i], t)
+        return integrate(self.f, self.spec, hi=t)
 
 
 # -- checkers -----------------------------------------------------------------

@@ -64,12 +64,13 @@ def _build_parser() -> argparse.ArgumentParser:
                     "for linearly correlated fuzzy numbers.")
     sub = parser.add_subparsers(dest="verb", required=True)
 
-    def common(p, scenario=False):
+    def common(p, scenario=False, quadrature=False):
         p.add_argument("--format", choices=("json", "text", "csv"),
                        default="json")
         p.add_argument("--out", default=None, help="write output to a file")
-        p.add_argument("--tol", type=float, default=None,
-                       help="quadrature absolute tolerance override")
+        if quadrature:
+            p.add_argument("--tol", type=float, default=None,
+                           help="quadrature absolute tolerance override")
         p.add_argument("--gen", default=None, help="generator config path")
         if scenario:
             p.add_argument("--scenario", default=None, help="scenario path")
@@ -109,7 +110,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_differentiate)
 
     p = sub.add_parser("integrate")
-    common(p, scenario=True)
+    common(p, scenario=True, quadrature=True)
     p.set_defaults(handler=_cmd_integrate)
 
     p = sub.add_parser("critical-points")
@@ -121,11 +122,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("what", choices=("lagrange", "dbr-forward",
                                     "dbr-reconstruct", "interchange",
                                     "ftc", "ibp"))
-    common(p, scenario=True)
+    common(p, scenario=True, quadrature=True)
     p.add_argument("--eps0", type=float, default=None)
-    p.add_argument("--epsilon", type=float, default=0.2)
-    p.add_argument("--l", dest="smoothness", type=int, default=1)
-    p.add_argument("--k", dest="indices", default="1,2,4,8,16",
+    p.add_argument("--epsilon", type=float, default=vr.EPSILON)
+    p.add_argument("--l", dest="smoothness", type=int, default=vr.SMOOTHNESS)
+    p.add_argument("--k", dest="indices",
+                   default=",".join(map(str, vr.DEFAULT_INDICES)),
                    help="comma-separated mollifier index ladder")
     p.add_argument("--grid", type=int, default=None)
     p.set_defaults(handler=_cmd_verify)
@@ -249,11 +251,11 @@ def _cmd_verify(args):
                                           _require_partner(scenario),
                                           spec=spec)
         elif what == "dbr-reconstruct":
-            grid = args.grid if args.grid is not None else 257
+            grid = args.grid if args.grid is not None else vr.RECONSTRUCT_GRID
             report = vr.dbr_reconstruct(scenario.f, spec, grid=grid).to_report()
         else:  # lagrange
             indices = tuple(int(k) for k in args.indices.split(","))
-            grid = args.grid if args.grid is not None else 17
+            grid = args.grid if args.grid is not None else vr.LAGRANGE_GRID
             report = vr.lagrange_scan(scenario.f, epsilon=args.epsilon,
                                       smoothness=args.smoothness,
                                       indices=indices, grid=grid, spec=spec)

@@ -169,14 +169,13 @@ def compare(b: LCFN, c: LCFN) -> Ordering:
 
 
 def scalar_le(lam: float, b: LCFN) -> bool:
-    """lam <= B, decided by lam <= center(B)."""
-    return lam <= b.center()
+    """lam <= B, with lam embedded as the element lam + 0*A."""
+    return compare(LCFN.from_scalar(lam, b.gen), b) is not Ordering.GREATER
 
 
 def scalar_ge(lam: float, b: LCFN) -> bool:
-    """B <= lam: true when lam exceeds the center or B is exactly the
-    embedded scalar lam."""
-    return lam > b.center() or (b.q == 0.0 and b.r == lam)
+    """B <= lam, with lam embedded as the element lam + 0*A."""
+    return compare(b, LCFN.from_scalar(lam, b.gen)) is not Ordering.GREATER
 
 
 def approx_equal(b: LCFN, c: LCFN, tol: float = 1e-12) -> bool:

@@ -38,7 +38,11 @@ KERNEL_MASS_TOL = 1e-12   # quadrature tolerance of the kernel mass
 DBR_TOL = 1e-7
 DETECT_TOL = 1e-3
 BOUNDARY_TOL = 1e-12
+EPSILON = 0.2             # mollifier window half-width before clamping
+SMOOTHNESS = 1            # l: kernel vanishes with its first l derivatives
 DEFAULT_INDICES = (1, 2, 4, 8, 16)
+LAGRANGE_GRID = 17        # interior points of the Lagrange scan
+RECONSTRUCT_GRID = 257    # residual grid nodes of dbr_reconstruct
 ADMISSIBLE_CENTER = 1e-9  # |center| below this is treated as zero-class
 EPS_CLAMP = 0.45          # window half-width <= EPS_CLAMP * distance to edge
 
@@ -193,7 +197,7 @@ class DiracKernel:
         return (self.smoothness + 1) * self.index
 
     @classmethod
-    def build(cls, epsilon: float, smoothness: int = 1,
+    def build(cls, epsilon: float, smoothness: int = SMOOTHNESS,
               index: int = 1) -> "DiracKernel":
         if not (math.isfinite(epsilon) and epsilon > 0.0):
             raise ValueError(
@@ -273,8 +277,8 @@ def _recover(f: FuzzyFunction, t0: float, kernel: DiracKernel,
     return LCFN(r_hat, q_hat, f.gen)
 
 
-def lagrange_witness(f: FuzzyFunction, t0: float, epsilon: float = 0.2,
-                     smoothness: int = 1, index: int = 1,
+def lagrange_witness(f: FuzzyFunction, t0: float, epsilon: float = EPSILON,
+                     smoothness: int = SMOOTHNESS, index: int = 1,
                      spec: QuadratureSpec | None = None) -> WitnessResult:
     """The constructive witness for the Lagrange lemma at one point.
 
@@ -301,15 +305,15 @@ def lagrange_witness(f: FuzzyFunction, t0: float, epsilon: float = 0.2,
                          b_k=b_k, b_direct=b_direct, limit=center0 * center0)
 
 
-def witness_sequence(f: FuzzyFunction, t0: float, epsilon: float = 0.2,
-                     smoothness: int = 1, indices=DEFAULT_INDICES,
+def witness_sequence(f: FuzzyFunction, t0: float, epsilon: float = EPSILON,
+                     smoothness: int = SMOOTHNESS, indices=DEFAULT_INDICES,
                      spec: QuadratureSpec | None = None) -> tuple[WitnessResult, ...]:
     return tuple(lagrange_witness(f, t0, epsilon, smoothness, k, spec)
                  for k in indices)
 
 
-def mollifier_recovery(f: FuzzyFunction, t0: float, epsilon: float = 0.2,
-                       smoothness: int = 1, index: int = 16,
+def mollifier_recovery(f: FuzzyFunction, t0: float, epsilon: float = EPSILON,
+                       smoothness: int = SMOOTHNESS, index: int = 16,
                        spec: QuadratureSpec | None = None) -> tuple[LCFN, LCFN]:
     """Recover (r(t0), q(t0)) through the crisp mollifier: the product of
     f with the window (delta_k, 0) integrates to the component averages.
@@ -318,8 +322,9 @@ def mollifier_recovery(f: FuzzyFunction, t0: float, epsilon: float = 0.2,
     return _recover(f, t0, kernel, spec or QuadratureSpec()), f.at(t0)
 
 
-def lagrange_scan(f: FuzzyFunction, epsilon: float = 0.2, smoothness: int = 1,
-                  indices=DEFAULT_INDICES, grid: int = 17,
+def lagrange_scan(f: FuzzyFunction, epsilon: float = EPSILON,
+                  smoothness: int = SMOOTHNESS, indices=DEFAULT_INDICES,
+                  grid: int = LAGRANGE_GRID,
                   spec: QuadratureSpec | None = None) -> CheckReport:
     """Scan interior points: wherever the center of f is materially
     nonzero the witness sequence must end positive and near its target;
@@ -329,6 +334,9 @@ def lagrange_scan(f: FuzzyFunction, epsilon: float = 0.2, smoothness: int = 1,
     the last one of the witness sequence."""
     if grid < 1:
         raise ValueError(f"Lagrange scan needs grid >= 1, got {grid!r}")
+    if not indices:
+        raise ValueError(
+            f"Lagrange scan needs a non-empty index ladder, got {indices!r}")
     spec = spec or QuadratureSpec()
     a, b = f.domain
     t0s = [a + (b - a) * (i + 1) / (grid + 1) for i in range(grid)]
@@ -449,7 +457,7 @@ class ReconstructionResult:
 
 
 def dbr_reconstruct(f: FuzzyFunction, spec: QuadratureSpec | None = None,
-                    grid: int = 257) -> ReconstructionResult:
+                    grid: int = RECONSTRUCT_GRID) -> ReconstructionResult:
     """Recover the constant candidate u as the mean value of f and report
     how far f - u is from the zero class (center residuals) and from zero
     itself (coordinate residuals)."""

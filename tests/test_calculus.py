@@ -129,18 +129,16 @@ def test_nonconvergent_message_names_caller_tolerance_and_intervals():
         "did not converge within max_depth=40")
 
 
-def test_cumulative_integral_needs_two_nodes(tri_am0):
-    with pytest.raises(ValueError, match="got 1"):
-        CumulativeIntegral(fn("t", "t", tri_am0), nodes=1)
-
-
 def test_cumulative_integral_matches_closed_form(tri_am0):
     f = fn("t", "t", tri_am0)
-    cumulative = CumulativeIntegral(f, nodes=33)
+    cumulative = CumulativeIntegral(f)
     for t in (0.0, 0.25, 0.333, 0.5, 1.0):
         value = cumulative.at(t)
         assert value.r == pytest.approx(t * t / 2, abs=1e-10)
         assert value.q == pytest.approx(t * t / 2, abs=1e-10)
+    for t in (-0.1, 1.1, math.nan):
+        with pytest.raises(OutsideDomain):
+            cumulative.at(t)
 
 
 # -- checkers -----------------------------------------------------------------

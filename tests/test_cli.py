@@ -7,6 +7,8 @@ import pytest
 
 from importlib import resources
 
+from lcfn.cli import main
+
 
 def run_cli(*argv):
     return subprocess.run([sys.executable, "-m", "lcfn.cli", *argv],
@@ -266,6 +268,18 @@ def test_non_finite_tolerance_exits_2(tri, tol):
     assert result.returncode == 2
     assert f"got {tol}" in result.stderr
     assert result.stdout == ""
+
+
+@pytest.mark.parametrize("argv", [
+    ("compare", "1", "2"), ("norm", "1"), ("classify", "1"),
+    ("cross", "1", "2"), ("alpha-level", "--alpha", "0.5"),
+    ("differentiate", "--at", "0.5"), ("critical-points",),
+])
+def test_tol_only_on_quadrature_verbs(argv, capsys):
+    with pytest.raises(SystemExit) as exit_:
+        main([*argv, "--tol", "1e-3"])
+    assert exit_.value.code == 2
+    assert "unrecognized arguments: --tol" in capsys.readouterr().err
 
 
 def test_output_file(tri, tmp_path):

@@ -175,6 +175,7 @@ def test_compare_scalar_agrees_with_embedding(r, q, lam, seed):
     b = LCFN(r, q, g)
     embedded = LCFN.from_scalar(lam, g)
     assert scalar_le(lam, b) == (compare(embedded, b) is not Ordering.GREATER)
+    assert scalar_ge(lam, b) == (compare(b, embedded) is not Ordering.GREATER)
 
 
 # -- cross product and sign classes --------------------------------------------

@@ -61,6 +61,22 @@ def test_ftc_check_evals_over_catalog(counts):
     assert counts == {"evals": 3328, "evaluate": 3448}
 
 
+PROBE_FRACTIONS = (0.25, 0.5, 0.3)  # the checker-sweep benchmark's F(t) probes
+
+
+def test_cumulative_integral_evals_over_catalog(counts):
+    # one integral over [a, t] per query and nothing up front
+    queries = []
+    for scenario in load_catalog():
+        a, b = scenario.f.domain
+        cumulative = calculus.CumulativeIntegral(scenario.f)
+        for u in PROBE_FRACTIONS:
+            t = a + (b - a) * u
+            queries.append((scenario.f, t, cumulative.at(t)))
+    assert counts == {"evals": 4716, "evaluate": 4716}
+    assert all(value == calculus.integrate(f, hi=t) for f, t, value in queries)
+
+
 def test_lagrange_scan_evals(counts):
     variational.lagrange_scan(catalog_scenario("s06_recovery_window").f, grid=3)
     assert counts == {"evals": 83391, "evaluate": 48060}

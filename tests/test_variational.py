@@ -391,3 +391,9 @@ def test_lagrange_scan_rejects_empty_grid(grid):
     f = catalog_scenario("s06_recovery_window").f
     with pytest.raises(ValueError, match=f"got {grid}"):
         lagrange_scan(f, grid=grid)
+
+
+def test_lagrange_scan_rejects_empty_index_ladder():
+    f = catalog_scenario("s06_recovery_window").f
+    with pytest.raises(ValueError, match="non-empty index ladder, got"):
+        lagrange_scan(f, indices=(), grid=1)
