@@ -291,11 +291,3 @@ def interchange_check(g: FuzzyFunction, eps0: float,
         residuals={"norm": residual,
                    "lhs_r": lhs.r, "lhs_q": lhs.q,
                    "rhs_r": rhs.r, "rhs_q": rhs.q})
-
-
-def limit_quotient(f: FuzzyFunction, t: float, h: float) -> LCFN:
-    """Central difference quotient (f(t+h) - f(t-h)) / 2h, used by tests
-    to compare deriv() against the limit definition in the norm."""
-    if h <= 0.0:
-        raise ValueError("h must be positive")
-    return (f.at(t + h) - f.at(t - h)).scaled(1.0 / (2.0 * h))

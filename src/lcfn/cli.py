@@ -254,13 +254,21 @@ def _cmd_verify(args):
             grid = args.grid if args.grid is not None else vr.RECONSTRUCT_GRID
             report = vr.dbr_reconstruct(scenario.f, spec, grid=grid).to_report()
         else:  # lagrange
-            indices = tuple(int(k) for k in args.indices.split(","))
+            indices = _index_ladder(args.indices)
             grid = args.grid if args.grid is not None else vr.LAGRANGE_GRID
             report = vr.lagrange_scan(scenario.f, epsilon=args.epsilon,
                                       smoothness=args.smoothness,
                                       indices=indices, grid=grid, spec=spec)
     doc = _doc("verify", what=what, report=report.to_dict())
     return doc, not report.passed
+
+
+def _index_ladder(text: str) -> tuple[int, ...]:
+    try:
+        return tuple(int(k) for k in text.split(","))
+    except ValueError:
+        raise ValueError(
+            f"--k needs comma-separated integers, got {text!r}") from None
 
 
 def _require_partner(scenario):

@@ -178,16 +178,6 @@ def scalar_ge(lam: float, b: LCFN) -> bool:
     return compare(b, LCFN.from_scalar(lam, b.gen)) is not Ordering.GREATER
 
 
-def approx_equal(b: LCFN, c: LCFN, tol: float = 1e-12) -> bool:
-    """Coordinate closeness for assertions only.
-
-    The order itself never uses a tolerance: Equal in compare() means
-    identical coordinates, otherwise antisymmetry would fail.
-    """
-    _require_same_gen(b, c)
-    return abs(b.r - c.r) <= tol and abs(b.q - c.q) <= tol
-
-
 def cross_oracle(b: LCFN, c: LCFN) -> LCFN:
     """The product via its defining form center(C)*B + center(B)*C - b*c,
     built from scaling and addition only.  Kept separate from cross() so

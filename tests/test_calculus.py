@@ -17,7 +17,6 @@ from lcfn import (
     product_rule_check,
     square_integral,
 )
-from lcfn.calculus import limit_quotient
 from lcfn.errors import OutsideDomain, QuadratureNonConvergent
 from lcfn.quadrature import adaptive_simpson, gauss_legendre
 from lcfn.scenarios import catalog_names, catalog_scenario, load_catalog
@@ -25,6 +24,12 @@ from lcfn.scenarios import catalog_names, catalog_scenario, load_catalog
 
 def fn(r, q, gen, domain=(0.0, 1.0)):
     return FuzzyFunction.from_strings(r, q, gen, domain)
+
+
+def limit_quotient(f, t, h):
+    """Central difference quotient (f(t+h) - f(t-h)) / 2h, to compare
+    deriv() against the limit definition in the norm."""
+    return (f.at(t + h) - f.at(t - h)).scaled(1.0 / (2.0 * h))
 
 
 # -- deriv -----------------------------------------------------------------

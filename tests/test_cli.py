@@ -261,6 +261,18 @@ def test_lagrange_nan_epsilon_exits_2(tmp_path):
     assert result.stdout == ""
 
 
+@pytest.mark.parametrize("ladder", ["", "1,,2", "1,x"])
+def test_lagrange_bad_index_ladder_names_k(tmp_path, ladder):
+    path = scenario_path(tmp_path, "s06_recovery_window.json")
+    result = run_cli("verify", "lagrange", "--scenario", path, "--grid", "1",
+                     "--k", ladder)
+    assert result.returncode == 2
+    assert (f"error: --k needs comma-separated integers, got {ladder!r}"
+            in result.stderr)
+    assert "Traceback" not in result.stderr
+    assert result.stdout == ""
+
+
 @pytest.mark.parametrize("tol", ["nan", "inf"])
 def test_non_finite_tolerance_exits_2(tri, tol):
     result = run_cli("integrate", "--gen", tri, "--r", "t", "--q", "t",

@@ -102,13 +102,20 @@ def _outcome(evaluator, e, t, eps):
 
 def _compiled_cases():
     from lcfn.scenarios import load_catalog
-    from lcfn.variational import DiracKernel
+    from lcfn.variational import DiracKernel, default_eta_catalog
     for s in load_catalog():
         a, b = s.domain
         eps = s.eps0
         f = s.f
-        cross = f.cross_with(s.partner or f.derivative())
-        trees = [f.r, f.q, f.center_expr(), cross.r, cross.q]
+        g = s.partner or f.derivative()
+        cross = f.cross_with(g)
+        # DAGs: f (*) f reuses the r and q objects of f, and the second test
+        # function of the dbr-forward catalog has r and q the same object
+        square = f.cross_with(f)
+        eta = default_eta_catalog(f.gen, f.domain)[1]
+        dbr = f.cross_with(eta).plus(g.cross_with(eta.derivative()))
+        trees = [f.r, f.q, f.center_expr(), cross.r, cross.q,
+                 square.r, square.q, dbr.r, dbr.q]
         trees += [ex.differentiate(c, "t", k) for c in (f.r, f.q)
                   for k in (1, 2, 3)]
         # a margin outside the domain reaches the guarded operations too
@@ -154,6 +161,55 @@ def test_compiled_errors_match_walk(src, cls):
         ex._walk(tree, 0.5)
     assert type(compiled.value) is type(walked.value) is cls
     assert str(compiled.value) == str(walked.value)
+
+
+def test_trees_of_one_shape_share_one_compiled_factory():
+    first, second = ex.parse("2*t + 1"), ex.parse("3*t + 5")
+    assert ex.evaluate(first, 0.5) == 2.0
+    assert ex.evaluate(second, 0.5) == 6.5
+    assert first._fn is not second._fn
+    assert first._fn.__code__ is second._fn.__code__
+    # '/' and '^' enter as arguments, so they share code yet keep their
+    # own operator; an inline '-' is another shape
+    quotient, power = ex.parse("t / 4"), ex.parse("t ^ 4")
+    assert (ex.evaluate(quotient, 0.5), ex.evaluate(power, 0.5)) == (0.125, 0.0625)
+    assert quotient._fn.__code__ is power._fn.__code__
+    assert ex.parse("2*t - 1")._fn.__code__ is not first._fn.__code__
+
+
+@pytest.mark.parametrize("node", [
+    ex.Bin("+-", ex.Num(2.0), ex.Var("t")),
+    ex.Bin("", ex.Var("t"), ex.Num(3.0)),
+    ex.Bin("-*", ex.Num(-8.0), ex.Var("t")),
+    ex.Call("si", ex.Var("t")),
+    ex.Call("", ex.Var("t")),
+], ids=["+-", "empty-op", "-*", "si", "empty-fn"])
+def test_operators_outside_the_grammar_match_walk(node):
+    # a substring test ("+-" in "+-*") would inline these; the walk sends
+    # every operator but an exact + - * to the guarded helpers
+    for t in (-1.5, 0.0, 0.5, 2.0):
+        got = _outcome(ex.evaluate, node, t, None)
+        want = _outcome(ex._walk, node, t, None)
+        assert repr(got) == repr(want), t
+
+
+_LOG = ex.parse("log(t)")
+_EPS = ex.Var("eps")
+
+
+@pytest.mark.parametrize("tree, t", [
+    # log(t) is one object used twice: it raises first at t <= 0, and the
+    # division by t - t raises after it
+    (ex.Bin("-", ex.Bin("/", _LOG, ex.parse("t - t")), _LOG), -1.0),
+    (ex.Bin("-", ex.Bin("/", _LOG, ex.parse("t - t")), _LOG), 2.0),
+    (ex.Bin("*", ex.parse("sqrt(t)"), ex.Bin("+", _LOG, _LOG)), -1.0),
+    (ex.Bin("+", ex.Bin("+", _EPS, ex.parse("1/(t-t)")), _EPS), 1.0),
+], ids=lambda v: ex.to_source(v) if isinstance(v, ex.Bin) else repr(v))
+def test_shared_subtree_errors_match_walk(tree, t):
+    got = _outcome(ex.evaluate, tree, t, None)
+    want = _outcome(ex._walk, tree, t, None)
+    assert isinstance(want, tuple)  # every case raises
+    assert got == want
 
 
 def test_compiling_leaves_equality_hash_and_repr_unchanged():
