@@ -9,6 +9,7 @@ integral interchange) into numeric residuals with pinned tolerances.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 from . import expr as ex
@@ -64,6 +65,8 @@ class FuzzyFunction:
 
     def __post_init__(self):
         a, b = self.domain
+        if not (math.isfinite(a) and math.isfinite(b)):
+            raise ValueError(f"domain ends must be finite, got [{a}, {b}]")
         if not a < b:
             raise ValueError(f"empty domain [{a}, {b}]")
 
@@ -277,6 +280,8 @@ def interchange_check(g: FuzzyFunction, eps0: float,
     """
     if not g.eps_aware:
         raise ValueError("interchange_check needs a two-variable function")
+    if not math.isfinite(eps0):
+        raise ValueError(f"eps0 must be finite, got {eps0!r}")
     spec = spec or QuadratureSpec()
     tight = spec.with_tol(min(spec.abs_tol, 1e-13))
     h = 1e-4 * max(1.0, abs(eps0))

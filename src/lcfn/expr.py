@@ -17,6 +17,7 @@ convention; kink hits are detectable via :func:`kink_hits`.
 from __future__ import annotations
 
 import math
+import operator
 import re
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
@@ -26,6 +27,7 @@ from .errors import (
     DivisionByZero,
     EvalDomainError,
     EvalError,
+    ExprError,
     ExprSyntaxError,
     UnknownFunction,
 )
@@ -62,20 +64,78 @@ class Neg(_Node):
 
 @dataclass(frozen=True)
 class Bin(_Node):
-    op: str  # one of + - * / ^
+    op: str  # a key of _BIN
     left: Expr
     right: Expr
+
+    def __post_init__(self):
+        if self.op not in _BIN:
+            raise ExprError(f"unknown operator {self.op!r}")
 
 
 @dataclass(frozen=True)
 class Call(_Node):
-    fn: str
+    fn: str  # a key of _FN
     arg: Expr
 
+    def __post_init__(self):
+        if self.fn not in _FN:
+            raise ExprError(f"unknown function {self.fn!r}")
 
+
+# -- operations: one guarded float function per operator and function name ---
+
+def _div(a: float, b: float) -> float:
+    if b == 0.0:
+        raise DivisionByZero("division by zero")
+    return a / b
+
+
+def _pow(a: float, b: float) -> float:
+    if a == 0.0 and b < 0.0:
+        raise DivisionByZero("zero raised to a negative power")
+    try:
+        result = a ** b
+    except OverflowError:
+        raise EvalError("overflow in power") from None
+    except ValueError:
+        raise EvalDomainError(
+            f"negative base {a!r} with non-integer exponent") from None
+    if isinstance(result, complex):
+        raise EvalDomainError(f"negative base {a!r} with non-integer exponent")
+    return result
+
+
+def _exp(x: float) -> float:
+    try:
+        return math.exp(x)
+    except OverflowError:
+        raise EvalError("overflow in exp") from None
+
+
+def _log(x: float) -> float:
+    if x <= 0.0:
+        raise EvalDomainError(f"log of nonpositive value {x!r}")
+    return math.log(x)
+
+
+def _sqrt(x: float) -> float:
+    if x < 0.0:
+        raise EvalDomainError(f"sqrt of negative value {x!r}")
+    return math.sqrt(x)
+
+
+def _sign(x: float) -> float:
+    # abs'(0) convention: 0.
+    return 0.0 if x == 0.0 else math.copysign(1.0, x)
+
+
+_BIN = {"+": operator.add, "-": operator.sub, "*": operator.mul,
+        "/": _div, "^": _pow}
 # 'sign' is not user-facing vocabulary but appears in derivatives of 'abs';
 # the parser accepts it so printed derivatives reparse.
-FUNCTIONS = ("sin", "cos", "exp", "log", "abs", "sqrt", "sign")
+_FN = {"sin": math.sin, "cos": math.cos, "exp": _exp, "log": _log,
+       "abs": abs, "sqrt": _sqrt, "sign": _sign}
 
 _TOKEN = re.compile(
     r"\s*(?:(?P<num>[0-9]+(?:\.[0-9]*)?(?:[eE][+-]?[0-9]+)?"
@@ -188,13 +248,13 @@ class _Parser:
                 return Var(value)
             nk, nv, noffset = self.peek()
             if nk == "op" and nv == "(":
-                if value not in FUNCTIONS:
+                if value not in _FN:
                     raise UnknownFunction(f"unknown function {value!r}", offset)
                 self.advance()
                 arg = self.expr()
                 self.expect_op(")")
                 return Call(value, arg)
-            if value in FUNCTIONS:
+            if value in _FN:
                 raise ExprSyntaxError(
                     f"function {value!r} needs parentheses", noffset)
             raise ExprSyntaxError(f"unknown variable {value!r}", offset)
@@ -219,10 +279,6 @@ def evaluate(e: Expr, t: float, eps: float | None = None) -> float:
     return e._fn(t, eps)
 
 
-_INLINE_BIN = {"+": "{} + {}", "-": "{} - {}", "*": "{} * {}"}
-_INLINE_FN = {"sin": "_sin({})", "cos": "_cos({})"}
-
-
 def _compile(e: Expr):
     """One straight-line function ``(t, eps) -> float`` doing the float
     operations of :func:`_walk` in the same order.
@@ -230,13 +286,13 @@ def _compile(e: Expr):
     A post-order walk (left before right) emits one ``vN = ...`` line per
     operation into the source of a factory ``_make(k0, k1, ...)``; a
     subtree object met again (same ``id``) reuses its ``vN``.  Constants
-    and ``t`` are read in place, since reading them cannot fail.  ``+ - *``,
-    unary minus, sin and cos are inline; every other operation goes through
-    ``_apply_bin``/``_apply_fn`` and a variable other than ``t`` through
+    and ``t`` are read in place, since reading them cannot fail.  ``+ - *``
+    and unary minus are inline; every other operation is called through
+    its ``_BIN``/``_FN`` entry and a variable other than ``t`` through
     ``_var``, so errors and messages are those of the walk.  Constants,
-    variable names, operators and function names enter as the arguments
-    ``kN``, never as text, so trees of one shape share one source and
-    :func:`_factory` compiles each shape once.
+    variable names and those functions enter as the arguments ``kN``, never
+    as text, so trees of one shape share one source and :func:`_factory`
+    compiles each shape once.
     """
     lines, args, names = [], [], {}
 
@@ -254,19 +310,16 @@ def _compile(e: Expr):
         if isinstance(node, Var):
             if node.name == "t":
                 return "t"
-            rhs = f"_var({arg(node.name)}, eps)"
+            rhs = f"{arg(_var)}({arg(node.name)}, eps)"
         elif isinstance(node, Neg):
             rhs = f"-{emit(node.arg)}"
         elif isinstance(node, Bin):
             a, b = emit(node.left), emit(node.right)
-            form = _INLINE_BIN.get(node.op)
-            rhs = (form.format(a, b) if form is not None
-                   else f"_apply_bin({arg(node.op)}, {a}, {b})")
+            rhs = (f"{a} {node.op} {b}" if node.op in ("+", "-", "*")
+                   else f"{arg(_BIN[node.op])}({a}, {b})")
         else:
             x = emit(node.arg)
-            form = _INLINE_FN.get(node.fn)
-            rhs = (form.format(x) if form is not None
-                   else f"_apply_fn({arg(node.fn)}, {x})")
+            rhs = f"{arg(_FN[node.fn])}({x})"
         name = f"v{len(lines)}"
         lines.append(f"  {name} = {rhs}\n")
         names[id(node)] = name
@@ -281,11 +334,11 @@ def _compile(e: Expr):
 
 @lru_cache(maxsize=1024)
 def _factory(src: str):
-    """The factory defined by ``src``, compiled once per tree shape.  1024
-    is above the measured working set: 240 cycles of perfbench's
+    """The factory defined by ``src``, compiled once per tree shape; the
+    source names nothing but its arguments, so it runs in an empty scope.
+    1024 is above the measured working set: 240 cycles of perfbench's
     checker-sweep build 597 shapes."""
-    scope = {"_sin": math.sin, "_cos": math.cos, "_var": _var,
-             "_apply_bin": _apply_bin, "_apply_fn": _apply_fn}
+    scope = {}
     exec(compile(src, "<lcfn.expr>", "exec"), scope)
     return scope["_make"]
 
@@ -301,69 +354,12 @@ def _walk(e: Expr, t: float, eps: float | None = None) -> float:
     if isinstance(e, Num):
         return e.value
     if isinstance(e, Var):
-        if e.name == "t":
-            return t
-        if e.name == "eps" and eps is not None:
-            return eps
-        raise EvalError(f"variable {e.name!r} is not bound")
+        return t if e.name == "t" else _var(e.name, eps)
     if isinstance(e, Neg):
         return -_walk(e.arg, t, eps)
     if isinstance(e, Bin):
-        a = _walk(e.left, t, eps)
-        b = _walk(e.right, t, eps)
-        return _apply_bin(e.op, a, b)
-    return _apply_fn(e.fn, _walk(e.arg, t, eps))
-
-
-def _apply_bin(op: str, a: float, b: float) -> float:
-    if op == "+":
-        return a + b
-    if op == "-":
-        return a - b
-    if op == "*":
-        return a * b
-    if op == "/":
-        if b == 0.0:
-            raise DivisionByZero("division by zero")
-        return a / b
-    if a == 0.0 and b < 0.0:
-        raise DivisionByZero("zero raised to a negative power")
-    try:
-        result = a ** b
-    except OverflowError:
-        raise EvalError("overflow in power") from None
-    except ValueError:
-        raise EvalDomainError(
-            f"negative base {a!r} with non-integer exponent") from None
-    if isinstance(result, complex):
-        raise EvalDomainError(f"negative base {a!r} with non-integer exponent")
-    return result
-
-
-def _apply_fn(fn: str, x: float) -> float:
-    try:
-        if fn == "sin":
-            return math.sin(x)
-        if fn == "cos":
-            return math.cos(x)
-        if fn == "exp":
-            return math.exp(x)
-        if fn == "log":
-            if x <= 0.0:
-                raise EvalDomainError(f"log of nonpositive value {x!r}")
-            return math.log(x)
-        if fn == "abs":
-            return abs(x)
-        if fn == "sqrt":
-            if x < 0.0:
-                raise EvalDomainError(f"sqrt of negative value {x!r}")
-            return math.sqrt(x)
-        if fn == "sign":
-            # abs'(0) convention: 0.
-            return 0.0 if x == 0.0 else math.copysign(1.0, x)
-    except OverflowError:
-        raise EvalError(f"overflow in {fn}") from None
-    raise EvalError(f"unknown function {fn!r}")
+        return _BIN[e.op](_walk(e.left, t, eps), _walk(e.right, t, eps))
+    return _FN[e.fn](_walk(e.arg, t, eps))
 
 
 # -- smart constructors (local folding only, no general simplification) -------
@@ -432,10 +428,6 @@ def pow_(a: Expr, b: Expr) -> Expr:
     return Bin("^", a, b)
 
 
-def call(fn: str, arg: Expr) -> Expr:
-    return Call(fn, arg)
-
-
 # -- differentiation ----------------------------------------------------------
 
 def differentiate(e: Expr, var: str = "t", order: int = 1) -> Expr:
@@ -466,25 +458,25 @@ def _d(e: Expr, var: str) -> Expr:
             return add(mul(du, v), mul(u, dv))
         if e.op == "/":
             return div(sub(mul(du, v), mul(u, dv)), pow_(v, Num(2.0)))
-        if isinstance(v, Num):  # power rule for constant exponents
+        if isinstance(v, Num):  # '^': power rule for constant exponents
             return mul(mul(v, pow_(u, num(v.value - 1.0))), du)
         # general u^v via exp-log: u^v * (dv*log u + v*du/u)
         return mul(pow_(u, v),
-                   add(mul(dv, call("log", u)), mul(v, div(du, u))))
+                   add(mul(dv, Call("log", u)), mul(v, div(du, u))))
     u, du = e.arg, _d(e.arg, var)
     if e.fn == "sin":
-        return mul(call("cos", u), du)
+        return mul(Call("cos", u), du)
     if e.fn == "cos":
-        return neg(mul(call("sin", u), du))
+        return neg(mul(Call("sin", u), du))
     if e.fn == "exp":
-        return mul(call("exp", u), du)
+        return mul(Call("exp", u), du)
     if e.fn == "log":
         return div(du, u)
     if e.fn == "sqrt":
-        return div(du, mul(Num(2.0), call("sqrt", u)))
+        return div(du, mul(Num(2.0), Call("sqrt", u)))
     if e.fn == "abs":
-        return mul(call("sign", u), du)
-    # d(sign) = 0 almost everywhere; the kink itself is flagged separately
+        return mul(Call("sign", u), du)
+    # 'sign': d(sign) = 0 almost everywhere; the kink is flagged separately
     return Num(0.0)
 
 

@@ -224,7 +224,7 @@ class DiracKernel:
         encode, so only evaluate it there.
         """
         x = ex.sub(ex.Var("t"), ex.num(center))
-        bump = ex.div(ex.add(ex.call("cos",
+        bump = ex.div(ex.add(ex.Call("cos",
                                      ex.mul(ex.num(math.pi / self.epsilon), x)),
                              ex.Num(1.0)),
                       ex.Num(2.0))
@@ -387,7 +387,7 @@ def default_eta_catalog(gen, domain, modes: int = 4) -> tuple[FuzzyFunction, ...
     a, b = domain
     out = []
     for m in range(1, modes + 1):
-        s = ex.call("sin", ex.mul(ex.num(m * math.pi / (b - a)),
+        s = ex.Call("sin", ex.mul(ex.num(m * math.pi / (b - a)),
                                   ex.sub(ex.Var("t"), ex.num(a))))
         out.append(FuzzyFunction(s, ex.Num(0.0), gen, domain))
         out.append(FuzzyFunction(s, s, gen, domain))

@@ -34,6 +34,14 @@ def limit_quotient(f, t, h):
 
 # -- deriv -----------------------------------------------------------------
 
+@pytest.mark.parametrize("domain", [
+    (0.0, math.inf), (-math.inf, 1.0), (0.0, math.nan)])
+def test_domain_ends_must_be_finite(tri_am0, domain):
+    with pytest.raises(ValueError, match="domain ends must be finite") as err:
+        fn("t", "t", tri_am0, domain)
+    assert f"[{domain[0]}, {domain[1]}]" in str(err.value)
+
+
 def test_deriv_componentwise(tri_am0):
     f = fn("t^2", "t^3", tri_am0, (0.0, 2.0))
     assert deriv(f, 1.0) == LCFN(2.0, 3.0, tri_am0)
@@ -229,6 +237,14 @@ def test_interchange_oscillatory(tri_am0):
 def test_interchange_requires_two_variable_function(tri_am0):
     with pytest.raises(ValueError):
         interchange_check(fn("t", "t", tri_am0), 1.0)
+
+
+@pytest.mark.parametrize("eps0", [math.nan, math.inf, -math.inf])
+def test_interchange_rejects_non_finite_eps0(tri_am0, eps0):
+    g = FuzzyFunction.from_strings("t * eps", "t", tri_am0, (0.0, 1.0),
+                                   two_variable=True)
+    with pytest.raises(ValueError, match=f"eps0 must be finite, got {eps0!r}"):
+        interchange_check(g, eps0)
 
 
 # -- scenario catalog ----------------------------------------------------------

@@ -273,6 +273,26 @@ def test_lagrange_bad_index_ladder_names_k(tmp_path, ladder):
     assert result.stdout == ""
 
 
+@pytest.mark.parametrize("verb, r", [
+    ("integrate", "t"), ("critical-points", "t^2-t")])
+def test_infinite_domain_exits_2(tri, verb, r):
+    result = run_cli(verb, "--gen", tri, "--r", r, "--q", "t",
+                     "--domain", "0", "inf")
+    assert result.returncode == 2
+    assert "domain ends must be finite, got [0.0, inf]" in result.stderr
+    assert result.stdout == ""
+
+
+def test_interchange_nan_eps0_exits_2(tri):
+    result = run_cli("verify", "interchange", "--gen", tri,
+                     "--r", "t*eps", "--q", "t",
+                     "--domain", "0", "1", "--eps0", "nan")
+    assert result.returncode == 2
+    assert "eps0 must be finite, got nan" in result.stderr
+    assert "Traceback" not in result.stderr
+    assert result.stdout == ""
+
+
 @pytest.mark.parametrize("tol", ["nan", "inf"])
 def test_non_finite_tolerance_exits_2(tri, tol):
     result = run_cli("integrate", "--gen", tri, "--r", "t", "--q", "t",

@@ -10,6 +10,7 @@ from lcfn.errors import (
     DivisionByZero,
     EvalDomainError,
     EvalError,
+    ExprError,
     ExprSyntaxError,
     UnknownFunction,
 )
@@ -84,6 +85,16 @@ def test_unknown_function_and_variable():
     ex.parse("eps * t", ("t", "eps"))
 
 
+def test_every_table_function_parses_and_no_other():
+    for name in ex._FN:
+        tree = ex.parse(f"{name}(t)")
+        assert tree == ex.Call(name, ex.Var("t"))
+        assert ex.to_source(tree) == f"{name}(t)"
+        assert ex.evaluate(tree, 0.5) == ex._FN[name](0.5)
+    with pytest.raises(UnknownFunction):
+        ex.parse("tan(t)")
+
+
 def test_two_variable_evaluation():
     assert ev("t * eps^2", 3.0, eps=2.0) == 12.0
     with pytest.raises(EvalError):
@@ -129,6 +140,9 @@ def _compiled_cases():
     for eps in (-1.0, 0.0, 0.3, 2.0):
         yield f"two-variable eps={eps}", [two], \
             [-1.0 + 3.0 * i / 40 for i in range(41)], eps
+    # sign(-0.0) is +0.0, not copysign(1.0, -0.0)
+    yield "sign at signed zeros", [ex.parse("sign(t)")], \
+        [0.0, -0.0, -1.5, 2.0], None
 
 
 def test_compiled_evaluation_matches_walk_bit_for_bit():
@@ -152,6 +166,7 @@ def test_compiled_evaluation_matches_walk_bit_for_bit():
     ("(-2)^0.5", EvalDomainError),
     ("eps*t", EvalError),
     ("exp(1000)", EvalError),
+    ("10^400", EvalError),
 ])
 def test_compiled_errors_match_walk(src, cls):
     tree = ex.parse(src, ("t", "eps"))
@@ -177,20 +192,19 @@ def test_trees_of_one_shape_share_one_compiled_factory():
     assert ex.parse("2*t - 1")._fn.__code__ is not first._fn.__code__
 
 
-@pytest.mark.parametrize("node", [
-    ex.Bin("+-", ex.Num(2.0), ex.Var("t")),
-    ex.Bin("", ex.Var("t"), ex.Num(3.0)),
-    ex.Bin("-*", ex.Num(-8.0), ex.Var("t")),
-    ex.Call("si", ex.Var("t")),
-    ex.Call("", ex.Var("t")),
+@pytest.mark.parametrize("make, args", [
+    (ex.Bin, ("+-", ex.Num(2.0), ex.Var("t"))),
+    (ex.Bin, ("", ex.Var("t"), ex.Num(3.0))),
+    (ex.Bin, ("-*", ex.Num(-8.0), ex.Var("t"))),
+    (ex.Call, ("si", ex.Var("t"))),
+    (ex.Call, ("", ex.Var("t"))),
 ], ids=["+-", "empty-op", "-*", "si", "empty-fn"])
-def test_operators_outside_the_grammar_match_walk(node):
-    # a substring test ("+-" in "+-*") would inline these; the walk sends
-    # every operator but an exact + - * to the guarded helpers
-    for t in (-1.5, 0.0, 0.5, 2.0):
-        got = _outcome(ex.evaluate, node, t, None)
-        want = _outcome(ex._walk, node, t, None)
-        assert repr(got) == repr(want), t
+def test_names_outside_the_tables_are_rejected(make, args):
+    # a node is built only with an operator of _BIN or a function of _FN,
+    # so no evaluator, derivative or printer meets any other name
+    with pytest.raises(ExprError) as err:
+        make(*args)
+    assert repr(args[0]) in str(err.value)
 
 
 _LOG = ex.parse("log(t)")
