@@ -129,12 +129,11 @@ def deriv(f: FuzzyFunction, t: float, eps: float | None = None) -> LCFN:
     return LCFN(ex.evaluate(fd.r, t, eps), ex.evaluate(fd.q, t, eps), f.gen)
 
 
-def integrate(f: FuzzyFunction, spec: QuadratureSpec | None = None,
+def integrate(f: FuzzyFunction, spec: QuadratureSpec = QuadratureSpec(),
               lo: float | None = None, hi: float | None = None,
               eps: float | None = None) -> LCFN:
     """Componentwise quadrature over the domain (or a sub-interval); eps
     binds the second variable of a two-variable function."""
-    spec = spec or QuadratureSpec()
     a, b = f.domain
     lo = a if lo is None else lo
     hi = b if hi is None else hi
@@ -159,7 +158,8 @@ class CumulativeIntegral:
     each query is one ``integrate`` call over [a, t], so nothing is
     cached and a t outside the domain raises ``OutsideDomain``."""
 
-    def __init__(self, f: FuzzyFunction, spec: QuadratureSpec | None = None):
+    def __init__(self, f: FuzzyFunction,
+                 spec: QuadratureSpec = QuadratureSpec()):
         self.f = f
         self.spec = spec
 
@@ -169,10 +169,10 @@ class CumulativeIntegral:
 
 # -- checkers -----------------------------------------------------------------
 
-def ftc_check(f: FuzzyFunction, spec: QuadratureSpec | None = None) -> CheckReport:
+def ftc_check(f: FuzzyFunction,
+              spec: QuadratureSpec = QuadratureSpec()) -> CheckReport:
     """integral of f' against f(b) - f(a), plus mean-value spot checks of
     F' = f at interior points."""
-    spec = spec or QuadratureSpec()
     a, b = f.domain
     fd = f.derivative()
     total = integrate(fd, spec)
@@ -217,9 +217,8 @@ def product_rule_check(f: FuzzyFunction, g: FuzzyFunction,
 
 
 def ibp_check(f: FuzzyFunction, g: FuzzyFunction,
-              spec: QuadratureSpec | None = None) -> CheckReport:
+              spec: QuadratureSpec = QuadratureSpec()) -> CheckReport:
     """integral(f*g') + integral(f'*g) against the boundary term."""
-    spec = spec or QuadratureSpec()
     a, b = f.domain
     left = integrate(f.cross_with(g.derivative()), spec)
     right = integrate(f.derivative().cross_with(g), spec)
@@ -230,7 +229,7 @@ def ibp_check(f: FuzzyFunction, g: FuzzyFunction,
         residuals={"identity": residual})
 
 
-def square_integral(f: FuzzyFunction, spec: QuadratureSpec | None = None
+def square_integral(f: FuzzyFunction, spec: QuadratureSpec = QuadratureSpec()
                     ) -> tuple[LCFN, CheckReport]:
     """Integral of the pointwise square, with positivity diagnostics.
 
@@ -241,7 +240,6 @@ def square_integral(f: FuzzyFunction, spec: QuadratureSpec | None = None
     the fraction of a fixed grid where |r + a_m*q| exceeds a small
     threshold.
     """
-    spec = spec or QuadratureSpec()
     a, b = f.domain
     value = integrate(f.cross_with(f), spec)
     center = value.center()
@@ -250,13 +248,9 @@ def square_integral(f: FuzzyFunction, spec: QuadratureSpec | None = None
     sq = ex.pow_(ce, ex.Num(2.0))
     direct = gauss_legendre(lambda t: ex.evaluate(sq, t), a, b, spec.nodes)
 
-    n = AE_GRID_POINTS
-    violations = 0
-    for i in range(n):
-        t = a + (b - a) * i / (n - 1)
-        if abs(ex.evaluate(ce, t)) > AE_THRESHOLD:
-            violations += 1
-    fraction = violations / n
+    violations = sum(abs(ex.evaluate(ce, t)) > AE_THRESHOLD
+                     for t in node_grid(a, b, AE_GRID_POINTS))
+    fraction = violations / AE_GRID_POINTS
 
     passed = center >= -spec.abs_tol and abs(center - direct) <= spec.abs_tol
     report = CheckReport(
@@ -271,7 +265,7 @@ def square_integral(f: FuzzyFunction, spec: QuadratureSpec | None = None
 
 
 def interchange_check(g: FuzzyFunction, eps0: float,
-                      spec: QuadratureSpec | None = None) -> CheckReport:
+                      spec: QuadratureSpec = QuadratureSpec()) -> CheckReport:
     """d/deps of integral(g(t, eps)) against integral(d g/d eps) at eps0.
 
     g must be built with two_variable=True so its components may mention
@@ -282,7 +276,6 @@ def interchange_check(g: FuzzyFunction, eps0: float,
         raise ValueError("interchange_check needs a two-variable function")
     if not math.isfinite(eps0):
         raise ValueError(f"eps0 must be finite, got {eps0!r}")
-    spec = spec or QuadratureSpec()
     tight = spec.with_tol(min(spec.abs_tol, 1e-13))
     h = 1e-4 * max(1.0, abs(eps0))
     lhs = (integrate(g, tight, eps=eps0 + h)

@@ -62,6 +62,11 @@ class EvalDomainError(EvalError):
     """log of a nonpositive value, sqrt of a negative value, and similar."""
 
 
+class NonFiniteIntegrand(EvalError):
+    """Quadrature met an inf or nan integrand value, as from an overflow
+    in inline arithmetic."""
+
+
 class OutsideDomain(LcfnError):
     pass
 

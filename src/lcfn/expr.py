@@ -274,9 +274,14 @@ def evaluate(e: Expr, t: float, eps: float | None = None) -> float:
 
     Runs the straight-line function generated from ``e`` by
     :func:`_compile` on its first evaluation; the result is bit-identical
-    to the tree walk :func:`_walk`.
+    to the tree walk :func:`_walk`.  The ``ValueError`` of the builtin
+    ``math.sin``/``math.cos`` at an infinite argument is retyped here, once.
     """
-    return e._fn(t, eps)
+    try:
+        return e._fn(t, eps)
+    except ValueError:
+        raise EvalDomainError(f"sin or cos of an infinite value in "
+                              f"{to_source(e)} at t={t!r}") from None
 
 
 def _compile(e: Expr):

@@ -9,7 +9,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .errors import QuadratureNonConvergent
+from .errors import NonFiniteIntegrand, QuadratureNonConvergent
 
 MAX_DEPTH = 40  # adaptive Simpson recursion limit
 
@@ -46,7 +46,11 @@ def adaptive_simpson(fn, a: float, b: float,
     try:
         return _simpson_rec(fn, a, b, fa, fm, fb, whole, abs_tol, max_depth)
     except _LeafNotConverged as leaf:
-        lo, hi = leaf.args
+        lo, hi, estimate = leaf.args
+        if not math.isfinite(estimate):
+            raise NonFiniteIntegrand(
+                f"integrand not finite on [{a!r}, {b!r}]: leaf "
+                f"[{lo!r}, {hi!r}] estimates {estimate!r}") from None
         raise QuadratureNonConvergent(
             f"tolerance {abs_tol:g} not met on [{a!r}, {b!r}]: leaf "
             f"[{lo!r}, {hi!r}] did not converge within "
@@ -54,7 +58,8 @@ def adaptive_simpson(fn, a: float, b: float,
 
 
 class _LeafNotConverged(Exception):
-    """Raised by the leaf that ran out of depth; args are its interval."""
+    """Raised by the leaf that ran out of depth; args are its interval
+    and its Simpson estimate."""
 
 
 def _simpson_rec(fn, a, b, fa, fm, fb, whole, tol, depth):
@@ -68,7 +73,7 @@ def _simpson_rec(fn, a, b, fa, fm, fb, whole, tol, depth):
     if abs(delta) <= 15.0 * tol:
         return left + right + delta / 15.0
     if depth <= 0:
-        raise _LeafNotConverged(a, b)
+        raise _LeafNotConverged(a, b, left + right)
     half = 0.5 * tol
     return (_simpson_rec(fn, a, m, fa, flm, fm, left, half, depth - 1)
             + _simpson_rec(fn, m, b, fm, frm, fb, right, half, depth - 1))

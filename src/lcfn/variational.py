@@ -80,7 +80,7 @@ def critical_points(f: FuzzyFunction, grid: int = SCAN_GRID
     g = f.center_expr()
     g1 = ex.differentiate(g, "t", 1)
     g2 = ex.differentiate(g1, "t", 1)
-    ts = [a + (b - a) * i / (grid - 1) for i in range(grid)]
+    ts = node_grid(a, b, grid)
     vals = [ex.evaluate(g1, t) for t in ts]
     spacing = (b - a) / (grid - 1)
     scale = max(1.0, max(abs(v) for v in vals))
@@ -253,33 +253,24 @@ def _window(f: FuzzyFunction, t0: float, epsilon: float) -> float:
     return min(epsilon, EPS_CLAMP * min(t0 - a, b - t0))
 
 
-def _witness(f: FuzzyFunction, t0: float, kernel: DiracKernel,
-             spec: QuadratureSpec) -> tuple[FuzzyFunction, float]:
-    """eta = f times the kernel window at t0, and b_k = center of
-    integral(f (*) eta) over that window."""
-    window = (t0 - kernel.epsilon, t0 + kernel.epsilon)
+def _eta(f: FuzzyFunction, t0: float, kernel: DiracKernel) -> FuzzyFunction:
+    """The window function (f.r*delta, f.q*delta) on [t0 - eps, t0 + eps]:
+    the crisp mollifier product (delta, 0) (*) f.  Its integral recovers
+    the kernel-weighted component averages at t0."""
     delta_e = kernel.expression(t0)
-    eta = FuzzyFunction(ex.mul(f.r, delta_e), ex.mul(f.q, delta_e),
-                        f.gen, window)
-    f_win = FuzzyFunction(f.r, f.q, f.gen, window)
-    return eta, integrate(f_win.cross_with(eta), spec).center()
+    return FuzzyFunction(ex.mul(f.r, delta_e), ex.mul(f.q, delta_e), f.gen,
+                         (t0 - kernel.epsilon, t0 + kernel.epsilon))
 
 
-def _recover(f: FuzzyFunction, t0: float, kernel: DiracKernel,
-             spec: QuadratureSpec) -> LCFN:
-    """The crisp mollifier (kernel, 0) against f: the kernel-weighted
-    component averages over the window at t0."""
-    lo, hi = t0 - kernel.epsilon, t0 + kernel.epsilon
-    r_hat = integrate_scalar(
-        lambda t: ex.evaluate(f.r, t) * kernel(t - t0), lo, hi, spec)
-    q_hat = integrate_scalar(
-        lambda t: ex.evaluate(f.q, t) * kernel(t - t0), lo, hi, spec)
-    return LCFN(r_hat, q_hat, f.gen)
+def _b_k(f: FuzzyFunction, eta: FuzzyFunction, spec: QuadratureSpec) -> float:
+    """Center of integral(f (*) eta) over the window of eta."""
+    f_win = FuzzyFunction(f.r, f.q, f.gen, eta.domain)
+    return integrate(f_win.cross_with(eta), spec).center()
 
 
 def lagrange_witness(f: FuzzyFunction, t0: float, epsilon: float = EPSILON,
                      smoothness: int = SMOOTHNESS, index: int = 1,
-                     spec: QuadratureSpec | None = None) -> WitnessResult:
+                     spec: QuadratureSpec = QuadratureSpec()) -> WitnessResult:
     """The constructive witness for the Lagrange lemma at one point.
 
     eta multiplies both components of f by a mollifier window at t0; the
@@ -287,14 +278,14 @@ def lagrange_witness(f: FuzzyFunction, t0: float, epsilon: float = EPSILON,
     (r(t0) + a_m*q(t0))^2 from the window average, so b_k turns strictly
     positive for large index whenever the center of f(t0) is nonzero.
     """
-    spec = spec or QuadratureSpec()
     eps_eff = _window(f, t0, epsilon)
     center0 = f.at(t0).center()
     if center0 == 0.0:
         raise ZeroCenterAtT0(f"center of f({t0!r}) is zero; no witness exists")
 
     kernel = DiracKernel.build(eps_eff, smoothness, index)
-    eta, b_k = _witness(f, t0, kernel, spec)
+    eta = _eta(f, t0, kernel)
+    b_k = _b_k(f, eta, spec)
 
     squared = ex.pow_(f.center_expr(), ex.Num(2.0))
     b_direct = integrate_scalar(
@@ -307,55 +298,54 @@ def lagrange_witness(f: FuzzyFunction, t0: float, epsilon: float = EPSILON,
 
 def witness_sequence(f: FuzzyFunction, t0: float, epsilon: float = EPSILON,
                      smoothness: int = SMOOTHNESS, indices=DEFAULT_INDICES,
-                     spec: QuadratureSpec | None = None) -> tuple[WitnessResult, ...]:
+                     spec: QuadratureSpec = QuadratureSpec()
+                     ) -> tuple[WitnessResult, ...]:
     return tuple(lagrange_witness(f, t0, epsilon, smoothness, k, spec)
                  for k in indices)
 
 
 def mollifier_recovery(f: FuzzyFunction, t0: float, epsilon: float = EPSILON,
                        smoothness: int = SMOOTHNESS, index: int = 16,
-                       spec: QuadratureSpec | None = None) -> tuple[LCFN, LCFN]:
+                       spec: QuadratureSpec = QuadratureSpec()
+                       ) -> tuple[LCFN, LCFN]:
     """Recover (r(t0), q(t0)) through the crisp mollifier: the product of
     f with the window (delta_k, 0) integrates to the component averages.
     Returns (recovered, exact)."""
     kernel = DiracKernel.build(_window(f, t0, epsilon), smoothness, index)
-    return _recover(f, t0, kernel, spec or QuadratureSpec()), f.at(t0)
+    return integrate(_eta(f, t0, kernel), spec), f.at(t0)
 
 
 def lagrange_scan(f: FuzzyFunction, epsilon: float = EPSILON,
                   smoothness: int = SMOOTHNESS, indices=DEFAULT_INDICES,
                   grid: int = LAGRANGE_GRID,
-                  spec: QuadratureSpec | None = None) -> CheckReport:
+                  spec: QuadratureSpec = QuadratureSpec()) -> CheckReport:
     """Scan interior points: wherever the center of f is materially
     nonzero the witness sequence must end positive and near its target;
     everywhere the crisp mollifier must recover the components.
 
-    Each kernel is built once per point and index; the recovery reuses
-    the last one of the witness sequence."""
+    Each window function eta is built once per point and index; the
+    recovery integrates the last one of the witness sequence."""
     if grid < 1:
         raise ValueError(f"Lagrange scan needs grid >= 1, got {grid!r}")
     if not indices:
         raise ValueError(
             f"Lagrange scan needs a non-empty index ladder, got {indices!r}")
-    spec = spec or QuadratureSpec()
-    a, b = f.domain
-    t0s = [a + (b - a) * (i + 1) / (grid + 1) for i in range(grid)]
 
     def scan_one(t0: float) -> dict:
-        center0 = f.at(t0).center()
+        exact = f.at(t0)
+        center0 = exact.center()
         admissible = abs(center0) > ADMISSIBLE_CENTER
         record: dict = {"t0": t0, "center": center0, "admissible": admissible}
         eps_eff = _window(f, t0, epsilon)
-        kernels = [DiracKernel.build(eps_eff, smoothness, k)
-                   for k in (indices if admissible else indices[-1:])]
+        etas = [_eta(f, t0, DiracKernel.build(eps_eff, smoothness, k))
+                for k in (indices if admissible else indices[-1:])]
         if admissible:
-            bs = [_witness(f, t0, kernel, spec)[1] for kernel in kernels]
+            bs = [_b_k(f, eta, spec) for eta in etas]
             limit = center0 * center0
             record.update(b=bs, limit=limit, witness_ok=(
                 bs[-1] > 0.0
                 and abs(bs[-1] - limit) <= MOLLIFIER_TOL * max(1.0, limit)))
-        recovered = _recover(f, t0, kernels[-1], spec)
-        exact = f.at(t0)
+        recovered = integrate(etas[-1], spec)
         err = max(abs(recovered.r - exact.r), abs(recovered.q - exact.q))
         record.update(recovered=[recovered.r, recovered.q],
                       recovery_error=err, recovery_ok=err <= MOLLIFIER_TOL)
@@ -363,7 +353,7 @@ def lagrange_scan(f: FuzzyFunction, epsilon: float = EPSILON,
                             and record["recovery_ok"])
         return record
 
-    records = [scan_one(t0) for t0 in t0s]
+    records = [scan_one(t0) for t0 in node_grid(*f.domain, grid + 2)[1:-1]]
     worst = max(r["recovery_error"] for r in records)
     return CheckReport(
         check="lagrange-scan",
@@ -395,11 +385,10 @@ def default_eta_catalog(gen, domain, modes: int = 4) -> tuple[FuzzyFunction, ...
 
 
 def dbr_forward_check(f: FuzzyFunction, g: FuzzyFunction,
-                      catalog=None, spec: QuadratureSpec | None = None
+                      catalog=None, spec: QuadratureSpec = QuadratureSpec()
                       ) -> CheckReport:
     """Forward direction of the du Bois-Reymond identity: when g' = f,
     integral(f (*) eta + g (*) eta') vanishes for every admissible eta."""
-    spec = spec or QuadratureSpec()
     a, b = f.domain
     if catalog is None:
         catalog = default_eta_catalog(f.gen, f.domain)
@@ -456,12 +445,11 @@ class ReconstructionResult:
                           for t, c, x in self.residual_grid))
 
 
-def dbr_reconstruct(f: FuzzyFunction, spec: QuadratureSpec | None = None,
+def dbr_reconstruct(f: FuzzyFunction, spec: QuadratureSpec = QuadratureSpec(),
                     grid: int = RECONSTRUCT_GRID) -> ReconstructionResult:
     """Recover the constant candidate u as the mean value of f and report
     how far f - u is from the zero class (center residuals) and from zero
     itself (coordinate residuals)."""
-    spec = spec or QuadratureSpec()
     a, b = f.domain
     u = integrate(f, spec).scaled(1.0 / (b - a))
     rows = []

@@ -17,7 +17,12 @@ from lcfn import (
     product_rule_check,
     square_integral,
 )
-from lcfn.errors import OutsideDomain, QuadratureNonConvergent
+from lcfn.errors import (
+    EvalError,
+    NonFiniteIntegrand,
+    OutsideDomain,
+    QuadratureNonConvergent,
+)
 from lcfn.quadrature import adaptive_simpson, gauss_legendre
 from lcfn.scenarios import catalog_names, catalog_scenario, load_catalog
 
@@ -140,6 +145,18 @@ def test_nonconvergent_message_names_caller_tolerance_and_intervals():
     assert str(err.value) == (
         f"tolerance 1e-10 not met on [0.0, 1.0]: leaf [0.0, {2.0 ** -40!r}] "
         "did not converge within max_depth=40")
+
+
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+def test_non_finite_integrand_is_named_not_nonconvergent(value):
+    # an overflowed integrand exhausts the depth like a slow one; the leaf
+    # estimate tells them apart
+    with pytest.raises(NonFiniteIntegrand) as err:
+        adaptive_simpson(lambda t: value if t < 0.5 else t, 0.0, 1.0)
+    assert isinstance(err.value, EvalError)
+    assert str(err.value) == (
+        f"integrand not finite on [0.0, 1.0]: leaf [0.0, {2.0 ** -40!r}] "
+        f"estimates {value!r}")
 
 
 def test_cumulative_integral_matches_closed_form(tri_am0):

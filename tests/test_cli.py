@@ -227,6 +227,26 @@ def test_nonconvergent_quadrature_exits_3(tri):
     assert result.returncode == 3
 
 
+def test_overflowed_integrand_exits_2(tri):
+    result = run_cli("integrate", "--gen", tri, "--r", "1e300*1e300*t",
+                     "--q", "t", "--domain", "0", "1")
+    assert result.returncode == 2
+    assert ("error: integrand not finite on [0.0, 1.0]: leaf [0.0, "
+            in result.stderr)
+    assert "estimates nan" in result.stderr
+    assert result.stdout == ""
+
+
+def test_sine_of_infinite_value_exits_2(tri):
+    result = run_cli("integrate", "--gen", tri, "--r", "sin(1e300*1e300*t)",
+                     "--q", "t", "--domain", "0", "1")
+    assert result.returncode == 2
+    assert ("error: sin or cos of an infinite value in sin(1e+300*1e+300*t) "
+            "at t=1.0" in result.stderr)
+    assert "Traceback" not in result.stderr
+    assert result.stdout == ""
+
+
 def test_critical_points_grid_one_exits_2(tri):
     result = run_cli("critical-points", "--gen", tri, "--r", "t^2", "--q", "t",
                      "--domain", "-2", "1", "--grid", "1")

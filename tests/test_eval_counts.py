@@ -78,8 +78,10 @@ def test_cumulative_integral_evals_over_catalog(counts):
 
 
 def test_lagrange_scan_evals(counts):
+    # f(t0) is read once per scan point, for both the center and the
+    # recovery error: 48,060 -> 48,054 evaluate calls (3 points x r, q)
     variational.lagrange_scan(catalog_scenario("s06_recovery_window").f, grid=3)
-    assert counts == {"evals": 83391, "evaluate": 48060}
+    assert counts == {"evals": 83391, "evaluate": 48054}
 
 
 def test_dbr_reconstruct_evals_over_catalog(counts):

@@ -11,6 +11,7 @@ from lcfn import (
     dbr_forward_check,
     dbr_reconstruct,
     default_eta_catalog,
+    integrate,
     lagrange_scan,
     lagrange_witness,
     mollifier_recovery,
@@ -236,6 +237,16 @@ def test_mollifier_recovery(tri_am0):
     assert recovered.r == pytest.approx(math.sin(1.5), abs=0.05)
     assert recovered.q == pytest.approx(math.cos(1.5), abs=0.05)
     assert (exact.r, exact.q) == (math.sin(1.5), math.cos(1.5))
+
+
+@pytest.mark.parametrize("k", [1, 16])
+@pytest.mark.parametrize("t0", [1.0, 1.5, 2.3])
+def test_mollifier_recovery_integrates_the_witness_window(t0, k):
+    # (delta_k, 0) (*) f is the witness's eta, so the recovery is its
+    # integral, bit for bit
+    f = catalog_scenario("s06_recovery_window").f
+    recovered, _ = mollifier_recovery(f, t0, index=k)
+    assert recovered == integrate(lagrange_witness(f, t0, index=k).eta)
 
 
 def test_lagrange_scan_recovery_scenario():
