@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 from . import expr as ex
 from .core import LCFN
-from .errors import GeneratorMismatch, OutsideDomain
+from .errors import EvalError, GeneratorMismatch, OutsideDomain
 from .generator import Generator, same_generator
 from .quadrature import QuadratureSpec, gauss_legendre, integrate_scalar
 
@@ -82,7 +82,8 @@ class FuzzyFunction:
         a, b = self.domain
         if not a <= t <= b:
             raise OutsideDomain(f"t={t!r} outside [{a!r}, {b!r}]")
-        return LCFN(ex.evaluate(self.r, t, eps), ex.evaluate(self.q, t, eps),
+        return LCFN(finite(ex.evaluate(self.r, t, eps), "component r", t),
+                    finite(ex.evaluate(self.q, t, eps), "component q", t),
                     self.gen)
 
     def derivative(self, order: int = 1, var: str = "t") -> "FuzzyFunction":
@@ -126,7 +127,15 @@ def deriv(f: FuzzyFunction, t: float, eps: float | None = None) -> LCFN:
     if not a < t < b:
         raise OutsideDomain(f"t={t!r} is not interior to [{a!r}, {b!r}]")
     fd = f.derivative()
-    return LCFN(ex.evaluate(fd.r, t, eps), ex.evaluate(fd.q, t, eps), f.gen)
+    return LCFN(finite(ex.evaluate(fd.r, t, eps), "derivative r'", t),
+                finite(ex.evaluate(fd.q, t, eps), "derivative q'", t), f.gen)
+
+
+def finite(value: float, name: str, t: float) -> float:
+    """``value``, or an EvalError naming ``name``, ``t`` and the value."""
+    if math.isfinite(value):
+        return value
+    raise EvalError(f"{name} is {value!r} at t={t!r}")
 
 
 def integrate(f: FuzzyFunction, spec: QuadratureSpec = QuadratureSpec(),
@@ -180,7 +189,7 @@ def ftc_check(f: FuzzyFunction,
     residual = (total - endpoint).norm()
 
     h = min(3e-4, 0.05 * (b - a))
-    tight = spec.with_tol(min(spec.abs_tol, 1e-13))
+    tight = QuadratureSpec(min(spec.abs_tol, 1e-13))
     spots = []
     for u in SPOT_FRACTIONS:
         t = a + (b - a) * u
@@ -276,7 +285,7 @@ def interchange_check(g: FuzzyFunction, eps0: float,
         raise ValueError("interchange_check needs a two-variable function")
     if not math.isfinite(eps0):
         raise ValueError(f"eps0 must be finite, got {eps0!r}")
-    tight = spec.with_tol(min(spec.abs_tol, 1e-13))
+    tight = QuadratureSpec(min(spec.abs_tol, 1e-13))
     h = 1e-4 * max(1.0, abs(eps0))
     lhs = (integrate(g, tight, eps=eps0 + h)
            - integrate(g, tight, eps=eps0 - h)).scaled(1.0 / (2.0 * h))

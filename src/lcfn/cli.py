@@ -17,6 +17,7 @@ import argparse
 import csv
 import io
 import json
+import re
 import sys
 
 from . import variational as vr
@@ -28,7 +29,7 @@ from .calculus import (
     interchange_check,
 )
 from .core import compare_with_tier, element_payload, parse_element
-from .errors import LcfnError, QuadratureNonConvergent
+from .errors import EvalError, LcfnError, QuadratureNonConvergent
 from .generator import Generator, load_generator
 from .quadrature import QuadratureSpec
 from .scenarios import load_scenario, parse_scenario
@@ -57,8 +58,21 @@ def main(argv=None) -> int:
     return EXIT_CHECK_FAILED if failed else EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reads every negative float literal (-1e-3, -.5, -inf, -nan) as a
+    value, not an option; subparsers inherit the class.  argparse's own
+    pattern takes only -1 and -1.5, so -1e-3 parses on some Pythons only."""
+
+    _NEGATIVE = re.compile(
+        r"-((\d+\.?\d*|\.\d+)(e[-+]?\d+)?|inf|infinity|nan)\Z", re.I)
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = self._NEGATIVE
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="lcfn",
         description="Arithmetic, order, calculus, and variational checks "
                     "for linearly correlated fuzzy numbers.")
@@ -280,12 +294,19 @@ def _require_partner(scenario):
 # -- output --------------------------------------------------------------------
 
 def _emit(doc: dict, args) -> None:
+    # json.dumps also checks, for every format, that each number is finite
+    try:
+        text = json.dumps(doc, sort_keys=True, indent=2,
+                          allow_nan=False) + "\n"
+    except ValueError:
+        lines = []
+        _flatten(doc, "", lines)
+        bad = [ln for ln in lines if ln.endswith((": inf", ": -inf", ": nan"))]
+        raise EvalError(f"non-finite result: {', '.join(bad)}") from None
     fmt = getattr(args, "format", "json")
-    if fmt == "json":
-        text = json.dumps(doc, sort_keys=True, indent=2) + "\n"
-    elif fmt == "text":
+    if fmt == "text":
         text = _to_text(doc)
-    else:
+    elif fmt == "csv":
         text = _to_csv(doc)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:

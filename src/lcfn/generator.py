@@ -44,24 +44,21 @@ class Generator:
     """Immutable generator; safe to share between threads.
 
     ``knots`` is the membership polyline as (x, mu) pairs, ``a_m`` the
-    abscissa of the unique mu = 1 knot.
+    abscissa of the unique mu = 1 knot.  The knots alone identify the
+    generator: a triangular one equals its 3-knot piecewise-linear twin.
     """
 
-    kind: str
     knots: tuple[Knot, ...]
     a_m: float
 
     @classmethod
     def triangular(cls, left: float, peak: float, right: float) -> "Generator":
-        knots = ((float(left), 0.0), (float(peak), 1.0), (float(right), 0.0))
-        report = validate(knots)
-        return cls(TRIANGULAR, knots, report.a_m)
+        return cls.piecewise_linear(((left, 0.0), (peak, 1.0), (right, 0.0)))
 
     @classmethod
     def piecewise_linear(cls, knots) -> "Generator":
         knots = tuple((float(x), float(mu)) for x, mu in knots)
-        report = validate(knots)
-        return cls(PIECEWISE_LINEAR, knots, report.a_m)
+        return cls(knots, validate(knots).a_m)
 
     @classmethod
     def from_config(cls, cfg: dict) -> "Generator":
@@ -73,13 +70,10 @@ class Generator:
         raise GeneratorError(f"unknown generator kind: {kind!r}")
 
     def to_config(self) -> dict:
-        if self.kind == TRIANGULAR:
-            return {
-                "kind": TRIANGULAR,
-                "left": self.knots[0][0],
-                "peak": self.knots[1][0],
-                "right": self.knots[2][0],
-            }
+        if len(self.knots) == 3:
+            (left, _), (peak, _), (right, _) = self.knots
+            return {"kind": TRIANGULAR, "left": left, "peak": peak,
+                    "right": right}
         return {"kind": PIECEWISE_LINEAR, "knots": [list(k) for k in self.knots]}
 
     @property
@@ -113,7 +107,7 @@ class Generator:
         if self.a_m == 0.0:
             return self
         shifted = tuple((x - self.a_m, mu) for x, mu in self.knots)
-        return Generator(self.kind, shifted, 0.0)
+        return Generator(shifted, 0.0)
 
     def _peak_index(self) -> int:
         for i, (_, mu) in enumerate(self.knots):

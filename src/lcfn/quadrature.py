@@ -16,19 +16,15 @@ MAX_DEPTH = 40  # adaptive Simpson recursion limit
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    abs_tol: float = 1e-10  # adaptive Simpson
-    nodes: int = 64         # Gauss-Legendre cross-check
+    """The adaptive Simpson tolerance; the Gauss-Legendre order is fixed."""
+
+    abs_tol: float = 1e-10
+    nodes = 64  # class constant, not a field
 
     def __post_init__(self):
         if not (math.isfinite(self.abs_tol) and self.abs_tol > 0.0):
             raise ValueError(
                 f"abs_tol must be finite and positive, got {self.abs_tol!r}")
-        if self.nodes < 1:
-            raise ValueError(
-                f"Gauss-Legendre nodes must be >= 1, got {self.nodes!r}")
-
-    def with_tol(self, abs_tol: float) -> "QuadratureSpec":
-        return QuadratureSpec(abs_tol, self.nodes)
 
 
 def integrate_scalar(fn, a: float, b: float, spec: QuadratureSpec) -> float:

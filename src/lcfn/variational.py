@@ -19,13 +19,14 @@ import math
 from dataclasses import dataclass
 
 from . import expr as ex
-from .calculus import CheckReport, FuzzyFunction, integrate, node_grid
+from .calculus import CheckReport, FuzzyFunction, finite, integrate, node_grid
 from .core import LCFN, Ordering, compare
 from .errors import (
     CatalogBoundaryViolation,
     WindowOutsideDomain,
     ZeroCenterAtT0,
 )
+# Not called here: perfbench and tests/test_eval_counts.py hook this name.
 from .quadrature import QuadratureSpec, adaptive_simpson, integrate_scalar
 
 ROOT_TOL = 1e-12          # bisection bracket width
@@ -34,7 +35,6 @@ SCAN_GRID = 1024          # critical-point scan resolution
 TOUCH_FACTOR = 1e-4       # node |g'| must be this small (relative) to try
 ACCEPT_FACTOR = 1e-9      # ... and this small at the refined point to accept
 MOLLIFIER_TOL = 0.05      # recovery accuracy for the default index ladder
-KERNEL_MASS_TOL = 1e-12   # quadrature tolerance of the kernel mass
 DBR_TOL = 1e-7
 DETECT_TOL = 1e-3
 BOUNDARY_TOL = 1e-12
@@ -81,7 +81,7 @@ def critical_points(f: FuzzyFunction, grid: int = SCAN_GRID
     g1 = ex.differentiate(g, "t", 1)
     g2 = ex.differentiate(g1, "t", 1)
     ts = node_grid(a, b, grid)
-    vals = [ex.evaluate(g1, t) for t in ts]
+    vals = [finite(ex.evaluate(g1, t), "center derivative g'", t) for t in ts]
     spacing = (b - a) / (grid - 1)
     scale = max(1.0, max(abs(v) for v in vals))
 
@@ -115,8 +115,8 @@ def critical_points(f: FuzzyFunction, grid: int = SCAN_GRID
 
     points = []
     for t in sorted(roots):
-        d1 = ex.evaluate(g1, t)
-        d2 = ex.evaluate(g2, t)
+        d1 = finite(ex.evaluate(g1, t), "center derivative g'", t)
+        d2 = finite(ex.evaluate(g2, t), "center curvature g''", t)
         if d2 > CLASSIFY_TOL:
             verdict = Verdict.LOCAL_MIN
         elif d2 < -CLASSIFY_TOL:
@@ -199,15 +199,15 @@ class DiracKernel:
     @classmethod
     def build(cls, epsilon: float, smoothness: int = SMOOTHNESS,
               index: int = 1) -> "DiracKernel":
+        """The mass of ((cos(pi*x/eps) + 1)/2)^n is 2*eps*C(2n, n)/4^n
+        (Wallis); dividing the integers first keeps large n finite."""
         if not (math.isfinite(epsilon) and epsilon > 0.0):
             raise ValueError(
                 f"epsilon must be finite and positive, got {epsilon!r}")
         if index < 1 or smoothness < 0:
             raise ValueError("need index >= 1 and smoothness >= 0")
         n = (smoothness + 1) * index
-        mass = adaptive_simpson(
-            lambda x: ((math.cos(math.pi * x / epsilon) + 1.0) / 2.0) ** n,
-            -epsilon, epsilon, KERNEL_MASS_TOL)
+        mass = 2.0 * epsilon * (math.comb(2 * n, n) / 4 ** n)
         return cls(epsilon, smoothness, index, mass)
 
     def __call__(self, x: float) -> float:

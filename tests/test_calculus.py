@@ -65,6 +65,17 @@ def test_deriv_requires_interior_point(tri_am0):
         deriv(f, 1.5)
 
 
+def test_pointwise_values_must_be_finite(tri_am0):
+    f = fn("1e300*1e300*t", "t", tri_am0, (-1.0, 1.0))
+    with pytest.raises(EvalError, match=r"^component r is -inf at t=-0\.5$"):
+        f.at(-0.5)
+    with pytest.raises(EvalError, match=r"^derivative r' is inf at t=0\.25$"):
+        deriv(f, 0.25)
+    g = fn("t", "1e300*1e300*t - 1e300*1e300*t", tri_am0)
+    with pytest.raises(EvalError, match=r"^component q is nan at t=0\.5$"):
+        g.at(0.5)
+
+
 def test_deriv_is_linear(tri_am0):
     f = fn("sin(t)", "t^2", tri_am0, (0.0, 2.0))
     g = fn("exp(t)", "cos(t)", tri_am0, (0.0, 2.0))

@@ -386,3 +386,47 @@ def test_golden_check_reports_mismatch_without_writing(tmp_path, monkeypatch,
     stale.write_text(recorded, encoding="utf-8")
     assert cli_golden.main(["--check"]) == 0
     assert cli_golden.main(["--bogus"]) == 2
+
+
+# -- negative option values and non-finite results ---------------------------
+
+def test_negative_exponent_option_value_parses(tri):
+    short = run_cli("integrate", "--gen", tri, "--r", "t", "--q", "t",
+                    "--domain", "-1e-3", "1")
+    plain = run_cli("integrate", "--gen", tri, "--r", "t", "--q", "t",
+                    "--domain", "-0.001", "1")
+    assert short.returncode == plain.returncode == 0
+    assert short.stdout == plain.stdout
+    at = run_cli("differentiate", "--gen", tri, "--r", "t^2", "--q", "t",
+                 "--domain", "-1", "1", "--at", "-1e-3")
+    assert at.returncode == 0
+    assert json.loads(at.stdout)["at"] == -0.001
+
+
+def test_negative_infinite_domain_end_exits_2(tri):
+    result = run_cli("integrate", "--gen", tri, "--r", "t", "--q", "t",
+                     "--domain", "-inf", "1")
+    assert result.returncode == 2
+    assert "domain ends must be finite, got [-inf, 1.0]" in result.stderr
+    assert result.stdout == ""
+
+
+@pytest.mark.parametrize("verb, extra, message", [
+    ("differentiate", ("--at", "0.5"), "derivative r' is inf at t=0.5"),
+    ("critical-points", (), "center derivative g' is -inf at t=-1.0"),
+])
+def test_overflowed_pointwise_value_exits_2(tri, verb, extra, message):
+    result = run_cli(verb, "--gen", tri, "--r", "1e300*1e300*t^2", "--q", "t",
+                     "--domain", "-1", "1", *extra)
+    assert result.returncode == 2
+    assert f"error: {message}" in result.stderr
+    assert result.stdout == ""
+
+
+@pytest.mark.parametrize("fmt", ["json", "text"])
+def test_overflowed_product_exits_2(tri, fmt):
+    result = run_cli("cross", "--gen", tri, "--format", fmt, "1e200", "1e200")
+    assert result.returncode == 2
+    assert ("error: non-finite result: result.center: inf, result.r: inf"
+            in result.stderr)
+    assert "Infinity" not in result.stdout and result.stdout == ""

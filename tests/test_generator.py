@@ -5,7 +5,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lcfn import Generator, load_generator, validate
+from lcfn import LCFN, Generator, load_generator, validate
 from lcfn.errors import (
     AlphaOutOfRange,
     GeneratorError,
@@ -148,6 +148,15 @@ def test_json_config_round_trip(tmp_path):
           "knots": [[0.0, 0.0], [1.0, 0.5], [2.0, 1.0], [3.0, 0.0]]}
     path.write_text(json.dumps(pl))
     assert load_generator(path).to_config() == pl
+
+
+def test_triangular_equals_its_piecewise_linear_twin():
+    tri = Generator.triangular(-1, 0, 2)
+    twin = Generator.piecewise_linear([(-1, 0), (0, 1), (2, 0)])
+    assert tri == twin and hash(tri) == hash(twin)
+    assert twin.to_config() == tri.to_config()
+    total = LCFN(1.0, 2.0, tri) + LCFN(0.5, -1.0, twin)  # no GeneratorMismatch
+    assert (total.r, total.q) == (1.5, 1.0)
 
 
 def test_unknown_kind_rejected():

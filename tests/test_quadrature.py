@@ -45,13 +45,21 @@ def test_nodes_and_weights_match_numpy(n):
         assert abs(w - ref) <= 1e-11 * ref, (n, w, ref)
 
 
-@pytest.mark.parametrize("kwargs", [
-    pytest.param({"abs_tol": tol}, id=repr(tol))
+@pytest.mark.parametrize("kwargs, error, match", [
+    pytest.param({"abs_tol": tol}, ValueError, f"got {tol!r}", id=repr(tol))
     for tol in (0.0, -1e-10, math.nan, math.inf)
-] + [pytest.param({"nodes": n}, id=f"nodes={n}") for n in (0, -1)])
-def test_spec_rejects_tolerance_that_is_not_finite_positive(kwargs):
-    """A tolerance that is not finite and positive, or fewer than one
-    Gauss-Legendre node."""
-    (value,) = kwargs.values()
-    with pytest.raises(ValueError, match=f"got {value!r}"):
+] + [pytest.param({"nodes": n}, TypeError, "nodes", id=f"nodes={n}")
+     for n in (0, -1)])
+def test_spec_rejects_tolerance_that_is_not_finite_positive(kwargs, error,
+                                                            match):
+    """A tolerance that is not finite and positive is a ValueError; a node
+    count of any value is a TypeError, since the Gauss-Legendre order is
+    fixed and not a setting."""
+    with pytest.raises(error, match=match):
         QuadratureSpec(**kwargs)
+
+
+def test_gauss_legendre_order_is_fixed():
+    assert QuadratureSpec().nodes == 64
+    with pytest.raises(TypeError):
+        QuadratureSpec(nodes=64)
