@@ -263,7 +263,7 @@ def parse_element(src: str, gen: Generator) -> LCFN:
         skip_ws()
     if pos != len(text):
         raise ExprSyntaxError(f"unexpected {text[pos]!r}", pos)
-    return LCFN(r, q, gen)
+    return LCFN(r + 0.0, q + 0.0, gen)  # + 0.0 turns a signed -0.0 into 0.0
 
 
 def format_element(b: LCFN) -> str:

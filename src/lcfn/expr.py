@@ -274,8 +274,9 @@ def evaluate(e: Expr, t: float, eps: float | None = None) -> float:
 
     Runs the straight-line function generated from ``e`` by
     :func:`_compile` on its first evaluation; the result is bit-identical
-    to the tree walk :func:`_walk`.  The ``ValueError`` of the builtin
-    ``math.sin``/``math.cos`` at an infinite argument is retyped here, once.
+    to the reference tree walk ``walk`` in ``tests/oracles.py``.  The
+    ``ValueError`` of ``math.sin``/``math.cos`` at an infinite argument is
+    retyped here, once.
     """
     try:
         return e._fn(t, eps)
@@ -286,7 +287,7 @@ def evaluate(e: Expr, t: float, eps: float | None = None) -> float:
 
 def _compile(e: Expr):
     """One straight-line function ``(t, eps) -> float`` doing the float
-    operations of :func:`_walk` in the same order.
+    operations of the reference tree walk in the same order.
 
     A post-order walk (left before right) emits one ``vN = ...`` line per
     operation into the source of a factory ``_make(k0, k1, ...)``; a
@@ -352,19 +353,6 @@ def _var(name: str, eps: float | None) -> float:
     if name == "eps" and eps is not None:
         return eps
     raise EvalError(f"variable {name!r} is not bound")
-
-
-def _walk(e: Expr, t: float, eps: float | None = None) -> float:
-    """Reference tree walk; tests hold :func:`evaluate` to it."""
-    if isinstance(e, Num):
-        return e.value
-    if isinstance(e, Var):
-        return t if e.name == "t" else _var(e.name, eps)
-    if isinstance(e, Neg):
-        return -_walk(e.arg, t, eps)
-    if isinstance(e, Bin):
-        return _BIN[e.op](_walk(e.left, t, eps), _walk(e.right, t, eps))
-    return _FN[e.fn](_walk(e.arg, t, eps))
 
 
 # -- smart constructors (local folding only, no general simplification) -------

@@ -57,16 +57,28 @@ class Generator:
 
     @classmethod
     def piecewise_linear(cls, knots) -> "Generator":
-        knots = tuple((float(x), float(mu)) for x, mu in knots)
-        return cls(knots, validate(knots).a_m)
+        try:
+            pairs = tuple((float(x), float(mu)) for x, mu in knots)
+        except (TypeError, ValueError):
+            raise GeneratorError(
+                f"knots must be [x, mu] pairs of numbers, got {knots!r}"
+            ) from None
+        return cls(pairs, validate(pairs).a_m)
 
     @classmethod
     def from_config(cls, cfg: dict) -> "Generator":
+        if not isinstance(cfg, dict):
+            raise GeneratorError("generator config must be a JSON object, "
+                                 f"got {type(cfg).__name__}")
         kind = cfg.get("kind")
-        if kind == TRIANGULAR:
-            return cls.triangular(cfg["left"], cfg["peak"], cfg["right"])
-        if kind == PIECEWISE_LINEAR:
-            return cls.piecewise_linear(cfg["knots"])
+        try:
+            if kind == TRIANGULAR:
+                return cls.triangular(cfg["left"], cfg["peak"], cfg["right"])
+            if kind == PIECEWISE_LINEAR:
+                return cls.piecewise_linear(cfg["knots"])
+        except KeyError as missing:
+            raise GeneratorError(
+                f"{kind} generator config is missing key {missing}") from None
         raise GeneratorError(f"unknown generator kind: {kind!r}")
 
     def to_config(self) -> dict:

@@ -37,6 +37,9 @@ class Scenario:
 
 
 def parse_scenario(cfg: dict, gen_override: Generator | None = None) -> Scenario:
+    if not isinstance(cfg, dict):
+        raise LcfnError(
+            f"scenario must be a JSON object, got {type(cfg).__name__}")
     if gen_override is not None:
         gen = gen_override
     elif "gen" in cfg:
@@ -44,20 +47,43 @@ def parse_scenario(cfg: dict, gen_override: Generator | None = None) -> Scenario
     else:
         raise LcfnError("scenario has no 'gen' and no generator was supplied")
     try:
-        domain = (float(cfg["domain"][0]), float(cfg["domain"][1]))
+        domain = cfg["domain"]
+        if not isinstance(domain, (list, tuple)) or len(domain) != 2:
+            raise LcfnError(
+                f"scenario key 'domain' must be [a, b], got {domain!r}")
+        domain = tuple(_number(v, "'domain' entry") for v in domain)
         eps0 = cfg.get("eps0")
         two_var = eps0 is not None
-        f = FuzzyFunction.from_strings(cfg["r"], cfg["q"], gen, domain,
-                                       two_variable=two_var)
-        partner = None
-        if cfg.get("partner") is not None:
+        f = FuzzyFunction.from_strings(_source(cfg, "r"), _source(cfg, "q"),
+                                       gen, domain, two_variable=two_var)
+        partner = cfg.get("partner")
+        if partner is not None:
+            if not isinstance(partner, dict):
+                raise LcfnError("scenario key 'partner' must be an object, "
+                                f"got {type(partner).__name__}")
             partner = FuzzyFunction.from_strings(
-                cfg["partner"]["r"], cfg["partner"]["q"], gen, domain)
+                _source(partner, "r"), _source(partner, "q"), gen, domain)
     except KeyError as missing:
         raise LcfnError(f"scenario is missing key {missing}") from None
     return Scenario(name=cfg.get("name", "scenario"), gen=gen, domain=domain,
                     f=f, partner=partner,
-                    eps0=float(eps0) if two_var else None)
+                    eps0=_number(eps0, "'eps0'") if two_var else None)
+
+
+def _number(value, what: str) -> float:
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        raise LcfnError(
+            f"scenario {what} must be a number, got {value!r}") from None
+
+
+def _source(cfg: dict, key: str) -> str:
+    value = cfg[key]
+    if not isinstance(value, str):
+        raise LcfnError(f"scenario key {key!r} must be an expression "
+                        f"string, got {value!r}")
+    return value
 
 
 def load_scenario(path, gen_override: Generator | None = None) -> Scenario:

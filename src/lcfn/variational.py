@@ -26,7 +26,7 @@ from .errors import (
     WindowOutsideDomain,
     ZeroCenterAtT0,
 )
-# Not called here: perfbench and tests/test_eval_counts.py hook this name.
+# Not called here: perfbench and tests/test_eval_counts.py hook these names.
 from .quadrature import QuadratureSpec, adaptive_simpson, integrate_scalar
 
 ROOT_TOL = 1e-12          # bisection bracket width
@@ -36,7 +36,6 @@ TOUCH_FACTOR = 1e-4       # node |g'| must be this small (relative) to try
 ACCEPT_FACTOR = 1e-9      # ... and this small at the refined point to accept
 MOLLIFIER_TOL = 0.05      # recovery accuracy for the default index ladder
 DBR_TOL = 1e-7
-DETECT_TOL = 1e-3
 BOUNDARY_TOL = 1e-12
 EPSILON = 0.2             # mollifier window half-width before clamping
 SMOOTHNESS = 1            # l: kernel vanishes with its first l derivatives
@@ -210,12 +209,6 @@ class DiracKernel:
         mass = 2.0 * epsilon * (math.comb(2 * n, n) / 4 ** n)
         return cls(epsilon, smoothness, index, mass)
 
-    def __call__(self, x: float) -> float:
-        if abs(x) >= self.epsilon:
-            return 0.0
-        base = (math.cos(math.pi * x / self.epsilon) + 1.0) / 2.0
-        return base ** self.power / self.mass_norm
-
     def expression(self, center: float) -> ex.Expr:
         """The kernel as an expression in t, centered at ``center``.
 
@@ -241,7 +234,6 @@ class WitnessResult:
     epsilon: float        # effective (clamped) window half-width
     eta: FuzzyFunction    # supported on the window, zero outside
     b_k: float            # center of integral of f (*) eta
-    b_direct: float       # one-quadrature oracle for the same number
     limit: float          # (r(t0) + a_m*q(t0))^2, the k -> inf target
 
 
@@ -262,12 +254,6 @@ def _eta(f: FuzzyFunction, t0: float, kernel: DiracKernel) -> FuzzyFunction:
                          (t0 - kernel.epsilon, t0 + kernel.epsilon))
 
 
-def _b_k(f: FuzzyFunction, eta: FuzzyFunction, spec: QuadratureSpec) -> float:
-    """Center of integral(f (*) eta) over the window of eta."""
-    f_win = FuzzyFunction(f.r, f.q, f.gen, eta.domain)
-    return integrate(f_win.cross_with(eta), spec).center()
-
-
 def lagrange_witness(f: FuzzyFunction, t0: float, epsilon: float = EPSILON,
                      smoothness: int = SMOOTHNESS, index: int = 1,
                      spec: QuadratureSpec = QuadratureSpec()) -> WitnessResult:
@@ -278,30 +264,26 @@ def lagrange_witness(f: FuzzyFunction, t0: float, epsilon: float = EPSILON,
     (r(t0) + a_m*q(t0))^2 from the window average, so b_k turns strictly
     positive for large index whenever the center of f(t0) is nonzero.
     """
-    eps_eff = _window(f, t0, epsilon)
-    center0 = f.at(t0).center()
-    if center0 == 0.0:
-        raise ZeroCenterAtT0(f"center of f({t0!r}) is zero; no witness exists")
-
-    kernel = DiracKernel.build(eps_eff, smoothness, index)
-    eta = _eta(f, t0, kernel)
-    b_k = _b_k(f, eta, spec)
-
-    squared = ex.pow_(f.center_expr(), ex.Num(2.0))
-    b_direct = integrate_scalar(
-        lambda t: ex.evaluate(squared, t) * kernel(t - t0),
-        t0 - eps_eff, t0 + eps_eff, spec)
-
-    return WitnessResult(t0=t0, index=index, epsilon=eps_eff, eta=eta,
-                         b_k=b_k, b_direct=b_direct, limit=center0 * center0)
+    return witness_sequence(f, t0, epsilon, smoothness, (index,), spec)[0]
 
 
 def witness_sequence(f: FuzzyFunction, t0: float, epsilon: float = EPSILON,
                      smoothness: int = SMOOTHNESS, indices=DEFAULT_INDICES,
                      spec: QuadratureSpec = QuadratureSpec()
                      ) -> tuple[WitnessResult, ...]:
-    return tuple(lagrange_witness(f, t0, epsilon, smoothness, k, spec)
-                 for k in indices)
+    """The witness of :func:`lagrange_witness` for each index of the
+    ladder, on one clamped window and one reading of f(t0)."""
+    eps_eff = _window(f, t0, epsilon)
+    center0 = f.at(t0).center()
+    if center0 == 0.0:
+        raise ZeroCenterAtT0(f"center of f({t0!r}) is zero; no witness exists")
+    out = []
+    for k in indices:
+        eta = _eta(f, t0, DiracKernel.build(eps_eff, smoothness, k))
+        f_win = FuzzyFunction(f.r, f.q, f.gen, eta.domain)
+        b_k = integrate(f_win.cross_with(eta), spec).center()
+        out.append(WitnessResult(t0, k, eps_eff, eta, b_k, center0 * center0))
+    return tuple(out)
 
 
 def mollifier_recovery(f: FuzzyFunction, t0: float, epsilon: float = EPSILON,
@@ -321,10 +303,7 @@ def lagrange_scan(f: FuzzyFunction, epsilon: float = EPSILON,
                   spec: QuadratureSpec = QuadratureSpec()) -> CheckReport:
     """Scan interior points: wherever the center of f is materially
     nonzero the witness sequence must end positive and near its target;
-    everywhere the crisp mollifier must recover the components.
-
-    Each window function eta is built once per point and index; the
-    recovery integrates the last one of the witness sequence."""
+    everywhere the crisp mollifier must recover the components."""
     if grid < 1:
         raise ValueError(f"Lagrange scan needs grid >= 1, got {grid!r}")
     if not indices:
@@ -332,20 +311,18 @@ def lagrange_scan(f: FuzzyFunction, epsilon: float = EPSILON,
             f"Lagrange scan needs a non-empty index ladder, got {indices!r}")
 
     def scan_one(t0: float) -> dict:
-        exact = f.at(t0)
+        recovered, exact = mollifier_recovery(f, t0, epsilon, smoothness,
+                                              indices[-1], spec)
         center0 = exact.center()
         admissible = abs(center0) > ADMISSIBLE_CENTER
         record: dict = {"t0": t0, "center": center0, "admissible": admissible}
-        eps_eff = _window(f, t0, epsilon)
-        etas = [_eta(f, t0, DiracKernel.build(eps_eff, smoothness, k))
-                for k in (indices if admissible else indices[-1:])]
         if admissible:
-            bs = [_b_k(f, eta, spec) for eta in etas]
+            bs = [w.b_k for w in witness_sequence(f, t0, epsilon, smoothness,
+                                                  indices, spec)]
             limit = center0 * center0
             record.update(b=bs, limit=limit, witness_ok=(
                 bs[-1] > 0.0
                 and abs(bs[-1] - limit) <= MOLLIFIER_TOL * max(1.0, limit)))
-        recovered = integrate(etas[-1], spec)
         err = max(abs(recovered.r - exact.r), abs(recovered.q - exact.q))
         record.update(recovered=[recovered.r, recovered.q],
                       recovery_error=err, recovery_ok=err <= MOLLIFIER_TOL)

@@ -1,0 +1,44 @@
+"""Reference computations the tests hold the library to.
+
+Each one takes a route the library does not: a recursive tree walk for
+the compiled expressions, the kernel's pointwise formula for its
+expression form, and one scalar quadrature for the witness's b_k.
+"""
+import math
+
+from lcfn import DiracKernel, expr as ex
+from lcfn.quadrature import integrate_scalar
+from lcfn.variational import SMOOTHNESS
+
+
+def walk(e, t, eps=None):
+    """Recursive tree walk; ``ex.evaluate`` must match it bit for bit."""
+    if isinstance(e, ex.Num):
+        return e.value
+    if isinstance(e, ex.Var):
+        return t if e.name == "t" else ex._var(e.name, eps)
+    if isinstance(e, ex.Neg):
+        return -walk(e.arg, t, eps)
+    if isinstance(e, ex.Bin):
+        return ex._BIN[e.op](walk(e.left, t, eps), walk(e.right, t, eps))
+    return ex._FN[e.fn](walk(e.arg, t, eps))
+
+
+def kernel_value(kernel, x):
+    """The mollifier ``kernel`` at offset ``x`` from its center: zero off
+    the open window, the normalized cosine power on it."""
+    if abs(x) >= kernel.epsilon:
+        return 0.0
+    base = (math.cos(math.pi * x / kernel.epsilon) + 1.0) / 2.0
+    return base ** kernel.power / kernel.mass_norm
+
+
+def b_direct(f, witness, spec, smoothness=SMOOTHNESS):
+    """b_k of ``witness`` as one scalar quadrature of
+    (r + a_m*q)^2 * delta over its window."""
+    squared = ex.pow_(f.center_expr(), ex.Num(2.0))
+    kernel = DiracKernel.build(witness.epsilon, smoothness, witness.index)
+    t0, eps = witness.t0, witness.epsilon
+    return integrate_scalar(
+        lambda t: ex.evaluate(squared, t) * kernel_value(kernel, t - t0),
+        t0 - eps, t0 + eps, spec)

@@ -70,6 +70,45 @@ def test_missing_gen_exits_2():
     assert result.returncode == 2
 
 
+def test_negative_literal_prints_no_negative_zero(tri):
+    for literal in ("-1.5A", "-0"):
+        out = run_cli("norm", "--gen", tri, "--", literal).stdout
+        assert '"r": 0.0' in out and "-0.0" not in out, literal
+
+
+GOOD_GEN = {"kind": "triangular", "left": -1, "peak": 0, "right": 2}
+
+
+@pytest.mark.parametrize("flag, config, message", [
+    ("--gen", {"kind": "triangular", "left": -1, "peak": 0},
+     "missing key 'right'"),
+    ("--gen", {"kind": "piecewise-linear", "knots": 5},
+     "knots must be [x, mu] pairs of numbers, got 5"),
+    ("--gen", [1, 2], "generator config must be a JSON object, got list"),
+    ("--scenario", {"gen": GOOD_GEN, "domain": [0], "r": "t", "q": "t"},
+     "'domain' must be [a, b], got [0]"),
+    ("--scenario", {"gen": GOOD_GEN, "domain": [0, 1], "r": 5, "q": "t"},
+     "'r' must be an expression string, got 5"),
+    ("--scenario", {"gen": GOOD_GEN, "domain": [0, 1], "r": "t", "q": "t",
+                    "eps0": [1]}, "'eps0' must be a number, got [1]"),
+    ("--scenario", [1, 2], "scenario must be a JSON object, got list"),
+], ids=["gen-missing-key", "gen-knots-int", "gen-list", "scenario-domain",
+        "scenario-r-int", "scenario-eps0-list", "scenario-list"])
+def test_malformed_config_exits_2(tmp_path, flag, config, message):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    if flag == "--gen":
+        result = run_cli("norm", "--gen", str(path), "3+2A")
+    else:
+        result = run_cli("verify", "ftc", "--scenario", str(path))
+    assert result.returncode == 2
+    assert "Traceback" not in result.stderr
+    lines = result.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert message in lines[0]
+    assert result.stdout == ""
+
+
 def test_norm_and_classify(tri):
     doc = json.loads(run_cli("norm", "--gen", tri, "3+2A").stdout)
     assert doc["norm"] == 5.0

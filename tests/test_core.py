@@ -347,6 +347,15 @@ def test_parse_element(text, expected, tri_am0):
     assert (b.r, b.q) == expected
 
 
+@pytest.mark.parametrize("text", ["-1.5A", "-2", "-0", "-0 - 0A"])
+def test_parse_element_has_no_negative_zero(text, tri_am0):
+    # the sign multiplies both coordinates; -0.0 must not survive it
+    b = parse_element(text, tri_am0)
+    for value in (b.r, b.q, b.center()):
+        if value == 0.0:
+            assert math.copysign(1.0, value) == 1.0, (text, b)
+
+
 @pytest.mark.parametrize("bad", ["", "3+", "A+A+A", "3**A", "x", "3+2B", "1 2"])
 def test_parse_element_rejects(bad, tri_am0):
     with pytest.raises(ExprSyntaxError) as err:

@@ -78,12 +78,21 @@ def test_cumulative_integral_evals_over_catalog(counts):
 
 
 def test_lagrange_scan_evals(counts):
-    # f(t0) is read once per scan point, for both the center and the
-    # recovery error: 48,060 -> 48,054 evaluate calls (3 points x r, q).
-    # The kernel mass is closed form, so its quadrature no longer counts:
-    # 83,391 -> 48,048 evals; the evaluate calls never included it.
+    # The scan is built from mollifier_recovery and witness_sequence, and
+    # each reads f(t0) for itself: 48,054 -> 48,060 evaluate calls, one
+    # more r, q read at each of the 3 admissible points.  The kernel mass
+    # is closed form, so its quadrature no longer counts: 83,391 -> 48,048
+    # evals; the evaluate calls never included it.
     variational.lagrange_scan(catalog_scenario("s06_recovery_window").f, grid=3)
-    assert counts == {"evals": 48048, "evaluate": 48054}
+    assert counts == {"evals": 48048, "evaluate": 48060}
+
+
+def test_witness_sequence_evals(counts):
+    # one b_k integral per index of the default ladder; the one-quadrature
+    # oracle the witness used to compute as well took 18,867 -> 11,778
+    variational.witness_sequence(catalog_scenario("s06_recovery_window").f,
+                                 1.5)
+    assert counts["evals"] == 11778
 
 
 def test_dbr_reconstruct_evals_over_catalog(counts):
@@ -95,9 +104,8 @@ def test_dbr_reconstruct_evals_over_catalog(counts):
 
 @pytest.mark.parametrize("name", ["s06_recovery_window", "s03_center_zero_line"])
 def test_lagrange_scan_matches_witness_and_recovery(name):
-    """The scan shares kernels between the witness ladder and the
-    recovery instead of calling the public harnesses; its numbers must
-    still be theirs, bit for bit."""
+    """The scan is built from the public harnesses: its witness ladder
+    and its recovery must be theirs, bit for bit."""
     f = catalog_scenario(name).f
     indices = (1, 2, 4)
     report = variational.lagrange_scan(f, indices=indices, grid=3)

@@ -14,6 +14,7 @@ from lcfn.errors import (
     ExprSyntaxError,
     UnknownFunction,
 )
+from oracles import walk
 
 
 def ev(src, t, eps=None):
@@ -151,7 +152,7 @@ def test_compiled_evaluation_matches_walk_bit_for_bit():
         for tree in trees:
             for t in ts:
                 got = _outcome(ex.evaluate, tree, t, eps)
-                want = _outcome(ex._walk, tree, t, eps)
+                want = _outcome(walk, tree, t, eps)
                 # repr tells -0.0 from 0.0 and prints every NaN as 'nan'
                 assert repr(got) == repr(want), (name, ex.to_source(tree), t)
                 checked += 1
@@ -173,7 +174,7 @@ def test_compiled_errors_match_walk(src, cls):
     with pytest.raises(cls) as compiled:
         ex.evaluate(tree, 0.5)
     with pytest.raises(cls) as walked:
-        ex._walk(tree, 0.5)
+        walk(tree, 0.5)
     assert type(compiled.value) is type(walked.value) is cls
     assert str(compiled.value) == str(walked.value)
 
@@ -221,7 +222,7 @@ _EPS = ex.Var("eps")
 ], ids=lambda v: ex.to_source(v) if isinstance(v, ex.Bin) else repr(v))
 def test_shared_subtree_errors_match_walk(tree, t):
     got = _outcome(ex.evaluate, tree, t, None)
-    want = _outcome(ex._walk, tree, t, None)
+    want = _outcome(walk, tree, t, None)
     assert isinstance(want, tuple)  # every case raises
     assert got == want
 
