@@ -137,13 +137,13 @@ def _build_parser() -> argparse.ArgumentParser:
                                     "dbr-reconstruct", "interchange",
                                     "ftc", "ibp"))
     common(p, scenario=True, quadrature=True)
-    p.add_argument("--eps0", type=float, default=None)
-    p.add_argument("--epsilon", type=float, default=vr.EPSILON)
-    p.add_argument("--l", dest="smoothness", type=int, default=vr.SMOOTHNESS)
+    # each defaults to None: the library default applies unless given
+    p.add_argument("--eps0", type=float)
+    p.add_argument("--epsilon", type=float)
+    p.add_argument("--l", dest="smoothness", type=int)
     p.add_argument("--k", dest="indices",
-                   default=",".join(map(str, vr.DEFAULT_INDICES)),
                    help="comma-separated mollifier index ladder")
-    p.add_argument("--grid", type=int, default=None)
+    p.add_argument("--grid", type=int)
     p.set_defaults(handler=_cmd_verify)
 
     return parser
@@ -245,15 +245,34 @@ def _cmd_critical_points(args):
                 points=[p.to_dict() for p in points]), False
 
 
+# verify options by dest: the flag and the checks that take it
+_VERIFY_OPTIONS = {
+    "epsilon": ("--epsilon", ("lagrange",)),
+    "smoothness": ("--l", ("lagrange",)),
+    "indices": ("--k", ("lagrange",)),
+    "grid": ("--grid", ("lagrange", "dbr-reconstruct")),
+    "eps0": ("--eps0", ("interchange",)),
+}
+
+
 def _cmd_verify(args):
     what = args.what
+    given = {dest: getattr(args, dest) for dest in _VERIFY_OPTIONS
+             if getattr(args, dest) is not None}
+    for dest in given:
+        flag, checks = _VERIFY_OPTIONS[dest]
+        if what not in checks:
+            raise LcfnError(f"verify {what} takes no {flag} "
+                            f"(checks that do: {', '.join(checks)})")
+    if "indices" in given:
+        given["indices"] = _index_ladder(given["indices"])
     spec = _spec(args)
     if what == "interchange":
         scenario = _function(args, two_variable=True)
         if scenario.eps0 is None:
             raise LcfnError("interchange needs eps0 (scenario key or --eps0)")
-        eps0 = args.eps0 if args.eps0 is not None else scenario.eps0
-        report = interchange_check(scenario.f, eps0, spec)
+        report = interchange_check(scenario.f, given.get("eps0", scenario.eps0),
+                                   spec)
     else:
         scenario = _function(args)
         if what == "ftc":
@@ -265,14 +284,9 @@ def _cmd_verify(args):
                                           _require_partner(scenario),
                                           spec=spec)
         elif what == "dbr-reconstruct":
-            grid = args.grid if args.grid is not None else vr.RECONSTRUCT_GRID
-            report = vr.dbr_reconstruct(scenario.f, spec, grid=grid).to_report()
+            report = vr.dbr_reconstruct(scenario.f, spec, **given).to_report()
         else:  # lagrange
-            indices = _index_ladder(args.indices)
-            grid = args.grid if args.grid is not None else vr.LAGRANGE_GRID
-            report = vr.lagrange_scan(scenario.f, epsilon=args.epsilon,
-                                      smoothness=args.smoothness,
-                                      indices=indices, grid=grid, spec=spec)
+            report = vr.lagrange_scan(scenario.f, spec=spec, **given)
     doc = _doc("verify", what=what, report=report.to_dict())
     return doc, not report.passed
 

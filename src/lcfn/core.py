@@ -20,6 +20,7 @@ import re
 from dataclasses import dataclass
 
 from .errors import ExprSyntaxError, GeneratorMismatch
+from .expr import NUMBER
 from .generator import Generator, same_generator
 
 # Fused multiply-add tightens the order's tier-1 key by one rounding when
@@ -205,65 +206,31 @@ def annihilator_witness(b: LCFN) -> LCFN:
 
 # -- textual literals and report payloads ------------------------------------
 
-_NUMBER = re.compile(r"[0-9]+(?:\.[0-9]*)?(?:[eE][+-]?[0-9]+)?|\.[0-9]+(?:[eE][+-]?[0-9]+)?")
+_TERM = rf"({NUMBER})(?:\s*\*?\s*(A))?|(A)"  # q*A, qA, q A, r, or A
+_ELEMENT = re.compile(rf"\s*([+-]?)\s*(?:{_TERM})\s*(?:([+-])\s*(?:{_TERM})\s*)?")
 
 
 def parse_element(src: str, gen: Generator) -> LCFN:
-    """Parse an ``r+q*A`` literal such as ``3+2A``, ``-1.5A``, or ``4``."""
-    pos = 0
-    text = src
-
-    def skip_ws():
-        nonlocal pos
-        while pos < len(text) and text[pos].isspace():
-            pos += 1
-
-    def number_or_none():
-        nonlocal pos
-        m = _NUMBER.match(text, pos)
-        if m is None:
-            return None
-        pos = m.end()
-        return float(m.group())
-
-    def term():
-        # (number ['*'] 'A') | number | 'A'
-        nonlocal pos
-        value = number_or_none()
-        skip_ws()
-        if pos < len(text) and text[pos] == "*":
-            if value is None:
-                raise ExprSyntaxError("dangling '*'", pos)
-            pos += 1
-            skip_ws()
-            if pos >= len(text) or text[pos] != "A":
-                raise ExprSyntaxError("expected 'A' after '*'", pos)
-        if pos < len(text) and text[pos] == "A":
-            pos += 1
-            return (0.0, 1.0 if value is None else value)
-        if value is None:
-            raise ExprSyntaxError("expected a number or 'A'", pos)
-        return (value, 0.0)
-
-    skip_ws()
-    sign = 1.0
-    if pos < len(text) and text[pos] in "+-":
-        sign = -1.0 if text[pos] == "-" else 1.0
-        pos += 1
-        skip_ws()
-    r, q = term()
-    r, q = sign * r, sign * q
-    skip_ws()
-    if pos < len(text) and text[pos] in "+-":
-        sign = -1.0 if text[pos] == "-" else 1.0
-        pos += 1
-        skip_ws()
-        r2, q2 = term()
-        r, q = r + sign * r2, q + sign * q2
-        skip_ws()
-    if pos != len(text):
-        raise ExprSyntaxError(f"unexpected {text[pos]!r}", pos)
+    """Parse an ``r+q*A`` literal such as ``3+2A``, ``-1.5A``, or ``4``:
+    an optional sign, a term, and at most one more signed term."""
+    m = _ELEMENT.fullmatch(src)
+    if m is None:
+        prefix = _ELEMENT.match(src)
+        at = prefix.end() if prefix else 0
+        raise ExprSyntaxError(
+            f"element literal {src!r} is not r + q*A from {src[at:]!r}", at)
+    r, q = _signed_term(*m.group(1, 2, 3, 4))
+    if m[5]:
+        r2, q2 = _signed_term(*m.group(5, 6, 7, 8))
+        r, q = r + r2, q + q2
+    if not (math.isfinite(r) and math.isfinite(q)):
+        raise ExprSyntaxError(f"element literal {src!r} is not finite", 0)
     return LCFN(r + 0.0, q + 0.0, gen)  # + 0.0 turns a signed -0.0 into 0.0
+
+
+def _signed_term(sign, number, a, lone_a) -> tuple[float, float]:
+    value = (-1.0 if sign == "-" else 1.0) * (1.0 if lone_a else float(number))
+    return (0.0, value) if a or lone_a else (value, 0.0)
 
 
 def format_element(b: LCFN) -> str:

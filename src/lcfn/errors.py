@@ -72,7 +72,8 @@ class OutsideDomain(LcfnError):
 
 
 class QuadratureNonConvergent(LcfnError):
-    """Tolerance not reached within the subdivision depth limit."""
+    """Tolerance not reached within the subdivision depth limit or the
+    integrand-evaluation budget."""
 
 
 class WindowOutsideDomain(LcfnError):

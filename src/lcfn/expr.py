@@ -3,11 +3,12 @@
 Grammar (precedence climbing; '^' is right-associative and binds tighter
 than unary minus, so ``-t^2`` means ``-(t^2)``):
 
-    expr   := term (('+' | '-') term)*
-    term   := factor (('*' | '/') factor)*
+    expr   := factor (('+' | '-' | '*' | '/') factor)*   by _PREC, left-assoc.
     factor := '-' factor | power
     power  := atom ('^' factor)?
     atom   := NUMBER | VARIABLE | IDENT '(' expr ')' | '(' expr ')'
+
+NUMBER, shared with element literals (``core``), must read as a finite float.
 
 Differentiation is symbolic so downstream optimality checks see exact
 derivative expressions; finite differences stay available as a test-side
@@ -137,11 +138,10 @@ _BIN = {"+": operator.add, "-": operator.sub, "*": operator.mul,
 _FN = {"sin": math.sin, "cos": math.cos, "exp": _exp, "log": _log,
        "abs": abs, "sqrt": _sqrt, "sign": _sign}
 
+NUMBER = r"[0-9]+(?:\.[0-9]*)?(?:[eE][+-]?[0-9]+)?|\.[0-9]+(?:[eE][+-]?[0-9]+)?"
 _TOKEN = re.compile(
-    r"\s*(?:(?P<num>[0-9]+(?:\.[0-9]*)?(?:[eE][+-]?[0-9]+)?"
-    r"|\.[0-9]+(?:[eE][+-]?[0-9]+)?)"
-    r"|(?P<ident>[A-Za-z_][A-Za-z_0-9]*)"
-    r"|(?P<op>[-+*/^()]))"
+    rf"\s*(?:(?P<num>{NUMBER})|(?P<ident>[A-Za-z_][A-Za-z_0-9]*)"
+    r"|(?P<op>[-+*/^()])|(?P<end>\Z))"
 )
 
 
@@ -149,9 +149,8 @@ def parse(src: str, variables: tuple[str, ...] = ("t",)) -> Expr:
     """Parse ``src`` into an expression tree over the given variables."""
     if not src or src.isspace():
         raise ExprSyntaxError("empty expression", 0)
-    tokens = _tokenize(src)
-    state = _Parser(tokens, src, variables)
-    tree = state.expr()
+    state = _Parser(_tokenize(src), variables)
+    tree = state.binary()
     kind, value, offset = state.peek()
     if kind != "end":
         raise ExprSyntaxError(f"unexpected {value!r}", offset)
@@ -159,33 +158,25 @@ def parse(src: str, variables: tuple[str, ...] = ("t",)) -> Expr:
 
 
 def _tokenize(src: str):
-    out = []
-    pos = 0
-    while pos < len(src):
+    """(kind, text, offset) tokens, kind a group of _TOKEN; the last is
+    ("end", "", len(src))."""
+    out, pos = [], 0
+    while True:
         m = _TOKEN.match(src, pos)
         if m is None:
-            stripped = pos
-            while stripped < len(src) and src[stripped].isspace():
-                stripped += 1
-            if stripped == len(src):
-                break
-            raise ExprSyntaxError(f"unexpected character {src[stripped]!r}", stripped)
-        if m.lastgroup == "num":
-            out.append(("num", m.group("num"), m.start("num")))
-        elif m.lastgroup == "ident":
-            out.append(("ident", m.group("ident"), m.start("ident")))
-        else:
-            out.append(("op", m.group("op"), m.start("op")))
+            bad = len(src) - len(src[pos:].lstrip())
+            raise ExprSyntaxError(f"unexpected character {src[bad]!r}", bad)
+        kind = m.lastgroup
+        out.append((kind, m[kind], m.start(kind)))
+        if kind == "end":
+            return out
         pos = m.end()
-    out.append(("end", "", len(src)))
-    return out
 
 
 class _Parser:
-    def __init__(self, tokens, src, variables):
+    def __init__(self, tokens, variables):
         self.tokens = tokens
         self.index = 0
-        self.src = src
         self.variables = variables
 
     def peek(self):
@@ -202,27 +193,18 @@ class _Parser:
             raise ExprSyntaxError(f"expected {op!r}", offset)
         self.advance()
 
-    def expr(self) -> Expr:
-        node = self.term()
-        while True:
-            kind, value, _ = self.peek()
-            if kind == "op" and value in "+-":
-                self.advance()
-                rhs = self.term()
-                node = Bin(value, node, rhs)
-            else:
-                return node
-
-    def term(self) -> Expr:
+    def binary(self, min_prec: int = 1) -> Expr:
+        """Factors joined by the operators of _PREC at or above
+        ``min_prec``, left-associative; '^' never follows a factor, as
+        power() has taken it."""
         node = self.factor()
         while True:
             kind, value, _ = self.peek()
-            if kind == "op" and value in "*/":
-                self.advance()
-                rhs = self.factor()
-                node = Bin(value, node, rhs)
-            else:
+            prec = _PREC.get(value, 0) if kind == "op" else 0
+            if prec < min_prec:
                 return node
+            self.advance()
+            node = Bin(value, node, self.binary(prec + 1))
 
     def factor(self) -> Expr:
         kind, value, _ = self.peek()
@@ -242,7 +224,9 @@ class _Parser:
     def atom(self) -> Expr:
         kind, value, offset = self.advance()
         if kind == "num":
-            return Num(float(value))
+            if math.isfinite(number := float(value)):
+                return Num(number)
+            raise ExprSyntaxError(f"number {value!r} is not finite", offset)
         if kind == "ident":
             if value in self.variables:
                 return Var(value)
@@ -251,7 +235,7 @@ class _Parser:
                 if value not in _FN:
                     raise UnknownFunction(f"unknown function {value!r}", offset)
                 self.advance()
-                arg = self.expr()
+                arg = self.binary()
                 self.expect_op(")")
                 return Call(value, arg)
             if value in _FN:
@@ -259,7 +243,7 @@ class _Parser:
                     f"function {value!r} needs parentheses", noffset)
             raise ExprSyntaxError(f"unknown variable {value!r}", offset)
         if kind == "op" and value == "(":
-            node = self.expr()
+            node = self.binary()
             self.expect_op(")")
             return node
         raise ExprSyntaxError(

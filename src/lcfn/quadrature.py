@@ -12,6 +12,7 @@ from functools import lru_cache
 from .errors import NonFiniteIntegrand, QuadratureNonConvergent
 
 MAX_DEPTH = 40  # adaptive Simpson recursion limit
+MAX_EVALS = 2 ** 20  # integrand evaluations per adaptive Simpson integral
 
 
 @dataclass(frozen=True)
@@ -39,8 +40,15 @@ def adaptive_simpson(fn, a: float, b: float,
     m = 0.5 * (a + b)
     fm = fn(m)
     whole = (b - a) / 6.0 * (fa + 4.0 * fm + fb)
+    # one item per subdivision: it costs 4 evaluations, the first call 5
+    budget = iter(range((MAX_EVALS - 5) // 4))
     try:
-        return _simpson_rec(fn, a, b, fa, fm, fb, whole, abs_tol, max_depth)
+        return _simpson_rec(fn, a, b, fa, fm, fb, whole, abs_tol, max_depth,
+                            budget)
+    except _OutOfEvals:
+        raise QuadratureNonConvergent(
+            f"tolerance {abs_tol:g} not met on [{a!r}, {b!r}] within "
+            f"MAX_EVALS={MAX_EVALS} integrand evaluations") from None
     except _LeafNotConverged as leaf:
         lo, hi, estimate = leaf.args
         if not math.isfinite(estimate):
@@ -58,7 +66,11 @@ class _LeafNotConverged(Exception):
     and its Simpson estimate."""
 
 
-def _simpson_rec(fn, a, b, fa, fm, fb, whole, tol, depth):
+class _OutOfEvals(Exception):
+    """Raised by the subdivision that would pass MAX_EVALS."""
+
+
+def _simpson_rec(fn, a, b, fa, fm, fb, whole, tol, depth, budget):
     m = 0.5 * (a + b)
     lm = 0.5 * (a + m)
     rm = 0.5 * (m + b)
@@ -70,9 +82,12 @@ def _simpson_rec(fn, a, b, fa, fm, fb, whole, tol, depth):
         return left + right + delta / 15.0
     if depth <= 0:
         raise _LeafNotConverged(a, b, left + right)
+    if next(budget, None) is None:  # converged leaves pay nothing
+        raise _OutOfEvals
     half = 0.5 * tol
-    return (_simpson_rec(fn, a, m, fa, flm, fm, left, half, depth - 1)
-            + _simpson_rec(fn, m, b, fm, frm, fb, right, half, depth - 1))
+    return (_simpson_rec(fn, a, m, fa, flm, fm, left, half, depth - 1, budget)
+            + _simpson_rec(fn, m, b, fm, frm, fb, right, half, depth - 1,
+                           budget))
 
 
 @lru_cache(maxsize=16)

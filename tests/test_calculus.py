@@ -23,7 +23,7 @@ from lcfn.errors import (
     OutsideDomain,
     QuadratureNonConvergent,
 )
-from lcfn.quadrature import adaptive_simpson, gauss_legendre
+from lcfn.quadrature import MAX_EVALS, adaptive_simpson, gauss_legendre
 from lcfn.scenarios import catalog_names, catalog_scenario, load_catalog
 
 
@@ -156,6 +156,26 @@ def test_nonconvergent_message_names_caller_tolerance_and_intervals():
     assert str(err.value) == (
         f"tolerance 1e-10 not met on [0.0, 1.0]: leaf [0.0, {2.0 ** -40!r}] "
         "did not converge within max_depth=40")
+
+
+def test_simpson_stops_at_its_evaluation_budget():
+    # sin(1e9*t) would take billions of evaluations; the sentinel keeps a
+    # missing budget from running for minutes
+    count = 0
+
+    def fn(t):
+        nonlocal count
+        count += 1
+        if count > 2 * MAX_EVALS:
+            raise AssertionError("no evaluation budget")
+        return math.sin(1e9 * t)
+
+    with pytest.raises(QuadratureNonConvergent) as err:
+        adaptive_simpson(fn, 0.0, 1.0)
+    assert count <= MAX_EVALS
+    assert str(err.value) == (
+        f"tolerance 1e-10 not met on [0.0, 1.0] within MAX_EVALS={MAX_EVALS} "
+        "integrand evaluations")
 
 
 @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])

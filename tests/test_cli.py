@@ -65,6 +65,14 @@ def test_malformed_literal_exits_2(tri):
     assert "offset" in result.stderr
 
 
+def test_non_finite_literal_exits_2(tri):
+    result = run_cli("compare", "--gen", tri, "--", "1e999-1e999", "5")
+    assert result.returncode == 2
+    assert result.stderr.splitlines() == [
+        "error: element literal '1e999-1e999' is not finite (offset 0)"]
+    assert result.stdout == ""
+
+
 def test_missing_gen_exits_2():
     result = run_cli("norm", "3+2A")
     assert result.returncode == 2
@@ -329,6 +337,24 @@ def test_lagrange_bad_index_ladder_names_k(tmp_path, ladder):
     assert (f"error: --k needs comma-separated integers, got {ladder!r}"
             in result.stderr)
     assert "Traceback" not in result.stderr
+    assert result.stdout == ""
+
+
+@pytest.mark.parametrize("what, option, checks", [
+    ("ftc", ["--epsilon", "0.1"], "lagrange"),
+    ("ibp", ["--l", "2"], "lagrange"),
+    ("dbr-forward", ["--k", "1,2"], "lagrange"),
+    ("interchange", ["--grid", "3"], "lagrange, dbr-reconstruct"),
+    ("dbr-reconstruct", ["--epsilon", "0.1"], "lagrange"),
+    ("lagrange", ["--eps0", "1.0"], "interchange"),
+])
+def test_verify_option_the_check_does_not_take_exits_2(tmp_path, what,
+                                                       option, checks):
+    path = scenario_path(tmp_path, "s01_sine_poly.json")
+    result = run_cli("verify", what, "--scenario", path, *option)
+    assert result.returncode == 2
+    assert result.stderr.splitlines() == [
+        f"error: verify {what} takes no {option[0]} (checks that do: {checks})"]
     assert result.stdout == ""
 
 

@@ -341,6 +341,12 @@ def test_realize_alpha_nested_and_width(r, q, alpha, beta, seed):
     ("-A", (0.0, -1.0)),
     ("2.5e-1+1A", (0.25, 1.0)),
     ("3+2*A", (3.0, 2.0)),
+    ("2 A", (0.0, 2.0)),
+    ("1e+2A", (0.0, 100.0)),
+    (" - 3 * A ", (0.0, -3.0)),
+    ("+.5-.5A", (0.5, -0.5)),
+    ("1.e5", (100000.0, 0.0)),
+    ("2A+3", (3.0, 2.0)),
 ])
 def test_parse_element(text, expected, tri_am0):
     b = parse_element(text, tri_am0)
@@ -356,7 +362,10 @@ def test_parse_element_has_no_negative_zero(text, tri_am0):
             assert math.copysign(1.0, value) == 1.0, (text, b)
 
 
-@pytest.mark.parametrize("bad", ["", "3+", "A+A+A", "3**A", "x", "3+2B", "1 2"])
+@pytest.mark.parametrize("bad", ["", "3+", "A+A+A", "3**A", "x", "3+2B", "1 2",
+                                 "*A", "2*", "A2", "A A", "3+-2A", "1e", "2AA",
+                                 # not finite: r = nan would compare EQUAL to 5
+                                 "1e999", "1e999-1e999", "9e307+9e307"])
 def test_parse_element_rejects(bad, tri_am0):
     with pytest.raises(ExprSyntaxError) as err:
         parse_element(bad, tri_am0)

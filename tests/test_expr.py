@@ -68,7 +68,8 @@ def test_eval_errors():
 
 
 def test_syntax_errors_carry_offsets():
-    cases = {"t +": 3, "(t": 2, "t $ 2": 2, "sin t": 4, "": 0}
+    cases = {"t +": 3, "(t": 2, "t $ 2": 2, "sin t": 4, "": 0,
+             "1e999*t": 0, "t + 2e308": 4}  # numbers that read as inf
     for src, offset in cases.items():
         with pytest.raises(ExprSyntaxError) as err:
             ex.parse(src)
