@@ -1,94 +1,45 @@
 """Linearly correlated fuzzy numbers: coordinate arithmetic on r + q*A,
 a total order, componentwise calculus, and numeric harnesses for the
-variational lemmas that order supports."""
+variational lemmas that order supports.
 
-from .calculus import (
-    CheckReport,
-    CumulativeIntegral,
-    FuzzyFunction,
-    deriv,
-    ftc_check,
-    ibp_check,
-    integrate,
-    interchange_check,
-    product_rule_check,
-    square_integral,
-)
-from .core import (
-    LCFN,
-    Ordering,
-    SignClass,
-    annihilator_witness,
-    compare,
-    compare_with_tier,
-    cross_oracle,
-    element_payload,
-    format_element,
-    parse_element,
-    scalar_ge,
-    scalar_le,
-)
-from .generator import Generator, ValidationReport, load_generator, validate
-from .quadrature import QuadratureSpec
-from .variational import (
-    CriticalPoint,
-    DiracKernel,
-    ReconstructionResult,
-    Verdict,
-    WitnessResult,
-    critical_points,
-    dbr_forward_check,
-    dbr_reconstruct,
-    default_eta_catalog,
-    lagrange_scan,
-    lagrange_witness,
-    mollifier_recovery,
-    verify_local_order,
-    witness_sequence,
-)
+Each public name is imported from its submodule on first use (PEP 562)."""
+
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "CheckReport",
-    "CriticalPoint",
-    "CumulativeIntegral",
-    "DiracKernel",
-    "FuzzyFunction",
-    "Generator",
-    "LCFN",
-    "Ordering",
-    "QuadratureSpec",
-    "ReconstructionResult",
-    "SignClass",
-    "ValidationReport",
-    "Verdict",
-    "WitnessResult",
-    "annihilator_witness",
-    "compare",
-    "compare_with_tier",
-    "critical_points",
-    "cross_oracle",
-    "dbr_forward_check",
-    "dbr_reconstruct",
-    "default_eta_catalog",
-    "deriv",
-    "element_payload",
-    "format_element",
-    "ftc_check",
-    "ibp_check",
-    "integrate",
-    "interchange_check",
-    "lagrange_scan",
-    "lagrange_witness",
-    "load_generator",
-    "mollifier_recovery",
-    "parse_element",
-    "product_rule_check",
-    "scalar_ge",
-    "scalar_le",
-    "square_integral",
-    "validate",
-    "verify_local_order",
-    "witness_sequence",
-]
+#: The public names, by the submodule that defines them.
+_EXPORTS = {
+    "calculus": "CheckReport CumulativeIntegral FuzzyFunction deriv ftc_check "
+                "ibp_check integrate interchange_check product_rule_check "
+                "square_integral",
+    "core": "LCFN Ordering SignClass annihilator_witness compare "
+            "compare_with_tier cross_oracle element_payload format_element "
+            "parse_element scalar_ge scalar_le",
+    "generator": "Generator ValidationReport load_generator validate",
+    "quadrature": "QuadratureSpec",
+    "variational": "CriticalPoint DiracKernel ReconstructionResult Verdict "
+                   "WitnessResult critical_points dbr_forward_check "
+                   "dbr_reconstruct default_eta_catalog lagrange_scan "
+                   "lagrange_witness mollifier_recovery verify_local_order "
+                   "witness_sequence",
+}
+_OWNER = {name: mod for mod, names in _EXPORTS.items() for name in names.split()}
+_SUBMODULES = {*_EXPORTS, "errors", "expr"}
+
+__all__ = sorted(_OWNER)
+
+
+def __getattr__(name):
+    if name in _OWNER:
+        # cache in the package namespace: later lookups skip this hook
+        value = globals()[name] = getattr(
+            importlib.import_module(f".{_OWNER[name]}", __name__), name)
+        return value
+    if name in _SUBMODULES:
+        return importlib.import_module(f".{name}", __name__)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted({*globals(), *__all__, *_SUBMODULES})

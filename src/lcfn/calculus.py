@@ -100,7 +100,8 @@ class FuzzyFunction:
         lam_e = ex.num(lam)
         return FuzzyFunction(ex.add(self.r, ex.mul(lam_e, other.r)),
                              ex.add(self.q, ex.mul(lam_e, other.q)),
-                             self.gen, self.domain)
+                             self.gen, self.domain,
+                             eps_aware=self.eps_aware or other.eps_aware)
 
     def cross_with(self, other: "FuzzyFunction") -> "FuzzyFunction":
         """Pointwise product, composed through the coordinate formulas so
@@ -112,7 +113,8 @@ class FuzzyFunction:
         new_r = ex.sub(ex.mul(self.r, other.r), ex.mul(ex.num(am * am), qq))
         new_q = ex.add(ex.add(ex.mul(self.r, other.q), ex.mul(other.r, self.q)),
                        ex.mul(ex.num(2.0 * am), qq))
-        return FuzzyFunction(new_r, new_q, self.gen, self.domain)
+        return FuzzyFunction(new_r, new_q, self.gen, self.domain,
+                             eps_aware=self.eps_aware or other.eps_aware)
 
     def _check_compatible(self, other: "FuzzyFunction") -> None:
         if not same_generator(self.gen, other.gen):

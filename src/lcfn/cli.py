@@ -32,7 +32,7 @@ from .core import compare_with_tier, element_payload, parse_element
 from .errors import EvalError, LcfnError, QuadratureNonConvergent
 from .generator import Generator, load_generator
 from .quadrature import QuadratureSpec
-from .scenarios import load_scenario, parse_scenario
+from .scenarios import parse_scenario
 
 SCHEMA = 1
 _TIER_LABEL = {1: "I", 2: "II", 3: "III"}
@@ -163,20 +163,21 @@ def _spec(args) -> QuadratureSpec:
     return QuadratureSpec()
 
 
-def _function(args, two_variable=False):
-    """Scenario file or inline --r/--q/--domain; --gen overrides."""
+def _function(args):
+    """One scenario config, read from --scenario or made from
+    --r/--q/--domain; --gen overrides its generator, --eps0 its eps0."""
     override = load_generator(args.gen) if args.gen else None
     if args.scenario:
-        return load_scenario(args.scenario, override)
-    if args.r_src is None or args.q_src is None or args.domain is None:
+        with open(args.scenario, "r", encoding="utf-8") as fh:
+            cfg = json.load(fh)
+    elif args.r_src is None or args.q_src is None or args.domain is None:
         raise LcfnError("need --scenario or all of --r, --q, --domain")
-    if override is None:
+    elif override is None:
         raise LcfnError("--gen is required with inline --r/--q")
-    cfg = {"r": args.r_src, "q": args.q_src, "domain": list(args.domain)}
-    if two_variable:
-        if args.eps0 is None:
-            raise LcfnError("inline interchange functions need --eps0")
-        cfg["eps0"] = args.eps0
+    else:
+        cfg = {"r": args.r_src, "q": args.q_src, "domain": list(args.domain)}
+    if getattr(args, "eps0", None) is not None and isinstance(cfg, dict):
+        cfg["eps0"] = args.eps0  # parse_scenario rejects a non-object cfg
     return parse_scenario(cfg, override)
 
 
@@ -267,26 +268,23 @@ def _cmd_verify(args):
     if "indices" in given:
         given["indices"] = _index_ladder(given["indices"])
     spec = _spec(args)
+    scenario = _function(args)
     if what == "interchange":
-        scenario = _function(args, two_variable=True)
         if scenario.eps0 is None:
-            raise LcfnError("interchange needs eps0 (scenario key or --eps0)")
-        report = interchange_check(scenario.f, given.get("eps0", scenario.eps0),
-                                   spec)
-    else:
-        scenario = _function(args)
-        if what == "ftc":
-            report = ftc_check(scenario.f, spec)
-        elif what == "ibp":
-            report = ibp_check(scenario.f, _require_partner(scenario), spec)
-        elif what == "dbr-forward":
-            report = vr.dbr_forward_check(scenario.f,
-                                          _require_partner(scenario),
-                                          spec=spec)
-        elif what == "dbr-reconstruct":
-            report = vr.dbr_reconstruct(scenario.f, spec, **given).to_report()
-        else:  # lagrange
-            report = vr.lagrange_scan(scenario.f, spec=spec, **given)
+            raise LcfnError(
+                "interchange needs eps0: a scenario 'eps0' key or --eps0")
+        report = interchange_check(scenario.f, scenario.eps0, spec)
+    elif what == "ftc":
+        report = ftc_check(scenario.f, spec)
+    elif what == "ibp":
+        report = ibp_check(scenario.f, _require_partner(scenario), spec)
+    elif what == "dbr-forward":
+        report = vr.dbr_forward_check(scenario.f, _require_partner(scenario),
+                                      spec=spec)
+    elif what == "dbr-reconstruct":
+        report = vr.dbr_reconstruct(scenario.f, spec, **given).to_report()
+    else:  # lagrange
+        report = vr.lagrange_scan(scenario.f, spec=spec, **given)
     doc = _doc("verify", what=what, report=report.to_dict())
     return doc, not report.passed
 

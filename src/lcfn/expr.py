@@ -9,6 +9,8 @@ than unary minus, so ``-t^2`` means ``-(t^2)``):
     atom   := NUMBER | VARIABLE | IDENT '(' expr ')' | '(' expr ')'
 
 NUMBER, shared with element literals (``core``), must read as a finite float.
+Each '(', function argument, unary minus and '^' exponent opens one
+nesting level; more than MAX_NESTING levels is a syntax error.
 
 Differentiation is symbolic so downstream optimality checks see exact
 derivative expressions; finite differences stay available as a test-side
@@ -145,6 +147,12 @@ _TOKEN = re.compile(
 )
 
 
+#: Deepest nesting parse() accepts (the catalog's deepest tree has 4 levels):
+#: the parse, compile and print recursions stay far from Python's limit, and
+#: the third derivative of 32 nested sin calls evaluates in about 1 s.
+MAX_NESTING = 32
+
+
 def parse(src: str, variables: tuple[str, ...] = ("t",)) -> Expr:
     """Parse ``src`` into an expression tree over the given variables."""
     if not src or src.isspace():
@@ -178,6 +186,7 @@ class _Parser:
         self.tokens = tokens
         self.index = 0
         self.variables = variables
+        self.depth = 0
 
     def peek(self):
         return self.tokens[self.index]
@@ -193,6 +202,16 @@ class _Parser:
             raise ExprSyntaxError(f"expected {op!r}", offset)
         self.advance()
 
+    def nested(self, offset, parse):
+        """``parse()`` one level deeper, the level opening at ``offset``."""
+        if self.depth == MAX_NESTING:
+            raise ExprSyntaxError(
+                f"nesting deeper than {MAX_NESTING} levels", offset)
+        self.depth += 1
+        node = parse()
+        self.depth -= 1
+        return node
+
     def binary(self, min_prec: int = 1) -> Expr:
         """Factors joined by the operators of _PREC at or above
         ``min_prec``, left-associative; '^' never follows a factor, as
@@ -207,18 +226,18 @@ class _Parser:
             node = Bin(value, node, self.binary(prec + 1))
 
     def factor(self) -> Expr:
-        kind, value, _ = self.peek()
+        kind, value, offset = self.peek()
         if kind == "op" and value == "-":
             self.advance()
-            return Neg(self.factor())
+            return Neg(self.nested(offset, self.factor))
         return self.power()
 
     def power(self) -> Expr:
         base = self.atom()
-        kind, value, _ = self.peek()
+        kind, value, offset = self.peek()
         if kind == "op" and value == "^":
             self.advance()
-            return Bin("^", base, self.factor())
+            return Bin("^", base, self.nested(offset, self.factor))
         return base
 
     def atom(self) -> Expr:
@@ -235,7 +254,7 @@ class _Parser:
                 if value not in _FN:
                     raise UnknownFunction(f"unknown function {value!r}", offset)
                 self.advance()
-                arg = self.binary()
+                arg = self.nested(noffset, self.binary)
                 self.expect_op(")")
                 return Call(value, arg)
             if value in _FN:
@@ -243,7 +262,7 @@ class _Parser:
                     f"function {value!r} needs parentheses", noffset)
             raise ExprSyntaxError(f"unknown variable {value!r}", offset)
         if kind == "op" and value == "(":
-            node = self.binary()
+            node = self.nested(offset, self.binary)
             self.expect_op(")")
             return node
         raise ExprSyntaxError(

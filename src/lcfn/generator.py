@@ -10,7 +10,7 @@ meaningless.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .errors import (
     AlphaOutOfRange,
@@ -43,13 +43,17 @@ class ValidationReport:
 class Generator:
     """Immutable generator; safe to share between threads.
 
-    ``knots`` is the membership polyline as (x, mu) pairs, ``a_m`` the
-    abscissa of the unique mu = 1 knot.  The knots alone identify the
-    generator: a triangular one equals its 3-knot piecewise-linear twin.
+    ``knots`` is the membership polyline as (x, mu) pairs, validated on
+    construction; ``a_m``, derived from them, is the abscissa of the unique
+    mu = 1 knot.  The knots alone identify the generator: a triangular one
+    equals its 3-knot piecewise-linear twin.
     """
 
     knots: tuple[Knot, ...]
-    a_m: float
+    a_m: float = field(init=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "a_m", validate(self.knots).a_m)
 
     @classmethod
     def triangular(cls, left: float, peak: float, right: float) -> "Generator":
@@ -63,7 +67,7 @@ class Generator:
             raise GeneratorError(
                 f"knots must be [x, mu] pairs of numbers, got {knots!r}"
             ) from None
-        return cls(pairs, validate(pairs).a_m)
+        return cls(pairs)
 
     @classmethod
     def from_config(cls, cfg: dict) -> "Generator":
@@ -119,7 +123,7 @@ class Generator:
         if self.a_m == 0.0:
             return self
         shifted = tuple((x - self.a_m, mu) for x, mu in self.knots)
-        return Generator(shifted, 0.0)
+        return Generator(shifted)
 
     def _peak_index(self) -> int:
         for i, (_, mu) in enumerate(self.knots):

@@ -86,11 +86,6 @@ def _source(cfg: dict, key: str) -> str:
     return value
 
 
-def load_scenario(path, gen_override: Generator | None = None) -> Scenario:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_scenario(json.load(fh), gen_override)
-
-
 def catalog_names() -> tuple[str, ...]:
     files = resources.files(__name__)
     return tuple(sorted(p.name for p in files.iterdir()

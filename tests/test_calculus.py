@@ -287,6 +287,16 @@ def test_interchange_requires_two_variable_function(tri_am0):
         interchange_check(fn("t", "t", tri_am0), 1.0)
 
 
+@pytest.mark.parametrize("combine", ["plus", "cross_with"])
+def test_combined_functions_stay_two_variable(tri_am0, combine):
+    f = FuzzyFunction.from_strings("t * eps", "eps", tri_am0, (0.0, 1.0),
+                                   two_variable=True)
+    for left, right in ((f, f), (f, fn("t", "t", tri_am0, (0.0, 1.0)))):
+        g = getattr(left, combine)(right)
+        assert g.eps_aware
+        assert interchange_check(g, 1.0).passed
+
+
 @pytest.mark.parametrize("eps0", [math.nan, math.inf, -math.inf])
 def test_interchange_rejects_non_finite_eps0(tri_am0, eps0):
     g = FuzzyFunction.from_strings("t * eps", "t", tri_am0, (0.0, 1.0),

@@ -294,6 +294,42 @@ def test_sine_of_infinite_value_exits_2(tri):
     assert result.stdout == ""
 
 
+@pytest.mark.parametrize("r_src", ["(" * 400 + "t" + ")" * 400,
+                                   "-" * 1200 + "t", "t^" * 400 + "t"],
+                         ids=["parentheses", "minuses", "powers"])
+def test_deep_expression_exits_2(tri, r_src):
+    result = run_cli("integrate", "--gen", tri, f"--r={r_src}", "--q", "t",
+                     "--domain", "0", "1")
+    assert result.returncode == 2
+    lines = result.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: nesting deeper")
+    assert result.stdout == ""
+
+
+def test_eps0_option_applies_to_scenario_files(tmp_path):
+    path = scenario_path(tmp_path, "s01_sine_poly.json")
+    result = run_cli("verify", "interchange", "--scenario", path,
+                     "--eps0", "1.0")
+    assert result.returncode == 0
+    report = json.loads(result.stdout)["report"]
+    # s01 does not mention eps, so both sides of the interchange are 0
+    assert report["passed"] and report["residuals"]["lhs_r"] == 0.0
+    result = run_cli("verify", "interchange", "--scenario", path)
+    assert result.returncode == 2
+    assert result.stderr == ("error: interchange needs eps0: a scenario "
+                             "'eps0' key or --eps0\n")
+
+
+def test_eps0_option_keeps_the_json_object_check(tmp_path):
+    path = tmp_path / "list.json"
+    path.write_text("[1, 2]")
+    result = run_cli("verify", "interchange", "--scenario", str(path),
+                     "--eps0", "1.0")
+    assert result.returncode == 2
+    assert result.stderr == ("error: scenario must be a JSON object, "
+                             "got list\n")
+
+
 def test_critical_points_grid_one_exits_2(tri):
     result = run_cli("critical-points", "--gen", tri, "--r", "t^2", "--q", "t",
                      "--domain", "-2", "1", "--grid", "1")

@@ -76,6 +76,32 @@ def test_syntax_errors_carry_offsets():
         assert err.value.offset == offset
 
 
+def test_nesting_past_the_limit_is_a_syntax_error():
+    n = ex.MAX_NESTING
+    cases = {"(" * (n + 1) + "t" + ")" * (n + 1): n,
+             "sin(" * (n + 1) + "t" + ")" * (n + 1): 4 * n + 3,
+             "-" * (n + 1) + "t": n,
+             "t^" * (n + 1) + "t": 2 * n + 1}
+    for src, offset in cases.items():
+        with pytest.raises(ExprSyntaxError, match="nesting deeper") as err:
+            ex.parse(src)
+        assert err.value.offset == offset
+    # levels close again: a long sequence of shallow groups is fine
+    assert ev("+".join(["(-t)^2"] * (2 * n)), 1.0) == 2 * n
+
+
+def test_sin_chain_at_the_nesting_limit_differentiates():
+    n = ex.MAX_NESTING
+    tree = ex.parse("sin(" * n + "t" + ")" * n)
+    third = ex.differentiate(tree, "t", 3)
+    h, t = 1e-3, 0.3
+    value = lambda x: ex.evaluate(tree, x)
+    fd = (value(t + 2 * h) - 2 * value(t + h) + 2 * value(t - h)
+          - value(t - 2 * h)) / (2 * h ** 3)
+    assert math.isfinite(ex.evaluate(third, t))
+    assert ex.evaluate(third, t) == pytest.approx(fd, rel=1e-3)
+
+
 def test_unknown_function_and_variable():
     with pytest.raises(UnknownFunction):
         ex.parse("tan(t)")

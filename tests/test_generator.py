@@ -87,6 +87,16 @@ def test_alpha_out_of_range():
         g.alpha_level(-0.1)
 
 
+def test_constructor_validates_and_derives_the_peak():
+    with pytest.raises(Symmetric):
+        Generator(((0.0, 0.0), (1.0, 1.0), (2.0, 0.0)))
+    with pytest.raises(TypeError):
+        Generator(((-1.0, 0.0), (0.0, 1.0), (2.0, 0.0)), 5.0)
+    g = Generator(((-1.0, 0.0), (0.0, 1.0), (2.0, 0.0)))
+    assert g.a_m == 0.0
+    assert g == Generator.triangular(-1.0, 0.0, 2.0)
+
+
 def test_center_at_zero_triangular():
     g = Generator.triangular(1.0, 2.0, 5.0)
     shifted = g.center_at_zero()
