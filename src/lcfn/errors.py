@@ -72,8 +72,8 @@ class OutsideDomain(LcfnError):
 
 
 class QuadratureNonConvergent(LcfnError):
-    """Tolerance not reached within the subdivision depth limit or the
-    integrand-evaluation budget."""
+    """Tolerance not reached within the subinterval budget (for adaptive
+    Simpson, its depth limit or integrand-evaluation budget)."""
 
 
 class WindowOutsideDomain(LcfnError):

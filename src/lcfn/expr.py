@@ -432,20 +432,31 @@ def differentiate(e: Expr, var: str = "t", order: int = 1) -> Expr:
         raise ValueError("derivative order must be 1, 2, or 3")
     out = e
     for _ in range(order):
-        out = _d(out, var)
+        out = _d(out, var, {})
     return out
 
 
-def _d(e: Expr, var: str) -> Expr:
+def _d(e: Expr, var: str, memo: dict) -> Expr:
+    """The derivative of ``e``; ``memo`` maps the id of each node already
+    differentiated in this pass to its derivative, so a subtree shared in
+    ``e`` is differentiated once and its derivative is shared as well
+    (the nodes of ``e`` stay alive for the pass, so no id is reused)."""
+    key = id(e)
+    if key not in memo:
+        memo[key] = _d_node(e, var, memo)
+    return memo[key]
+
+
+def _d_node(e: Expr, var: str, memo: dict) -> Expr:
     if isinstance(e, Num):
         return Num(0.0)
     if isinstance(e, Var):
         return Num(1.0) if e.name == var else Num(0.0)
     if isinstance(e, Neg):
-        return neg(_d(e.arg, var))
+        return neg(_d(e.arg, var, memo))
     if isinstance(e, Bin):
         u, v = e.left, e.right
-        du, dv = _d(u, var), _d(v, var)
+        du, dv = _d(u, var, memo), _d(v, var, memo)
         if e.op == "+":
             return add(du, dv)
         if e.op == "-":
@@ -459,7 +470,7 @@ def _d(e: Expr, var: str) -> Expr:
         # general u^v via exp-log: u^v * (dv*log u + v*du/u)
         return mul(pow_(u, v),
                    add(mul(dv, Call("log", u)), mul(v, div(du, u))))
-    u, du = e.arg, _d(e.arg, var)
+    u, du = e.arg, _d(e.arg, var, memo)
     if e.fn == "sin":
         return mul(Call("cos", u), du)
     if e.fn == "cos":

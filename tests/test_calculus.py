@@ -23,7 +23,12 @@ from lcfn.errors import (
     OutsideDomain,
     QuadratureNonConvergent,
 )
-from lcfn.quadrature import MAX_EVALS, adaptive_simpson, gauss_legendre
+from lcfn.quadrature import (
+    MAX_EVALS,
+    adaptive_simpson,
+    gauss_legendre,
+    integrate_scalar,
+)
 from lcfn.scenarios import catalog_names, catalog_scenario, load_catalog
 
 
@@ -140,8 +145,10 @@ def test_adaptive_and_gauss_legendre_agree():
     for target in (lambda t: math.sin(3 * t) * math.exp(t),
                    lambda t: 1.0 / (1.0 + t * t)):
         a = adaptive_simpson(target, 0.0, 2.0, 1e-12)
+        k = integrate_scalar(target, 0.0, 2.0, QuadratureSpec(1e-12))
         g = gauss_legendre(target, 0.0, 2.0, 64)
         assert a == pytest.approx(g, abs=1e-11)
+        assert k == pytest.approx(g, abs=1e-11)
 
 
 def test_quadrature_nonconvergent():

@@ -50,22 +50,26 @@ def counts(monkeypatch):
 
 
 def test_integrate_evals_over_catalog(counts):
+    # 15 points per G7/K15 panel: 26 panels over the catalog's r and q
+    # (adaptive Simpson took 1,708 points)
     for scenario in load_catalog():
         calculus.integrate(scenario.f)
-    assert counts == {"evals": 1708, "evaluate": 1708}
+    assert counts == {"evals": 390, "evaluate": 390}
 
 
 def test_ftc_check_evals_over_catalog(counts):
+    # adaptive Simpson took 3,328 points and 3,448 evaluate calls
     for scenario in load_catalog():
         calculus.ftc_check(scenario.f)
-    assert counts == {"evals": 3328, "evaluate": 3448}
+    assert counts == {"evals": 1530, "evaluate": 1650}
 
 
 PROBE_FRACTIONS = (0.25, 0.5, 0.3)  # the checker-sweep benchmark's F(t) probes
 
 
 def test_cumulative_integral_evals_over_catalog(counts):
-    # one integral over [a, t] per query and nothing up front
+    # one integral over [a, t] per query and nothing up front; adaptive
+    # Simpson took 4,716
     queries = []
     for scenario in load_catalog():
         a, b = scenario.f.domain
@@ -73,7 +77,7 @@ def test_cumulative_integral_evals_over_catalog(counts):
         for u in PROBE_FRACTIONS:
             t = a + (b - a) * u
             queries.append((scenario.f, t, cumulative.at(t)))
-    assert counts == {"evals": 4716, "evaluate": 4716}
+    assert counts == {"evals": 1080, "evaluate": 1080}
     assert all(value == calculus.integrate(f, hi=t) for f, t, value in queries)
 
 
@@ -82,24 +86,27 @@ def test_lagrange_scan_evals(counts):
     # each reads f(t0) for itself: 48,054 -> 48,060 evaluate calls, one
     # more r, q read at each of the 3 admissible points.  The kernel mass
     # is closed form, so its quadrature no longer counts: 83,391 -> 48,048
-    # evals; the evaluate calls never included it.
+    # evals; the evaluate calls never included it.  Gauss-Kronrod in place
+    # of adaptive Simpson: 48,048 -> 7,920 evals.
     variational.lagrange_scan(catalog_scenario("s06_recovery_window").f, grid=3)
-    assert counts == {"evals": 48048, "evaluate": 48060}
+    assert counts == {"evals": 7920, "evaluate": 7932}
 
 
 def test_witness_sequence_evals(counts):
     # one b_k integral per index of the default ladder; the one-quadrature
-    # oracle the witness used to compute as well took 18,867 -> 11,778
+    # oracle the witness used to compute as well took 18,867 -> 11,778, and
+    # Gauss-Kronrod in place of adaptive Simpson 11,778 -> 1,980
     variational.witness_sequence(catalog_scenario("s06_recovery_window").f,
                                  1.5)
-    assert counts["evals"] == 11778
+    assert counts["evals"] == 1980
 
 
 def test_dbr_reconstruct_evals_over_catalog(counts):
-    # the mean value (one integral) plus f at each of the 257 grid nodes
+    # the mean value (one integral) plus f at each of the 257 grid nodes;
+    # adaptive Simpson took 1,708 evals and 7,876 evaluate calls
     for scenario in load_catalog():
         variational.dbr_reconstruct(scenario.f)
-    assert counts == {"evals": 1708, "evaluate": 7876}
+    assert counts == {"evals": 390, "evaluate": 6558}
 
 
 @pytest.mark.parametrize("name", ["s06_recovery_window", "s03_center_zero_line"])

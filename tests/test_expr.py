@@ -102,6 +102,30 @@ def test_sin_chain_at_the_nesting_limit_differentiates():
     assert ex.evaluate(third, t) == pytest.approx(fd, rel=1e-3)
 
 
+def distinct_nodes(e):
+    seen, stack = {}, [e]
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen[id(node)] = node
+            stack += [getattr(node, f) for f in ("arg", "left", "right")
+                      if hasattr(node, f)]
+    return len(seen)
+
+
+def test_repeated_derivatives_keep_shared_subtrees_shared():
+    # sin nested 40 deep, built directly since the parser stops at 32: the
+    # third derivative has 1,477 distinct nodes; differentiating each
+    # occurrence of a shared subtree separately gave 52,626
+    n = 40
+    tree = ex.Var("t")
+    for _ in range(n):
+        tree = ex.Call("sin", tree)
+    third = ex.differentiate(tree, "t", 3)
+    assert distinct_nodes(third) <= 40 * n
+    assert ex.evaluate(third, 0.3) == walk(third, 0.3)
+
+
 def test_unknown_function_and_variable():
     with pytest.raises(UnknownFunction):
         ex.parse("tan(t)")

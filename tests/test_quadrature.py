@@ -1,11 +1,34 @@
-"""Gauss-Legendre nodes built without numpy, and quadrature settings."""
+"""Adaptive Gauss-Kronrod, Gauss-Legendre nodes built without numpy, and
+quadrature settings."""
 import math
 import subprocess
 import sys
 
 import pytest
 
-from lcfn.quadrature import QuadratureSpec, _leggauss, gauss_legendre
+from lcfn.errors import NonFiniteIntegrand, QuadratureNonConvergent
+from lcfn.quadrature import (
+    MAX_INTERVALS,
+    QuadratureSpec,
+    _WG7,
+    _WK15,
+    _X15,
+    _leggauss,
+    gauss_legendre,
+    integrate_scalar,
+)
+
+SPEC = QuadratureSpec()
+
+
+def counted(fn):
+    """``fn`` and a list whose one item counts its calls."""
+    calls = [0]
+
+    def wrapper(t):
+        calls[0] += 1
+        return fn(t)
+    return wrapper, calls
 
 
 def test_import_lcfn_leaves_numpy_out():
@@ -63,3 +86,74 @@ def test_gauss_legendre_order_is_fixed():
     assert QuadratureSpec().nodes == 64
     with pytest.raises(TypeError):
         QuadratureSpec(nodes=64)
+
+
+# -- adaptive Gauss-Kronrod -----------------------------------------------
+
+def test_kronrod_and_gauss_rules_are_exact_to_their_degree():
+    gauss_nodes = _X15[1::2]
+    assert len(_X15) == len(_WK15) == 15 and len(gauss_nodes) == len(_WG7)
+    assert all(abs(x - y) <= 2 * math.ulp(1.0)
+               for x, y in zip(gauss_nodes, _leggauss(7)[0]))
+    for k in range(12):  # K15 is exact to degree 22, G7 to degree 13
+        exact = 2.0 / (2 * k + 1)
+        kronrod = sum(w * x ** (2 * k) for x, w in zip(_X15, _WK15))
+        assert kronrod == pytest.approx(exact, rel=1e-14), k
+        if k < 7:
+            gauss = sum(w * x ** (2 * k) for x, w in zip(gauss_nodes, _WG7))
+            assert gauss == pytest.approx(exact, rel=1e-14), k
+
+
+@pytest.mark.parametrize("fn, a, b, exact, evals", [
+    pytest.param(math.sqrt, 0.0, 1.0, 2.0 / 3.0, 465, id="sqrt"),
+    pytest.param(lambda t: t ** 1000, 0.0, 2.0, 2.0 ** 1001 / 1001, 345,
+                 id="t^1000"),
+    pytest.param(math.log, 0.0, 1.0, -1.0, 825, id="log"),
+])
+def test_converges_where_adaptive_simpson_did_not(fn, a, b, exact, evals):
+    # adaptive Simpson runs out of depth on all three; t^1000 on [0, 2]
+    # (about 2e298) converges through REL_TOL, not the absolute tolerance
+    wrapper, calls = counted(fn)
+    value = integrate_scalar(wrapper, a, b, SPEC)
+    assert abs(value - exact) <= 1e-10 * abs(exact)
+    assert calls == [evals]
+
+
+def test_meets_the_tolerance_on_an_unbounded_integrand():
+    # exp(-t)/sqrt(t) is unbounded at 0; its integral over [0, 3] is
+    # sqrt(pi) * erf(sqrt(3))
+    value = integrate_scalar(lambda t: math.exp(-t) / math.sqrt(t), 0.0, 3.0,
+                             SPEC)
+    exact = math.sqrt(math.pi) * math.erf(math.sqrt(3.0))
+    assert abs(value - exact) <= SPEC.abs_tol
+
+
+def test_stops_at_the_subinterval_budget():
+    # sin(1/t) oscillates without bound near 0: 2,000 subintervals is
+    # 1 + 2 * 1,999 panels of 15 points
+    wrapper, calls = counted(lambda t: math.sin(1.0 / t))
+    with pytest.raises(QuadratureNonConvergent) as err:
+        integrate_scalar(wrapper, 0.0, 1.0, SPEC)
+    assert str(err.value) == (
+        f"tolerance 1e-10 not met on [0.0, 1.0] within "
+        f"MAX_INTERVALS={MAX_INTERVALS} subintervals")
+    assert calls == [15 * (2 * MAX_INTERVALS - 1)]
+
+
+def test_reciprocal_is_trapped_not_returned_as_inf():
+    # bisecting toward 0 reaches nodes where 1/t overflows; the panel's
+    # estimate is inf and its error nan, which would end the loop silently
+    with pytest.raises(NonFiniteIntegrand) as err:
+        integrate_scalar(lambda t: 1.0 / t, 0.0, 1.0, SPEC)
+    assert str(err.value).startswith(
+        "integrand not finite on [0.0, 1.0]: subinterval [0.0, ")
+    assert str(err.value).endswith("] estimates inf")
+
+
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+def test_non_finite_value_names_the_subinterval(value):
+    with pytest.raises(NonFiniteIntegrand) as err:
+        integrate_scalar(lambda t: value if t < 0.5 else t, 0.0, 1.0, SPEC)
+    assert str(err.value) == (
+        f"integrand not finite on [0.0, 1.0]: subinterval [0.0, 1.0] "
+        f"estimates {value!r}")
