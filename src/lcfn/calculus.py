@@ -1,9 +1,10 @@
 """Calculus for functions t -> r(t) + q(t)*A and its theorem checkers.
 
 Derivatives and Riemann integrals act componentwise on the coordinate
-functions, so every operation here reduces to scalar calculus plus the
-coordinate arithmetic from :mod:`lcfn.core`.  The checkers turn the
-calculus theorems (linearity, fundamental theorem, product rule,
+functions; a function reads r and q through one compiled kernel per batch
+of points (a quadrature panel, a grid, the point of ``at``), and its
+integral bounds the error in the norm |q| + |r + a_m*q|.  The checkers
+turn the calculus theorems (linearity, fundamental theorem, product rule,
 integration by parts, positivity of the squared integral, derivative /
 integral interchange) into numeric residuals with pinned tolerances.
 """
@@ -11,12 +12,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property, partial
+from itertools import chain
 
 from . import expr as ex
 from .core import LCFN
 from .errors import EvalError, GeneratorMismatch, OutsideDomain
 from .generator import Generator, same_generator
-from .quadrature import QuadratureSpec, gauss_legendre, integrate_scalar
+# Not called here: perfbench hooks integrate_scalar.
+from .quadrature import QuadratureSpec, gauss_legendre, integrate_scalar, qag
 
 FTC_TOL = 1e-8
 IBP_TOL = 1e-8
@@ -78,13 +82,22 @@ class FuzzyFunction:
                    gen, (float(domain[0]), float(domain[1])),
                    eps_aware=two_variable)
 
+    @cached_property
+    def _kernel(self):
+        """r and q as one compiled batch function (``expr._compile``)."""
+        return ex._compile((self.r, self.q))
+
     def at(self, t: float, eps: float | None = None) -> LCFN:
         a, b = self.domain
         if not a <= t <= b:
             raise OutsideDomain(f"t={t!r} outside [{a!r}, {b!r}]")
-        return LCFN(finite(ex.evaluate(self.r, t, eps), "component r", t),
-                    finite(ex.evaluate(self.q, t, eps), "component q", t),
-                    self.gen)
+        (r,), (q,) = self.values((t,), eps)
+        return LCFN(r, q, self.gen)
+
+    def values(self, ts, eps: float | None = None) -> tuple[list, list]:
+        """r and q at each of ``ts``, checked finite, in one kernel call."""
+        return sample(self._kernel, (self.r, self.q),
+                      ("component r", "component q"), ts, eps)
 
     def derivative(self, order: int = 1, var: str = "t") -> "FuzzyFunction":
         return FuzzyFunction(ex.differentiate(self.r, var, order),
@@ -140,18 +153,38 @@ def finite(value: float, name: str, t: float) -> float:
     raise EvalError(f"{name} is {value!r} at t={t!r}")
 
 
+def sample(kernel, roots: tuple, names: tuple, ts,
+           eps: float | None = None) -> tuple[list, ...]:
+    """``roots`` at ``ts`` by one call of their compiled ``kernel``, checked
+    finite; a failed batch raises the first error of reading each point,
+    root by root, as ``finite(ex.evaluate(root, t, eps), name, t)``."""
+    try:
+        columns = kernel(ts, eps)
+        if all(map(math.isfinite, chain(*columns))):
+            return columns
+    except EvalError:
+        pass
+    for t in ts:
+        for root, name in zip(roots, names):
+            finite(ex.evaluate(root, t, eps), name, t)
+    raise AssertionError("a batch failed where its points one by one did not")
+
+
 def integrate(f: FuzzyFunction, spec: QuadratureSpec = QuadratureSpec(),
               lo: float | None = None, hi: float | None = None,
               eps: float | None = None) -> LCFN:
     """Componentwise quadrature over the domain (or a sub-interval); eps
-    binds the second variable of a two-variable function."""
+    binds the second variable of a two-variable function.
+
+    r and q share one subdivision, and the tolerance bounds the error E
+    in the norm: ||E|| = |E_q| + |E_r + a_m*E_q| <= |E_r| + (1 + |a_m|)*|E_q|."""
     a, b = f.domain
     lo = a if lo is None else lo
     hi = b if hi is None else hi
     if not (a <= lo <= hi <= b):
         raise OutsideDomain(f"[{lo!r}, {hi!r}] not inside [{a!r}, {b!r}]")
-    r_val = integrate_scalar(lambda t: ex.evaluate(f.r, t, eps), lo, hi, spec)
-    q_val = integrate_scalar(lambda t: ex.evaluate(f.q, t, eps), lo, hi, spec)
+    r_val, q_val = qag(partial(f._kernel, eps=eps), lo, hi, spec,
+                       (1.0, 1.0 + abs(f.gen.a_m)))
     return LCFN(r_val, q_val, f.gen)
 
 
@@ -159,7 +192,8 @@ def node_grid(a: float, b: float, nodes: int) -> list[float]:
     """``nodes`` equally spaced points from a to b, both ends exact."""
     if nodes < 2:
         raise ValueError(f"need at least 2 grid nodes, got {nodes!r}")
-    ts = [a + (b - a) * i / (nodes - 1) for i in range(nodes)]
+    span, last = b - a, nodes - 1
+    ts = [a + span * i / last for i in range(nodes)]
     ts[-1] = b
     return ts
 
@@ -259,8 +293,8 @@ def square_integral(f: FuzzyFunction, spec: QuadratureSpec = QuadratureSpec()
     sq = ex.pow_(ce, ex.Num(2.0))
     direct = gauss_legendre(lambda t: ex.evaluate(sq, t), a, b, spec.nodes)
 
-    violations = sum(abs(ex.evaluate(ce, t)) > AE_THRESHOLD
-                     for t in node_grid(a, b, AE_GRID_POINTS))
+    (centers,) = ce._kernel(node_grid(a, b, AE_GRID_POINTS))
+    violations = sum(map(AE_THRESHOLD.__lt__, map(abs, centers)))
     fraction = violations / AE_GRID_POINTS
 
     passed = center >= -spec.abs_tol and abs(center - direct) <= spec.abs_tol

@@ -12,6 +12,10 @@ NUMBER, shared with element literals (``core``), must read as a finite float.
 Each '(', function argument, unary minus and '^' exponent opens one
 nesting level; more than MAX_NESTING levels is a syntax error.
 
+Evaluation is compiled: :func:`_compile` turns a tuple of trees into one
+straight-line function over a batch of points that computes each shared
+subtree once per point; :func:`evaluate` is its one-tree, one-point case.
+
 Differentiation is symbolic so downstream optimality checks see exact
 derivative expressions; finite differences stay available as a test-side
 oracle.  ``abs`` differentiates to ``sign``, with sign(0) = 0 by
@@ -23,7 +27,7 @@ import math
 import operator
 import re
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, partial
 from typing import Union
 
 from .errors import (
@@ -39,15 +43,15 @@ Expr = Union["Num", "Var", "Neg", "Bin", "Call"]
 
 
 class _Node:
-    """Base of the node classes.  ``_fn`` is the tree under this node
-    compiled to one straight-line function ``(t, eps) -> float`` (see
-    :func:`_compile`), built on first use and kept in the instance
-    ``__dict__``; the dataclass ``==``, ``hash`` and ``repr`` only see the
-    fields, so caching it changes none of them."""
+    """Base of the node classes.  ``_kernel`` is the tree under this node
+    compiled to one straight-line batch function (see :func:`_compile`),
+    built on first use and kept in the instance ``__dict__``; the
+    dataclass ``==``, ``hash`` and ``repr`` only see the fields, so caching
+    it changes none of them."""
 
     @cached_property
-    def _fn(self):
-        return _compile(self)
+    def _kernel(self):
+        return _compile((self,))
 
 
 @dataclass(frozen=True)
@@ -273,35 +277,29 @@ class _Parser:
 # -- evaluation ---------------------------------------------------------------
 
 def evaluate(e: Expr, t: float, eps: float | None = None) -> float:
-    """Evaluate at t (and eps for two-variable expressions).
-
-    Runs the straight-line function generated from ``e`` by
-    :func:`_compile` on its first evaluation; the result is bit-identical
-    to the reference tree walk ``walk`` in ``tests/oracles.py``.  The
-    ``ValueError`` of ``math.sin``/``math.cos`` at an infinite argument is
-    retyped here, once.
-    """
-    try:
-        return e._fn(t, eps)
-    except ValueError:
-        raise EvalDomainError(f"sin or cos of an infinite value in "
-                              f"{to_source(e)} at t={t!r}") from None
+    """Evaluate at t (and eps for two-variable expressions): the one-root,
+    one-point call of the kernel :func:`_compile` generates from ``e``
+    on its first evaluation.  The result is bit-identical to the
+    reference tree walk ``walk`` in ``tests/oracles.py``."""
+    return e._kernel((t,), eps)[0][0]
 
 
-def _compile(e: Expr):
-    """One straight-line function ``(t, eps) -> float`` doing the float
-    operations of the reference tree walk in the same order.
+def _compile(roots: tuple):
+    """One straight-line function ``(ts, eps) -> (values of root 0, values
+    of root 1, ...)`` doing, point after point, the float operations of
+    the reference tree walk of each root in turn.
 
-    A post-order walk (left before right) emits one ``vN = ...`` line per
-    operation into the source of a factory ``_make(k0, k1, ...)``; a
-    subtree object met again (same ``id``) reuses its ``vN``.  Constants
-    and ``t`` are read in place, since reading them cannot fail.  ``+ - *``
+    A post-order walk (left before right, root after root) emits one
+    ``vN = ...`` line per operation into the loop of a factory
+    ``_make(k0, k1, ...)``; a subtree object met again (same ``id``, in any
+    root) reuses its ``vN``, so it runs once per point.  Constants and
+    ``t`` are read in place, since reading them cannot fail.  ``+ - *``
     and unary minus are inline; every other operation is called through
     its ``_BIN``/``_FN`` entry and a variable other than ``t`` through
-    ``_var``, so errors and messages are those of the walk.  Constants,
-    variable names and those functions enter as the arguments ``kN``, never
-    as text, so trees of one shape share one source and :func:`_factory`
-    compiles each shape once.
+    ``_var``, so the first error and its message are those of the walk.
+    Constants, variable names, those functions and ``_replay`` enter as
+    the arguments ``kN``, never as text, so trees of one shape share one
+    source and :func:`_factory` compiles each shape once.
     """
     lines, args, names = [], [], {}
 
@@ -330,15 +328,33 @@ def _compile(e: Expr):
             x = emit(node.arg)
             rhs = f"{arg(_FN[node.fn])}({x})"
         name = f"v{len(lines)}"
-        lines.append(f"  {name} = {rhs}\n")
+        lines.append(f"    {name} = {rhs}\n")
         names[id(node)] = name
         return name
 
-    result = emit(e)
+    results = [emit(root) for root in roots]
+    lines += [f"    a{i}({name})\n" for i, name in enumerate(results)]
+    replay = arg(partial(_replay, roots))
+    outs = range(len(roots))
     src = (f"def _make({', '.join(f'k{i}' for i in range(len(args)))}):\n"
-           " def _f(t, eps):\n" + "".join(lines)
-           + f"  return {result}\n return _f\n")
+           " def _f(ts, eps=None):\n"
+           + "".join(f"  o{i} = []; a{i} = o{i}.append\n" for i in outs)
+           + "  try:\n   for t in ts:\n" + "".join(lines)
+           + f"  except ValueError:\n   {replay}(ts, eps)\n   raise\n"
+           + f"  return {', '.join(f'o{i}' for i in outs)},\n return _f\n")
     return _factory(src)(*args)
+
+
+def _replay(roots: tuple, ts, eps: float | None) -> None:
+    """Re-run a batch stopped by the ``ValueError`` of ``math.sin`` or
+    ``math.cos`` at an infinite argument one point and root at a time:
+    the one-point call that meets it retypes it, naming its root and t."""
+    if len(roots) == len(ts) == 1:
+        raise EvalDomainError(f"sin or cos of an infinite value in "
+                              f"{to_source(roots[0])} at t={ts[0]!r}") from None
+    for t in ts:
+        for root in roots:
+            evaluate(root, t, eps)
 
 
 @lru_cache(maxsize=1024)
@@ -346,7 +362,7 @@ def _factory(src: str):
     """The factory defined by ``src``, compiled once per tree shape; the
     source names nothing but its arguments, so it runs in an empty scope.
     1024 is above the measured working set: 240 cycles of perfbench's
-    checker-sweep build 597 shapes."""
+    checker-sweep build 443-469 shapes (seeds 1, 101 and 1501)."""
     scope = {}
     exec(compile(src, "<lcfn.expr>", "exec"), scope)
     return scope["_make"]

@@ -1,15 +1,15 @@
-"""Scalar quadrature: adaptive Gauss-Kronrod plus a Gauss-Legendre
-cross-check.
+"""Quadrature: adaptive Gauss-Kronrod plus a Gauss-Legendre cross-check.
 
-``integrate_scalar`` is QUADPACK's globally adaptive QAG scheme on the
-15-point Kronrod extension of the 7-point Gauss rule (Piessens et al.,
-*QUADPACK*, 1983; Kronrod 1965): the subinterval with the largest
-estimated error ``|K15 - G7|`` is bisected until the summed error is at
-most ``max(abs_tol, REL_TOL * |I|)``, within ``MAX_INTERVALS``
-subintervals.  ``gauss_legendre`` is the independent fixed-order rule a
-checker can route the same integrand through to guard against silent
-quadrature failure.  ``adaptive_simpson`` is no longer on any library
-path; tests use it as a third, independent method.
+``qag`` is QUADPACK's adaptive QAG on G7/K15 (Piessens et al. 1983), run
+on k components over one subdivision as DCUHRE runs vector integrands
+(Berntsen, Espelid and Genz 1991): the subinterval with the largest error
+``sum(w_c * |K15_c - G7_c|)`` is bisected until the summed error is at
+most ``max(abs_tol, REL_TOL * sum(w_c * |I_c|))``, within
+``MAX_INTERVALS`` subintervals; ``integrate_scalar`` is the k = 1 case.
+``gauss_legendre`` is the independent fixed-order rule a checker can
+route the same integrand through to guard against silent quadrature
+failure.  ``adaptive_simpson`` is no longer on any library path; tests
+use it as a third, independent method.
 """
 from __future__ import annotations
 
@@ -66,46 +66,58 @@ class QuadratureSpec:
 
 
 def integrate_scalar(fn, a: float, b: float, spec: QuadratureSpec) -> float:
-    """Integral of ``fn`` over [a, b] by globally adaptive G7/K15.
+    """Integral of ``fn`` over [a, b] by :func:`qag` on one component."""
+    return qag(lambda ts: ([fn(t) for t in ts],), a, b, spec, (1.0,))[0]
 
-    Raises ``NonFiniteIntegrand`` as soon as the running sum or error
-    stops being finite, and ``QuadratureNonConvergent`` when the
-    tolerance needs more than ``MAX_INTERVALS`` subintervals."""
+
+def qag(kernel, a: float, b: float, spec: QuadratureSpec,
+        weights: tuple[float, ...]) -> tuple[float, ...]:
+    """Integrals over [a, b] of the components of ``kernel``, which maps a
+    list of points to one list of values per component; each panel is one
+    ``kernel`` call on its 15 nodes, its error weighted by ``weights``.
+
+    Raises ``NonFiniteIntegrand`` as soon as a running sum or the error
+    stops being finite (naming the first non-finite component's panel
+    estimate), and ``QuadratureNonConvergent`` when the tolerance needs
+    more than ``MAX_INTERVALS`` subintervals."""
     if a == b:
-        return 0.0
-    heap, total, err = [], 0.0, 0.0  # heap items: (-error, lo, hi, value)
+        return (0.0,) * len(weights)
+    heap, totals, err = [], [0.0] * len(weights), 0.0  # (-error, lo, hi, values)
     panels = ((a, b),)
     while True:
         for lo, hi in panels:
-            value, panel_err = _gk15(fn, lo, hi)
-            total += value
+            center = 0.5 * (lo + hi)
+            half = 0.5 * (hi - lo)
+            values, panel_err = [], 0.0
+            for c, (w, fx) in enumerate(zip(weights, kernel(
+                    [center + half * x for x in _X15]))):
+                kronrod = half * sum(map(operator.mul, _WK15, fx))
+                gauss = half * sum(map(operator.mul, _WG7, fx[1::2]))
+                values.append(kronrod)
+                panel_err += w * abs(kronrod - gauss)
+                totals[c] += kronrod
             err += panel_err
-            if not (math.isfinite(total) and math.isfinite(err)):
+            if not (math.isfinite(err) and all(map(math.isfinite, totals))):
+                value = next((v for v in values if not math.isfinite(v)),
+                             values[0])
                 raise NonFiniteIntegrand(
                     f"integrand not finite on [{a!r}, {b!r}]: subinterval "
                     f"[{lo!r}, {hi!r}] estimates {value!r}")
-            heapq.heappush(heap, (-panel_err, lo, hi, value))
-        if err <= max(spec.abs_tol, REL_TOL * abs(total)):
-            return math.fsum(item[3] for item in heap)
+            heapq.heappush(heap, (-panel_err, lo, hi, values))
+        if err <= max(spec.abs_tol,
+                      REL_TOL * sum(map(operator.mul, weights,
+                                        map(abs, totals)))):
+            return tuple(math.fsum(item[3][c] for item in heap)
+                         for c in range(len(weights)))
         if len(heap) >= MAX_INTERVALS:
             raise QuadratureNonConvergent(
                 f"tolerance {spec.abs_tol:g} not met on [{a!r}, {b!r}] "
                 f"within MAX_INTERVALS={MAX_INTERVALS} subintervals")
-        neg_err, lo, hi, value = heapq.heappop(heap)  # the worst subinterval
-        total -= value
+        neg_err, lo, hi, values = heapq.heappop(heap)  # the worst subinterval
+        totals = [total - v for total, v in zip(totals, values)]
         err += neg_err
         mid = 0.5 * (lo + hi)
         panels = ((lo, mid), (mid, hi))
-
-
-def _gk15(fn, lo: float, hi: float) -> tuple[float, float]:
-    """The K15 estimate on [lo, hi] and its error ``|K15 - G7|``."""
-    center = 0.5 * (lo + hi)
-    half = 0.5 * (hi - lo)
-    fx = [fn(center + half * x) for x in _X15]
-    kronrod = half * sum(map(operator.mul, _WK15, fx))
-    gauss = half * sum(map(operator.mul, _WG7, fx[1::2]))
-    return kronrod, abs(kronrod - gauss)
 
 
 def adaptive_simpson(fn, a: float, b: float,

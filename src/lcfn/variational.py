@@ -19,14 +19,15 @@ import math
 from dataclasses import dataclass
 
 from . import expr as ex
-from .calculus import CheckReport, FuzzyFunction, finite, integrate, node_grid
+from .calculus import (CheckReport, FuzzyFunction, finite, integrate,
+                       node_grid, sample)
 from .core import LCFN, Ordering, compare
 from .errors import (
     CatalogBoundaryViolation,
     WindowOutsideDomain,
     ZeroCenterAtT0,
 )
-# Not called here: perfbench and tests/test_eval_counts.py hook these names.
+# Not called here: perfbench hooks these names.
 from .quadrature import QuadratureSpec, adaptive_simpson, integrate_scalar
 
 ROOT_TOL = 1e-12          # bisection bracket width
@@ -80,9 +81,9 @@ def critical_points(f: FuzzyFunction, grid: int = SCAN_GRID
     g1 = ex.differentiate(g, "t", 1)
     g2 = ex.differentiate(g1, "t", 1)
     ts = node_grid(a, b, grid)
-    vals = [finite(ex.evaluate(g1, t), "center derivative g'", t) for t in ts]
+    (vals,) = sample(g1._kernel, (g1,), ("center derivative g'",), ts)
     spacing = (b - a) / (grid - 1)
-    scale = max(1.0, max(abs(v) for v in vals))
+    scale = max(1.0, max(map(abs, vals)))
 
     roots: list[float] = []
 
@@ -432,8 +433,9 @@ def dbr_reconstruct(f: FuzzyFunction, spec: QuadratureSpec = QuadratureSpec(),
     rows = []
     max_center = 0.0
     max_coord = 0.0
-    for t in node_grid(a, b, grid):
-        e = f.at(t) - u
+    ts = node_grid(a, b, grid)
+    for t, r, q in zip(ts, *f.values(ts)):
+        e = LCFN(r - u.r, q - u.q, f.gen)
         center = e.center()
         coord = max(abs(e.r), abs(e.q))
         rows.append((t, center, coord))

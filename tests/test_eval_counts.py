@@ -1,11 +1,15 @@
-"""Integrand-evaluation and ``ex.evaluate`` call counts, pinned.
+"""Kernel work and ``ex.evaluate`` calls, pinned.
 
 The counts are deterministic, so a change that moves the amount of
-quadrature work fails here rather than only showing up as wall time.
-Integrand points alone are not a work proxy: sharing one subdivision
-between r and q lowers them while raising the evaluate calls.  So each
-quadrature entry point and the ``ex`` module alias are both wrapped where
-the checkers import them.
+quadrature or sampling work fails here rather than only showing up as
+wall time.  Every integral of an ``(r, q)`` pair is one ``qag`` run whose
+panels each make one call of the pair kernel on 15 points, so the fixture
+wraps ``qag`` where ``calculus`` imports it and counts both the points
+(one point is one ``(r, q)`` pair) and the kernel calls: points alone are
+not a work proxy, as one call on many points costs less than many calls.
+It also counts the points read through ``calculus.sample`` (``f.at`` and
+the checkers' grids) and the ``ex.evaluate`` calls left in the checkers,
+wrapping each where ``calculus`` and ``variational`` import it.
 """
 import types
 
@@ -14,24 +18,24 @@ import pytest
 from lcfn import calculus, variational
 from lcfn.scenarios import catalog_scenario, load_catalog
 
-SITES = {
-    calculus: ("integrate_scalar", "gauss_legendre"),
-    variational: ("integrate_scalar", "adaptive_simpson"),
-}
-
 
 @pytest.fixture
 def counts(monkeypatch):
-    """Integrand evaluations and ``ex.evaluate`` calls so far."""
-    count = {"evals": 0, "evaluate": 0}
+    """qag points and kernel calls, sampled points and ``ex.evaluate``
+    calls so far."""
+    count = {"points": 0, "calls": 0, "sampled": 0, "evaluate": 0}
+    qag, sample = calculus.qag, calculus.sample
 
-    def counting(real):
-        def wrapper(fn, *args, **kwargs):
-            def counted(x):
-                count["evals"] += 1
-                return fn(x)
-            return real(counted, *args, **kwargs)
-        return wrapper
+    def counting_qag(kernel, *args):
+        def counted(ts, *rest, **kwargs):
+            count["points"] += len(ts)
+            count["calls"] += 1
+            return kernel(ts, *rest, **kwargs)
+        return qag(counted, *args)
+
+    def counting_sample(kernel, roots, names, ts, eps=None):
+        count["sampled"] += len(ts)
+        return sample(kernel, roots, names, ts, eps)
 
     def counting_ex(ex):
         def evaluate(e, t, eps=None):
@@ -42,34 +46,44 @@ def counts(monkeypatch):
         proxy.evaluate = evaluate
         return proxy
 
-    for module, names in SITES.items():
+    monkeypatch.setattr(calculus, "qag", counting_qag)
+    for module in (calculus, variational):
+        monkeypatch.setattr(module, "sample", counting_sample)
         monkeypatch.setattr(module, "ex", counting_ex(module.ex))
-        for name in names:
-            monkeypatch.setattr(module, name, counting(getattr(module, name)))
     return count
 
 
 def test_integrate_evals_over_catalog(counts):
-    # 15 points per G7/K15 panel: 26 panels over the catalog's r and q
-    # (adaptive Simpson took 1,708 points)
+    # 14 panels of 15 points over the catalog, one subdivision for r and q
+    # (scalar Gauss-Kronrod took 390 points and 390 evaluate calls in 26
+    # panels, adaptive Simpson 1,708)
     for scenario in load_catalog():
         calculus.integrate(scenario.f)
-    assert counts == {"evals": 390, "evaluate": 390}
+    assert counts == {"points": 210, "calls": 14, "sampled": 0, "evaluate": 0}
 
 
 def test_ftc_check_evals_over_catalog(counts):
-    # adaptive Simpson took 3,328 points and 3,448 evaluate calls
+    # f.at at both ends and at the 3 spot points: 5 points per scenario,
+    # once 120 evaluate calls; the integrals took 1,530 scalar points, and
+    # 3,328 with adaptive Simpson
     for scenario in load_catalog():
         calculus.ftc_check(scenario.f)
-    assert counts == {"evals": 1530, "evaluate": 1650}
+    assert counts == {"points": 780, "calls": 52, "sampled": 60, "evaluate": 0}
+
+
+def test_ibp_check_evals_over_catalog(counts):
+    # two cross-product integrals per scenario and f, g at both ends
+    for scenario in load_catalog():
+        calculus.ibp_check(scenario.f, scenario.partner)
+    assert counts == {"points": 660, "calls": 44, "sampled": 48, "evaluate": 0}
 
 
 PROBE_FRACTIONS = (0.25, 0.5, 0.3)  # the checker-sweep benchmark's F(t) probes
 
 
 def test_cumulative_integral_evals_over_catalog(counts):
-    # one integral over [a, t] per query and nothing up front; adaptive
-    # Simpson took 4,716
+    # one integral over [a, t] per query and nothing up front; scalar
+    # Gauss-Kronrod took 1,080 points, adaptive Simpson 4,716
     queries = []
     for scenario in load_catalog():
         a, b = scenario.f.domain
@@ -77,36 +91,47 @@ def test_cumulative_integral_evals_over_catalog(counts):
         for u in PROBE_FRACTIONS:
             t = a + (b - a) * u
             queries.append((scenario.f, t, cumulative.at(t)))
-    assert counts == {"evals": 1080, "evaluate": 1080}
+    assert counts == {"points": 540, "calls": 36, "sampled": 0, "evaluate": 0}
     assert all(value == calculus.integrate(f, hi=t) for f, t, value in queries)
 
 
 def test_lagrange_scan_evals(counts):
     # The scan is built from mollifier_recovery and witness_sequence, and
-    # each reads f(t0) for itself: 48,054 -> 48,060 evaluate calls, one
-    # more r, q read at each of the 3 admissible points.  The kernel mass
-    # is closed form, so its quadrature no longer counts: 83,391 -> 48,048
-    # evals; the evaluate calls never included it.  Gauss-Kronrod in place
-    # of adaptive Simpson: 48,048 -> 7,920 evals.
+    # each reads f(t0) for itself: 6 sampled points, once 12 evaluate
+    # calls.  The kernel mass is closed form, so it has no quadrature.
+    # Integrand points: 83,391 with adaptive Simpson and the kernel mass
+    # quadrature, 48,048 without it, 7,920 with scalar Gauss-Kronrod.
     variational.lagrange_scan(catalog_scenario("s06_recovery_window").f, grid=3)
-    assert counts == {"evals": 7920, "evaluate": 7932}
+    assert counts == {"points": 4140, "calls": 276, "sampled": 6,
+                      "evaluate": 0}
 
 
 def test_witness_sequence_evals(counts):
     # one b_k integral per index of the default ladder; the one-quadrature
-    # oracle the witness used to compute as well took 18,867 -> 11,778, and
-    # Gauss-Kronrod in place of adaptive Simpson 11,778 -> 1,980
+    # oracle the witness used to compute as well took 18,867 -> 11,778
+    # points, adaptive Simpson 11,778 -> scalar Gauss-Kronrod 1,980
     variational.witness_sequence(catalog_scenario("s06_recovery_window").f,
                                  1.5)
-    assert counts["evals"] == 1980
+    assert counts == {"points": 1095, "calls": 73, "sampled": 1, "evaluate": 0}
 
 
 def test_dbr_reconstruct_evals_over_catalog(counts):
-    # the mean value (one integral) plus f at each of the 257 grid nodes;
-    # adaptive Simpson took 1,708 evals and 7,876 evaluate calls
+    # the mean value (one integral) plus f at each of the 257 grid nodes,
+    # read in one kernel call per scenario (once 6,168 evaluate calls);
+    # the integrals took 390 scalar points, 1,708 with adaptive Simpson
     for scenario in load_catalog():
         variational.dbr_reconstruct(scenario.f)
-    assert counts == {"evals": 390, "evaluate": 6558}
+    assert counts == {"points": 210, "calls": 14, "sampled": 3084,
+                      "evaluate": 0}
+
+
+def test_critical_points_evals_over_catalog(counts):
+    # g' on the 1,024-node scan grid in one kernel call per scenario; the
+    # bisections and the classification still evaluate point by point
+    for scenario in load_catalog():
+        variational.critical_points(scenario.f)
+    assert counts == {"points": 0, "calls": 0, "sampled": 12288,
+                      "evaluate": 4190}
 
 
 @pytest.mark.parametrize("name", ["s06_recovery_window", "s03_center_zero_line"])

@@ -177,8 +177,11 @@ def _compiled_cases():
         square = f.cross_with(f)
         eta = default_eta_catalog(f.gen, f.domain)[1]
         dbr = f.cross_with(eta).plus(g.cross_with(eta.derivative()))
+        # the two integrands of integration by parts
+        left, right = f.cross_with(g.derivative()), f.derivative().cross_with(g)
         trees = [f.r, f.q, f.center_expr(), cross.r, cross.q,
-                 square.r, square.q, dbr.r, dbr.q]
+                 square.r, square.q, dbr.r, dbr.q,
+                 left.r, left.q, right.r, right.q]
         trees += [ex.differentiate(c, "t", k) for c in (f.r, f.q)
                   for k in (1, 2, 3)]
         # a margin outside the domain reaches the guarded operations too
@@ -210,6 +213,118 @@ def test_compiled_evaluation_matches_walk_bit_for_bit():
     assert checked > 5000
 
 
+def _walk_batch(trees, ts, eps):
+    """Each tree at each t by the walk, point after point and tree
+    after tree; the first error as (class, message) instead, if any."""
+    columns = [[] for _ in trees]
+    for t in ts:
+        for column, tree in zip(columns, trees):
+            value = _outcome(walk, tree, t, eps)
+            if isinstance(value, tuple):
+                return value
+            column.append(value)
+    return tuple(columns)
+
+
+def _batch(kernel, ts, eps):
+    try:
+        return kernel(ts, eps)
+    except EvalError as err:
+        return type(err), str(err)
+
+
+def test_batch_kernels_match_walk_bit_for_bit():
+    """Every case's trees as one kernel, so subtrees are shared across
+    roots too, and each consecutive (r, q) pair as its own kernel: on the
+    points where the walk raises nowhere they give the walk's bits, and
+    on the whole grid the walk's first error.  repr tells -0.0 from 0.0
+    and prints every NaN as 'nan'."""
+    checked, raised = 0, 0
+    for name, trees, ts, eps in _compiled_cases():
+        groups = [tuple(trees)] + [tuple(trees[i:i + 2])
+                                   for i in range(0, len(trees), 2)]
+        for roots in groups:
+            kernel = ex._compile(roots)
+            good = [t for t in ts
+                    if isinstance(_walk_batch(roots, [t], eps)[0], list)]
+            got = kernel(good, eps)
+            assert repr(got) == repr(_walk_batch(roots, good, eps)), \
+                (name, [ex.to_source(root) for root in roots])
+            whole = _walk_batch(roots, ts, eps)
+            assert repr(_batch(kernel, ts, eps)) == repr(whole)
+            checked += len(good) * len(roots)
+            raised += len(good) < len(ts)
+    assert checked > 15000 and raised > 0
+
+
+_SIN, _LOGT = ex.parse("sin(t)"), ex.parse("log(t)")
+
+
+@pytest.mark.parametrize("roots, ts, eps, cls, message", [
+    ((ex.parse("t + 1"), _LOGT), [1.0, 2.0, -2.0, -3.0], None,
+     EvalDomainError, "log of nonpositive value -2.0"),
+    # sin(inf) is the ValueError of math.sin, retyped naming its root and t
+    ((ex.parse("t*t"), ex.Bin("*", ex.parse("t*t"), _SIN)),
+     [0.5, math.inf, 1.0], None, EvalDomainError,
+     "sin or cos of an infinite value in t*t*sin(t) at t=inf"),
+    ((_SIN, _SIN), [2.0, -math.inf], None, EvalDomainError,
+     "sin or cos of an infinite value in sin(t) at t=-inf"),
+    # both roots raise at inf: the first root's message
+    ((_SIN, ex.parse("2*cos(t)")), [1.0, math.inf], None, EvalDomainError,
+     "sin or cos of an infinite value in sin(t) at t=inf"),
+    ((ex.parse("t"), ex.parse("t*eps", ("t", "eps"))), [0.5, 1.0], None,
+     EvalError, "variable 'eps' is not bound"),
+    # a non-finite r next to a raising q: the kernel checks no finiteness,
+    # so q's error is the first
+    ((ex.parse("t*1e308*10"), ex.parse("log(t - 2)")), [3.0, 1.0], None,
+     EvalDomainError, "log of nonpositive value -1.0"),
+], ids=["log", "sin-inf-shared", "sin-minus-inf", "sin-and-cos-inf",
+        "eps-unbound", "inf-r-raising-q"])
+def test_batch_errors_match_point_by_point(roots, ts, eps, cls, message):
+    with pytest.raises(cls) as batch:
+        ex._compile(roots)(ts, eps)
+    with pytest.raises(cls) as pointwise:
+        for t in ts:
+            for root in roots:
+                ex.evaluate(root, t, eps)
+    assert type(batch.value) is type(pointwise.value) is cls
+    assert str(batch.value) == str(pointwise.value) == message
+
+
+def test_pair_values_raise_as_at_does_point_by_point(tri_am05):
+    # r is inf at t = 1 and q raises there; f.at checks r before it reads
+    # q, and f.values, one kernel call, must fail the same way
+    from lcfn.calculus import FuzzyFunction
+    f = FuzzyFunction.from_strings("1e308*10^(2 - t)", "log(t - 2)",
+                                   tri_am05, (0.0, 4.0))
+    ts = [3.0, 1.0, 0.5]
+    with pytest.raises(EvalError) as batch:
+        f.values(ts)
+    with pytest.raises(EvalError) as pointwise:
+        [f.at(t) for t in ts]
+    assert type(batch.value) is type(pointwise.value) is EvalError
+    assert str(batch.value) == str(pointwise.value) == \
+        "component r is inf at t=1.0"
+    rs, qs = f.values([3.0, 3.5])
+    assert list(zip(rs, qs)) == [(f.at(t).r, f.at(t).q) for t in (3.0, 3.5)]
+
+
+def test_pair_kernel_runs_a_shared_subtree_once_per_point(monkeypatch):
+    calls = []
+
+    def sin(x):
+        calls.append(x)
+        return math.sin(x)
+
+    monkeypatch.setitem(ex._FN, "sin", sin)
+    s = ex.parse("sin(t)")  # compiled below, after the patch
+    rs, qs = ex._compile((ex.Bin("*", s, s),
+                          ex.Bin("+", s, ex.Num(1.0))))([0.25, 0.5])
+    assert calls == [0.25, 0.5]
+    assert (rs, qs) == ([math.sin(0.25) ** 2, math.sin(0.5) ** 2],
+                        [math.sin(0.25) + 1.0, math.sin(0.5) + 1.0])
+
+
 @pytest.mark.parametrize("src, cls", [
     ("1/(t-t)", DivisionByZero),
     ("0^-1", DivisionByZero),
@@ -234,14 +349,14 @@ def test_trees_of_one_shape_share_one_compiled_factory():
     first, second = ex.parse("2*t + 1"), ex.parse("3*t + 5")
     assert ex.evaluate(first, 0.5) == 2.0
     assert ex.evaluate(second, 0.5) == 6.5
-    assert first._fn is not second._fn
-    assert first._fn.__code__ is second._fn.__code__
+    assert first._kernel is not second._kernel
+    assert first._kernel.__code__ is second._kernel.__code__
     # '/' and '^' enter as arguments, so they share code yet keep their
     # own operator; an inline '-' is another shape
     quotient, power = ex.parse("t / 4"), ex.parse("t ^ 4")
     assert (ex.evaluate(quotient, 0.5), ex.evaluate(power, 0.5)) == (0.125, 0.0625)
-    assert quotient._fn.__code__ is power._fn.__code__
-    assert ex.parse("2*t - 1")._fn.__code__ is not first._fn.__code__
+    assert quotient._kernel.__code__ is power._kernel.__code__
+    assert ex.parse("2*t - 1")._kernel.__code__ is not first._kernel.__code__
 
 
 @pytest.mark.parametrize("make, args", [
@@ -285,7 +400,7 @@ def test_compiling_leaves_equality_hash_and_repr_unchanged():
     ex.evaluate(tree, 0.3)
     assert (repr(tree), hash(tree)) == before
     assert tree == twin and hash(tree) == hash(twin)
-    assert "_fn" in vars(tree) and "_fn" not in vars(twin)
+    assert "_kernel" in vars(tree) and "_kernel" not in vars(twin)
 
 
 # -- differentiation --------------------------------------------------------

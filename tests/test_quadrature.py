@@ -6,6 +6,7 @@ import sys
 
 import pytest
 
+from lcfn import LCFN, FuzzyFunction, Generator, integrate
 from lcfn.errors import NonFiniteIntegrand, QuadratureNonConvergent
 from lcfn.quadrature import (
     MAX_INTERVALS,
@@ -16,6 +17,7 @@ from lcfn.quadrature import (
     _leggauss,
     gauss_legendre,
     integrate_scalar,
+    qag,
 )
 
 SPEC = QuadratureSpec()
@@ -157,3 +159,76 @@ def test_non_finite_value_names_the_subinterval(value):
     assert str(err.value) == (
         f"integrand not finite on [0.0, 1.0]: subinterval [0.0, 1.0] "
         f"estimates {value!r}")
+
+
+# -- one subdivision for k components -----------------------------------------
+
+@pytest.mark.parametrize("r, q, domain, exact", [
+    ("sin(t)", "t^2", (0.0, 1.0), (1.0 - math.cos(1.0), 1.0 / 3.0)),
+    ("sqrt(t)", "log(t)", (0.0, 1.0), (2.0 / 3.0, -1.0)),
+    ("exp(t)", "1/(1 + t^2)", (0.0, 2.0), (math.exp(2.0) - 1.0, math.atan(2.0))),
+    ("abs(t - 0.3)", "sqrt(abs(t))", (-1.0, 1.0), (1.09, 4.0 / 3.0)),
+], ids=["sin-t2", "sqrt-log", "exp-atan", "kinks"])
+@pytest.mark.parametrize("knots", [(-1.0, 0.0, 2.0), (0.0, 0.5, 2.0),
+                                   (-5.0, -3.0, 0.0), (9.0, 10.0, 12.0)],
+                         ids=["am0", "am0.5", "am-3", "am10"])
+def test_pair_error_in_the_lcfn_norm_is_within_abs_tol(r, q, domain, exact,
+                                                        knots):
+    gen = Generator.triangular(*knots)
+    value = integrate(FuzzyFunction.from_strings(r, q, gen, domain))
+    assert (value - LCFN(*exact, gen)).norm() <= SPEC.abs_tol
+
+
+@pytest.mark.parametrize("fn", [math.log, lambda t: 1e20 * math.log(t)],
+                         ids=["log", "1e20*log"])
+@pytest.mark.parametrize("copies, weights", [(2, (1.0, 1.0)), (1, (2.0,))],
+                         ids=["equal-pair", "weight-2"])
+def test_doubled_error_runs_as_the_scalar_at_half_the_tolerance(fn, copies,
+                                                                weights):
+    # two equal components at weight 1, or one at weight 2, double every
+    # panel error and the relative scale exactly, so the run takes the
+    # subdivision of the scalar run at abs_tol / 2: the same values from
+    # the same panels (1e20*log(t) stops on the relative term)
+    calls = []
+
+    def kernel(ts):
+        calls.append(len(ts))
+        return ([fn(t) for t in ts],) * copies
+
+    got = qag(kernel, 0.0, 1.0, SPEC, weights)
+    wrapper, scalar_calls = counted(fn)
+    value = integrate_scalar(wrapper, 0.0, 1.0,
+                             QuadratureSpec(SPEC.abs_tol / 2.0))
+    assert got == (value,) * copies
+    assert set(calls) == {15} and 15 * len(calls) == scalar_calls[0]
+
+
+def test_a_heavier_weight_refines_further():
+    panels = []
+    for weight in (1.0, 1e4):
+        calls = [0]
+
+        def kernel(ts, calls=calls):
+            calls[0] += 1
+            return [1.0 for _ in ts], [math.sqrt(t) for t in ts]
+
+        qag(kernel, 0.0, 1.0, SPEC, (1.0, weight))
+        panels.append(calls[0])
+    assert panels[0] < panels[1]
+
+
+@pytest.mark.parametrize("bad", [math.inf, math.nan])
+def test_non_finite_pair_names_the_first_non_finite_component(bad):
+    def kernel(ts):
+        return [1.0 for _ in ts], [bad if t < 0.5 else t for t in ts]
+
+    with pytest.raises(NonFiniteIntegrand) as err:
+        qag(kernel, 0.0, 1.0, SPEC, (1.0, 2.0))
+    assert str(err.value) == (
+        f"integrand not finite on [0.0, 1.0]: subinterval [0.0, 1.0] "
+        f"estimates {bad!r}")
+
+
+def test_empty_interval_gives_a_zero_per_component():
+    assert qag(lambda ts: ([], [], []), 0.5, 0.5, SPEC, (1.0, 1.0, 1.0)) == \
+        (0.0, 0.0, 0.0)
