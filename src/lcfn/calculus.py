@@ -3,16 +3,19 @@
 Derivatives and Riemann integrals act componentwise on the coordinate
 functions; a function reads r and q through one compiled kernel per batch
 of points (a quadrature panel, a grid, the point of ``at``), and its
-integral bounds the error in the norm |q| + |r + a_m*q|.  The checkers
-turn the calculus theorems (linearity, fundamental theorem, product rule,
-integration by parts, positivity of the squared integral, derivative /
-integral interchange) into numeric residuals with pinned tolerances.
+integral bounds the error in the norm |q| + |r + a_m*q|.  Components are
+interned expressions, so the kernel (``expr.kernel``) and the derivative
+of a function rebuilt from the same trees are found again, not redone.
+The checkers turn the calculus theorems (linearity, fundamental theorem,
+product rule, integration by parts, positivity of the squared integral,
+derivative / integral interchange) into numeric residuals with pinned
+tolerances.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property, partial
+from functools import partial
 from itertools import chain
 
 from . import expr as ex
@@ -82,11 +85,6 @@ class FuzzyFunction:
                    gen, (float(domain[0]), float(domain[1])),
                    eps_aware=two_variable)
 
-    @cached_property
-    def _kernel(self):
-        """r and q as one compiled batch function (``expr._compile``)."""
-        return ex._compile((self.r, self.q))
-
     def at(self, t: float, eps: float | None = None) -> LCFN:
         a, b = self.domain
         if not a <= t <= b:
@@ -96,7 +94,7 @@ class FuzzyFunction:
 
     def values(self, ts, eps: float | None = None) -> tuple[list, list]:
         """r and q at each of ``ts``, checked finite, in one kernel call."""
-        return sample(self._kernel, (self.r, self.q),
+        return sample(ex.kernel(self.r, self.q), (self.r, self.q),
                       ("component r", "component q"), ts, eps)
 
     def derivative(self, order: int = 1, var: str = "t") -> "FuzzyFunction":
@@ -183,8 +181,8 @@ def integrate(f: FuzzyFunction, spec: QuadratureSpec = QuadratureSpec(),
     hi = b if hi is None else hi
     if not (a <= lo <= hi <= b):
         raise OutsideDomain(f"[{lo!r}, {hi!r}] not inside [{a!r}, {b!r}]")
-    r_val, q_val = qag(partial(f._kernel, eps=eps), lo, hi, spec,
-                       (1.0, 1.0 + abs(f.gen.a_m)))
+    r_val, q_val = qag(partial(ex.kernel(f.r, f.q), eps=eps), lo, hi,
+                       spec, (1.0, 1.0 + abs(f.gen.a_m)))
     return LCFN(r_val, q_val, f.gen)
 
 
@@ -293,7 +291,7 @@ def square_integral(f: FuzzyFunction, spec: QuadratureSpec = QuadratureSpec()
     sq = ex.pow_(ce, ex.Num(2.0))
     direct = gauss_legendre(lambda t: ex.evaluate(sq, t), a, b, spec.nodes)
 
-    (centers,) = ce._kernel(node_grid(a, b, AE_GRID_POINTS))
+    (centers,) = ex.kernel(ce)(node_grid(a, b, AE_GRID_POINTS))
     violations = sum(map(AE_THRESHOLD.__lt__, map(abs, centers)))
     fraction = violations / AE_GRID_POINTS
 

@@ -23,11 +23,6 @@ from .errors import ExprSyntaxError, GeneratorMismatch
 from .expr import NUMBER
 from .generator import Generator, same_generator
 
-# Fused multiply-add tightens the order's tier-1 key by one rounding when
-# the platform provides it (3.13+); the last ulp of center() is therefore
-# platform-dependent.
-_FMA = getattr(math, "fma", None)
-
 
 class Ordering(enum.IntEnum):
     LESS = -1
@@ -60,9 +55,8 @@ class LCFN:
         return cls(float(lam), 0.0, gen)
 
     def center(self) -> float:
-        """Midpoint of the 1-level: r + q*a_m."""
-        if _FMA is not None:
-            return _FMA(self.q, self.gen.a_m, self.r)
+        """Midpoint of the 1-level: r + q*a_m, rounded twice on every
+        Python."""
         return self.r + self.q * self.gen.a_m
 
     def norm(self) -> float:

@@ -12,22 +12,27 @@ NUMBER, shared with element literals (``core``), must read as a finite float.
 Each '(', function argument, unary minus and '^' exponent opens one
 nesting level; more than MAX_NESTING levels is a syntax error.
 
-Evaluation is compiled: :func:`_compile` turns a tuple of trees into one
-straight-line function over a batch of points that computes each shared
-subtree once per point; :func:`evaluate` is its one-tree, one-point case.
+Nodes are hash-consed: equal trees are one object, so ``parse(s) is
+parse(s)`` and ``==`` is identity.  Evaluation is compiled: :func:`_compile`
+turns a tuple of trees into one straight-line function over a batch of
+points that computes each shared subtree once per point, and
+:func:`kernel` keeps the function of each recent tuple of roots;
+:func:`evaluate` is its one-tree, one-point case.
 
 Differentiation is symbolic so downstream optimality checks see exact
-derivative expressions; finite differences stay available as a test-side
-oracle.  ``abs`` differentiates to ``sign``, with sign(0) = 0 by
-convention; kink hits are detectable via :func:`kink_hits`.
+derivative expressions, and each node keeps its derivative; finite
+differences stay available as a test-side oracle.  ``abs`` differentiates
+to ``sign``, with sign(0) = 0 by convention; kink hits are detectable via
+:func:`kink_hits`.
 """
 from __future__ import annotations
 
 import math
 import operator
 import re
+import weakref
 from dataclasses import dataclass
-from functools import cached_property, lru_cache, partial
+from functools import lru_cache, partial
 from typing import Union
 
 from .errors import (
@@ -43,51 +48,108 @@ Expr = Union["Num", "Var", "Neg", "Bin", "Call"]
 
 
 class _Node:
-    """Base of the node classes.  ``_kernel`` is the tree under this node
-    compiled to one straight-line batch function (see :func:`_compile`),
-    built on first use and kept in the instance ``__dict__``; the
-    dataclass ``==``, ``hash`` and ``repr`` only see the fields, so caching
-    it changes none of them."""
+    """Base of the node classes.  Nodes are hash-consed (value numbering,
+    Ershov 1958): ``Bin(op, left, right)`` returns the live node with that
+    operator and those very child objects if there is one, so equal trees
+    are one object and ``==`` and ``hash`` are identity.  Each class keeps
+    its live nodes in a weak table keyed on its fields, children by ``id``
+    (a live node keeps its children alive, so no id in a live key is
+    reused); a ``Num`` key tells 0.0 from -0.0.  ``_derivatives`` maps a
+    variable to the node's derivative (:func:`_d`)."""
 
-    @cached_property
-    def _kernel(self):
-        return _compile((self,))
+    __slots__ = ("__weakref__", "_derivatives")
+
+    def __reduce__(self):  # copy and pickle rebuild through the table
+        return type(self), tuple(getattr(self, f) for f in self.__slots__)
 
 
-@dataclass(frozen=True)
+def _intern(cls, table, key, *values):
+    """A new ``cls`` node with ``values`` for its fields (in ``__slots__``
+    order), entered in ``table`` under ``key``; called on a table miss."""
+    node = object.__new__(cls)
+    for name, value in zip(cls.__slots__, values):
+        object.__setattr__(node, name, value)
+    table[key] = node
+    return node
+
+
+# The intern tables; lookups read their ``data`` dicts of weak references.
+_NUMS, _VARS, _NEGS, _BINS, _CALLS = (
+    weakref.WeakValueDictionary() for _ in range(5))
+_NUM_REFS, _VAR_REFS, _NEG_REFS, _BIN_REFS, _CALL_REFS = (
+    table.data for table in (_NUMS, _VARS, _NEGS, _BINS, _CALLS))
+
+
+@dataclass(frozen=True, eq=False, init=False)
 class Num(_Node):
+    __slots__ = ("value",)
     value: float
 
+    def __new__(cls, value: float):
+        key = value or repr(float(value))  # 0.0 and -0.0 compare equal
+        ref = _NUM_REFS.get(key)
+        if ref is not None and (node := ref()) is not None:
+            return node
+        # a float, as an int literal would be found by the equal float
+        return _intern(cls, _NUMS, key, float(value))
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, eq=False, init=False)
 class Var(_Node):
+    __slots__ = ("name",)
     name: str
 
+    def __new__(cls, name: str):
+        ref = _VAR_REFS.get(name)
+        if ref is not None and (node := ref()) is not None:
+            return node
+        return _intern(cls, _VARS, name, name)
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, eq=False, init=False)
 class Neg(_Node):
+    __slots__ = ("arg",)
     arg: Expr
 
+    def __new__(cls, arg: Expr):
+        key = id(arg)
+        ref = _NEG_REFS.get(key)
+        if ref is not None and (node := ref()) is not None:
+            return node
+        return _intern(cls, _NEGS, key, arg)
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, eq=False, init=False)
 class Bin(_Node):
+    __slots__ = ("op", "left", "right")
     op: str  # a key of _BIN
     left: Expr
     right: Expr
 
-    def __post_init__(self):
-        if self.op not in _BIN:
-            raise ExprError(f"unknown operator {self.op!r}")
+    def __new__(cls, op: str, left: Expr, right: Expr):
+        key = (op, id(left), id(right))
+        ref = _BIN_REFS.get(key)
+        if ref is not None and (node := ref()) is not None:
+            return node
+        if op not in _BIN:  # checked before any entry, so a hit is valid
+            raise ExprError(f"unknown operator {op!r}")
+        return _intern(cls, _BINS, key, op, left, right)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, init=False)
 class Call(_Node):
+    __slots__ = ("fn", "arg")
     fn: str  # a key of _FN
     arg: Expr
 
-    def __post_init__(self):
-        if self.fn not in _FN:
-            raise ExprError(f"unknown function {self.fn!r}")
+    def __new__(cls, fn: str, arg: Expr):
+        key = (fn, id(arg))
+        ref = _CALL_REFS.get(key)
+        if ref is not None and (node := ref()) is not None:
+            return node
+        if fn not in _FN:  # checked before any entry, so a hit is valid
+            raise ExprError(f"unknown function {fn!r}")
+        return _intern(cls, _CALLS, key, fn, arg)
 
 
 # -- operations: one guarded float function per operator and function name ---
@@ -278,10 +340,24 @@ class _Parser:
 
 def evaluate(e: Expr, t: float, eps: float | None = None) -> float:
     """Evaluate at t (and eps for two-variable expressions): the one-root,
-    one-point call of the kernel :func:`_compile` generates from ``e``
-    on its first evaluation.  The result is bit-identical to the
+    one-point call of ``kernel(e)``.  The result is bit-identical to the
     reference tree walk ``walk`` in ``tests/oracles.py``."""
-    return e._kernel((t,), eps)[0][0]
+    return kernel(e)((t,), eps)[0][0]
+
+
+#: Kernels kept by :func:`kernel`, above the measured working set: 240
+#: cycles of perfbench's checker-sweep compile 604 root tuples, and 960
+#: cycles the same 604 (seeds 1, 101 and 1501).
+KERNELS = 1024
+
+
+@lru_cache(maxsize=KERNELS)
+def kernel(*roots):
+    """The batch function :func:`_compile` makes of ``roots``, compiled
+    once per tuple of nodes.  Nodes are interned, so the key hashes in
+    O(1) and a checker that builds the same trees again gets this kernel
+    back; holding the roots keeps their nodes, and so that reuse, alive."""
+    return _compile(roots)
 
 
 def _compile(roots: tuple):
@@ -291,9 +367,10 @@ def _compile(roots: tuple):
 
     A post-order walk (left before right, root after root) emits one
     ``vN = ...`` line per operation into the loop of a factory
-    ``_make(k0, k1, ...)``; a subtree object met again (same ``id``, in any
-    root) reuses its ``vN``, so it runs once per point.  Constants and
-    ``t`` are read in place, since reading them cannot fail.  ``+ - *``
+    ``_make(k0, k1, ...)``; a subtree met again (in any root; equal
+    subtrees are one object) reuses its ``vN``, so it runs once per
+    point.  Constants and ``t`` are read in place, since reading them
+    cannot fail.  ``+ - *``
     and unary minus are inline; every other operation is called through
     its ``_BIN``/``_FN`` entry and a variable other than ``t`` through
     ``_var``, so the first error and its message are those of the walk.
@@ -362,7 +439,7 @@ def _factory(src: str):
     """The factory defined by ``src``, compiled once per tree shape; the
     source names nothing but its arguments, so it runs in an empty scope.
     1024 is above the measured working set: 240 cycles of perfbench's
-    checker-sweep build 443-469 shapes (seeds 1, 101 and 1501)."""
+    checker-sweep build 452-476 shapes (seeds 1, 101 and 1501)."""
     scope = {}
     exec(compile(src, "<lcfn.expr>", "exec"), scope)
     return scope["_make"]
@@ -376,9 +453,12 @@ def _var(name: str, eps: float | None) -> float:
 
 # -- smart constructors (local folding only, no general simplification) -------
 
+_ZERO, _ONE = Num(0.0), Num(1.0)  # interned: a 0 or 1 literal *is* one
+
+
 def num(v: float) -> Expr:
     if v == 0.0:
-        return Num(0.0)  # normalizes -0.0 away
+        return _ZERO  # normalizes -0.0 away
     if v < 0.0:
         return Neg(Num(-v))  # printers never see negative literals
     return Num(v)
@@ -387,9 +467,9 @@ def num(v: float) -> Expr:
 def add(a: Expr, b: Expr) -> Expr:
     if isinstance(a, Num) and isinstance(b, Num):
         return num(a.value + b.value)
-    if a == Num(0.0):
+    if a is _ZERO:
         return b
-    if b == Num(0.0):
+    if b is _ZERO:
         return a
     return Bin("+", a, b)
 
@@ -397,9 +477,9 @@ def add(a: Expr, b: Expr) -> Expr:
 def sub(a: Expr, b: Expr) -> Expr:
     if isinstance(a, Num) and isinstance(b, Num):
         return num(a.value - b.value)
-    if b == Num(0.0):
+    if b is _ZERO:
         return a
-    if a == Num(0.0):
+    if a is _ZERO:
         return neg(b)
     return Bin("-", a, b)
 
@@ -415,28 +495,28 @@ def neg(a: Expr) -> Expr:
 def mul(a: Expr, b: Expr) -> Expr:
     if isinstance(a, Num) and isinstance(b, Num):
         return num(a.value * b.value)
-    if a == Num(0.0) or b == Num(0.0):
-        return Num(0.0)
-    if a == Num(1.0):
+    if a is _ZERO or b is _ZERO:
+        return _ZERO
+    if a is _ONE:
         return b
-    if b == Num(1.0):
+    if b is _ONE:
         return a
     return Bin("*", a, b)
 
 
 def div(a: Expr, b: Expr) -> Expr:
-    if a == Num(0.0):
-        return Num(0.0)
-    if b == Num(1.0):
+    if a is _ZERO:
+        return _ZERO
+    if b is _ONE:
         return a
     return Bin("/", a, b)
 
 
 def pow_(a: Expr, b: Expr) -> Expr:
-    if b == Num(1.0):
+    if b is _ONE:
         return a
-    if b == Num(0.0):
-        return Num(1.0)
+    if b is _ZERO:
+        return _ONE
     return Bin("^", a, b)
 
 
@@ -448,31 +528,34 @@ def differentiate(e: Expr, var: str = "t", order: int = 1) -> Expr:
         raise ValueError("derivative order must be 1, 2, or 3")
     out = e
     for _ in range(order):
-        out = _d(out, var, {})
+        out = _d(out, var)
     return out
 
 
-def _d(e: Expr, var: str, memo: dict) -> Expr:
-    """The derivative of ``e``; ``memo`` maps the id of each node already
-    differentiated in this pass to its derivative, so a subtree shared in
-    ``e`` is differentiated once and its derivative is shared as well
-    (the nodes of ``e`` stay alive for the pass, so no id is reused)."""
-    key = id(e)
-    if key not in memo:
-        memo[key] = _d_node(e, var, memo)
-    return memo[key]
+def _d(e: Expr, var: str) -> Expr:
+    """The derivative of ``e`` in ``var``, kept on the node: each node is
+    differentiated once per variable, and so is a subtree shared by many
+    trees."""
+    memo = getattr(e, "_derivatives", None)  # unset until the first call
+    if memo is None:
+        memo = {}
+        object.__setattr__(e, "_derivatives", memo)
+    out = memo.get(var)
+    if out is None:
+        out = memo[var] = _d_node(e, var)
+    return out
 
 
-def _d_node(e: Expr, var: str, memo: dict) -> Expr:
+def _d_node(e: Expr, var: str) -> Expr:
     if isinstance(e, Num):
-        return Num(0.0)
+        return _ZERO
     if isinstance(e, Var):
-        return Num(1.0) if e.name == var else Num(0.0)
+        return _ONE if e.name == var else _ZERO
     if isinstance(e, Neg):
-        return neg(_d(e.arg, var, memo))
+        return neg(_d(e.arg, var))
     if isinstance(e, Bin):
         u, v = e.left, e.right
-        du, dv = _d(u, var, memo), _d(v, var, memo)
+        du, dv = _d(u, var), _d(v, var)
         if e.op == "+":
             return add(du, dv)
         if e.op == "-":
@@ -486,7 +569,7 @@ def _d_node(e: Expr, var: str, memo: dict) -> Expr:
         # general u^v via exp-log: u^v * (dv*log u + v*du/u)
         return mul(pow_(u, v),
                    add(mul(dv, Call("log", u)), mul(v, div(du, u))))
-    u, du = e.arg, _d(e.arg, var, memo)
+    u, du = e.arg, _d(e.arg, var)
     if e.fn == "sin":
         return mul(Call("cos", u), du)
     if e.fn == "cos":
@@ -500,7 +583,7 @@ def _d_node(e: Expr, var: str, memo: dict) -> Expr:
     if e.fn == "abs":
         return mul(Call("sign", u), du)
     # 'sign': d(sign) = 0 almost everywhere; the kink is flagged separately
-    return Num(0.0)
+    return _ZERO
 
 
 def kink_hits(e: Expr, t: float, eps: float | None = None) -> bool:

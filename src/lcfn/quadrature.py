@@ -6,6 +6,8 @@ on k components over one subdivision as DCUHRE runs vector integrands
 ``sum(w_c * |K15_c - G7_c|)`` is bisected until the summed error is at
 most ``max(abs_tol, REL_TOL * sum(w_c * |I_c|))``, within
 ``MAX_INTERVALS`` subintervals; ``integrate_scalar`` is the k = 1 case.
+The panel sums and the Gauss-Legendre sum add left to right, so they
+round alike on every Python.
 ``gauss_legendre`` is the independent fixed-order rule a checker can
 route the same integrand through to guard against silent quadrature
 failure.  ``adaptive_simpson`` is no longer on any library path; tests
@@ -51,6 +53,18 @@ _WG = (0.129484966168869693270611432679082,
 _WG7 = _WG + (0.417959183673469387755102040816327,) + _WG[::-1]
 
 
+def _dot(weights: tuple[float, ...], step: int = 1, start: int = 0):
+    """``fx -> sum(w_i * fx[start + step*i])`` unrolled into one expression
+    added left to right from ``0.0``: the rounding of ``sum`` on Python
+    3.10 and 3.11, which 3.12 replaced by compensated summation."""
+    terms = "".join(f" + {w!r}*fx[{start + step * i}]"
+                    for i, w in enumerate(weights))
+    return eval(f"lambda fx: 0.0{terms}")
+
+
+_K15, _G7 = _dot(_WK15), _dot(_WG7, 2, 1)
+
+
 @dataclass(frozen=True)
 class QuadratureSpec:
     """The absolute tolerance of ``integrate_scalar``; its relative
@@ -91,8 +105,8 @@ def qag(kernel, a: float, b: float, spec: QuadratureSpec,
             values, panel_err = [], 0.0
             for c, (w, fx) in enumerate(zip(weights, kernel(
                     [center + half * x for x in _X15]))):
-                kronrod = half * sum(map(operator.mul, _WK15, fx))
-                gauss = half * sum(map(operator.mul, _WG7, fx[1::2]))
+                kronrod = half * _K15(fx)
+                gauss = half * _G7(fx)
                 values.append(kronrod)
                 panel_err += w * abs(kronrod - gauss)
                 totals[c] += kronrod
@@ -209,4 +223,7 @@ def gauss_legendre(fn, a: float, b: float, n: int = 64) -> float:
     xs, ws = _leggauss(n)
     mid = 0.5 * (a + b)
     half = 0.5 * (b - a)
-    return half * sum(w * fn(mid + half * x) for x, w in zip(xs, ws))
+    total = 0.0  # left to right, as in _dot
+    for x, w in zip(xs, ws):
+        total += w * fn(mid + half * x)
+    return half * total

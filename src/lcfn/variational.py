@@ -81,7 +81,7 @@ def critical_points(f: FuzzyFunction, grid: int = SCAN_GRID
     g1 = ex.differentiate(g, "t", 1)
     g2 = ex.differentiate(g1, "t", 1)
     ts = node_grid(a, b, grid)
-    (vals,) = sample(g1._kernel, (g1,), ("center derivative g'",), ts)
+    (vals,) = sample(ex.kernel(g1), (g1,), ("center derivative g'",), ts)
     spacing = (b - a) / (grid - 1)
     scale = max(1.0, max(map(abs, vals)))
 

@@ -15,7 +15,7 @@ import types
 
 import pytest
 
-from lcfn import calculus, variational
+from lcfn import calculus, expr as ex, variational
 from lcfn.scenarios import catalog_scenario, load_catalog
 
 
@@ -151,3 +151,33 @@ def test_lagrange_scan_matches_witness_and_recovery(name):
         assert record["recovered"] == [recovered.r, recovered.q]
     admissible = [r["admissible"] for r in report.records]
     assert admissible == ([True] * 3 if name.startswith("s06") else [False] * 3)
+
+
+def test_repeated_checks_compile_no_kernel(monkeypatch):
+    """Checkers rebuild their trees on every call; interned nodes make the
+    rebuilt trees the very roots the kernel cache holds, so a second pass
+    over the same checks compiles nothing (per-object kernels compiled 25,
+    then 22)."""
+    compiled = []
+    compile_roots = ex._compile
+
+    def counting_compile(roots):
+        compiled.append(roots)
+        return compile_roots(roots)
+
+    monkeypatch.setattr(ex, "_compile", counting_compile)
+    ex.kernel.cache_clear()
+    scenario = catalog_scenario("s09_dbr_pair")
+
+    def one_pass():
+        f, g = scenario.f, scenario.partner
+        calculus.ftc_check(f)
+        calculus.ibp_check(f, g)
+        calculus.square_integral(f)
+        variational.dbr_forward_check(f, g)
+        variational.lagrange_scan(f, grid=1)
+
+    one_pass()
+    first = len(compiled)
+    one_pass()
+    assert (first, len(compiled) - first) == (24, 0)

@@ -1,4 +1,7 @@
 """Expression parsing, evaluation, differentiation, printing."""
+import copy
+import dataclasses
+import gc
 import math
 import random
 
@@ -349,14 +352,16 @@ def test_trees_of_one_shape_share_one_compiled_factory():
     first, second = ex.parse("2*t + 1"), ex.parse("3*t + 5")
     assert ex.evaluate(first, 0.5) == 2.0
     assert ex.evaluate(second, 0.5) == 6.5
-    assert first._kernel is not second._kernel
-    assert first._kernel.__code__ is second._kernel.__code__
+    first_kernel, second_kernel = ex.kernel(first), ex.kernel(second)
+    assert first_kernel is not second_kernel
+    assert first_kernel.__code__ is second_kernel.__code__
     # '/' and '^' enter as arguments, so they share code yet keep their
     # own operator; an inline '-' is another shape
     quotient, power = ex.parse("t / 4"), ex.parse("t ^ 4")
     assert (ex.evaluate(quotient, 0.5), ex.evaluate(power, 0.5)) == (0.125, 0.0625)
-    assert quotient._kernel.__code__ is power._kernel.__code__
-    assert ex.parse("2*t - 1")._kernel.__code__ is not first._kernel.__code__
+    assert ex.kernel(quotient).__code__ is ex.kernel(power).__code__
+    assert ex.kernel(ex.parse("2*t - 1")).__code__ \
+        is not first_kernel.__code__
 
 
 @pytest.mark.parametrize("make, args", [
@@ -368,10 +373,13 @@ def test_trees_of_one_shape_share_one_compiled_factory():
 ], ids=["+-", "empty-op", "-*", "si", "empty-fn"])
 def test_names_outside_the_tables_are_rejected(make, args):
     # a node is built only with an operator of _BIN or a function of _FN,
-    # so no evaluator, derivative or printer meets any other name
+    # so no evaluator, derivative or printer meets any other name, and the
+    # rejected node enters no intern table
+    sizes = len(ex._BINS), len(ex._CALLS)
     with pytest.raises(ExprError) as err:
         make(*args)
     assert repr(args[0]) in str(err.value)
+    assert (len(ex._BINS), len(ex._CALLS)) == sizes
 
 
 _LOG = ex.parse("log(t)")
@@ -393,14 +401,64 @@ def test_shared_subtree_errors_match_walk(tree, t):
     assert got == want
 
 
-def test_compiling_leaves_equality_hash_and_repr_unchanged():
+def test_equal_trees_are_one_node():
     src = "sin(t)^2 - 3*t/(1 + abs(t))"
-    tree, twin = ex.parse(src), ex.parse(src)
-    before = (repr(tree), hash(tree))
+    tree = ex.parse(src)
+    assert ex.parse(src) is tree
+    by_hand = ex.Bin("-", ex.Bin("^", ex.Call("sin", ex.Var("t")), ex.Num(2.0)),
+                     ex.parse("3*t/(1 + abs(t))"))
+    assert by_hand is tree and by_hand == tree
+    assert ex.Num(3) is ex.parse("3") and type(ex.Num(5).value) is float
+    assert copy.deepcopy(tree) is tree
+    before = repr(tree)
     ex.evaluate(tree, 0.3)
-    assert (repr(tree), hash(tree)) == before
-    assert tree == twin and hash(tree) == hash(twin)
-    assert "_kernel" in vars(tree) and "_kernel" not in vars(twin)
+    assert repr(tree) == before == ("Bin(op='-', left=Bin(op='^', left=Call("
+                                    "fn='sin', arg=Var(name='t')), right=Num("
+                                    "value=2.0)), right=Bin(op='/', left=Bin("
+                                    "op='*', left=Num(value=3.0), right=Var("
+                                    "name='t')), right=Bin(op='+', left=Num("
+                                    "value=1.0), right=Call(fn='abs', arg=Var("
+                                    "name='t')))))")
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        tree.op = "+"
+
+
+def test_derivatives_are_kept_on_the_node(tri_am05, monkeypatch):
+    from lcfn.calculus import FuzzyFunction
+    f = FuzzyFunction.from_strings("t^3*sin(t)", "exp(2*t)", tri_am05,
+                                   (0.0, 1.0))
+    first = f.derivative()
+    calls = []
+    d_node = ex._d_node
+    monkeypatch.setattr(ex, "_d_node",
+                        lambda e, var: calls.append(e) or d_node(e, var))
+    second = f.derivative()
+    assert first.r is second.r and first.q is second.q and calls == []
+    assert ex.differentiate(f.r, "t", 2) is f.derivative(2).r
+    assert ex.differentiate(ex.parse("t^3*sin(t)"), "t", 1) is first.r
+
+
+def test_signed_zero_literals_are_two_nodes():
+    plus, minus = ex.Num(0.0), ex.Num(-0.0)
+    assert plus is not minus and ex.Num(-0.0) is minus
+    assert repr(ex.evaluate(minus, 1.0)) == "-0.0"
+    assert repr(ex.evaluate(ex.Bin("+", minus, minus), 1.0)) == "-0.0"
+    assert repr(ex.evaluate(ex.Bin("+", plus, minus), 1.0)) == "0.0"
+    assert ex.num(-0.0) is plus  # the smart constructor still drops the sign
+
+
+def test_dropped_trees_leave_the_tables():
+    tables = (ex._NUMS, ex._VARS, ex._NEGS, ex._BINS, ex._CALLS)
+    gc.collect()
+    before = [len(table) for table in tables]
+    t = ex.Var("t")
+    trees = [ex.Call("exp", ex.Bin("*", ex.Num(i + 0.123456789), ex.Neg(t)))
+             for i in range(10_000)]
+    assert len(ex._BINS) == before[3] + 10_000
+    assert len(ex._CALLS) == before[4] + 10_000
+    del trees, t
+    gc.collect()
+    assert [len(table) for table in tables] == before
 
 
 # -- differentiation --------------------------------------------------------

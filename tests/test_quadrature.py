@@ -1,8 +1,10 @@
 """Adaptive Gauss-Kronrod, Gauss-Legendre nodes built without numpy, and
 quadrature settings."""
 import math
+import operator
 import subprocess
 import sys
+from functools import reduce
 
 import pytest
 
@@ -11,6 +13,7 @@ from lcfn.errors import NonFiniteIntegrand, QuadratureNonConvergent
 from lcfn.quadrature import (
     MAX_INTERVALS,
     QuadratureSpec,
+    _G7,
     _WG7,
     _WK15,
     _X15,
@@ -104,6 +107,44 @@ def test_kronrod_and_gauss_rules_are_exact_to_their_degree():
         if k < 7:
             gauss = sum(w * x ** (2 * k) for x, w in zip(gauss_nodes, _WG7))
             assert gauss == pytest.approx(exact, rel=1e-14), k
+
+
+def _neumaier(terms):
+    """Compensated summation, the rule of ``sum`` of floats since 3.12."""
+    total = compensation = 0.0
+    for x in terms:
+        t = total + x
+        if abs(total) >= abs(x):
+            compensation += (total - t) + x
+        else:
+            compensation += (x - t) + total
+        total = t
+    return total + compensation
+
+
+def test_panel_sums_run_left_to_right():
+    """The same bits on every Python: these sums round differently under
+    the compensated ``sum`` of 3.12 and later, and the rules must give the
+    left-to-right ones, as ``sum`` did on 3.10 and 3.11."""
+    def left_to_right(terms):
+        return reduce(operator.add, terms, 0.0)
+
+    fx = [-5.0, 9.0, -7.0, -1.0, -6.0, 6.0, 5.0, 6.0,
+          3.0, -3.0, -6.0, 6.0, -9.0, 3.0, 4.0]
+    kronrod = list(map(operator.mul, _WK15, fx))
+    gauss = list(map(operator.mul, _WG7, fx[1::2]))
+    assert left_to_right(kronrod) != _neumaier(kronrod)
+    assert left_to_right(gauss) != _neumaier(gauss)
+    # one panel on [-1, 1], so half = 1 and the tolerance is met at once
+    assert qag(lambda ts: (fx,), -1.0, 1.0, QuadratureSpec(10.0), (1.0,)) \
+        == (left_to_right(kronrod),) == (1.1961473046047395,)
+    assert _G7(fx) == left_to_right(gauss) == 6.605591805028993
+
+    xs, ws = _leggauss(64)
+    terms = [w * math.cos(x) for x, w in zip(xs, ws)]
+    assert left_to_right(terms) != _neumaier(terms)
+    assert gauss_legendre(math.cos, -1.0, 1.0) == left_to_right(terms) \
+        == 1.6829419696157923
 
 
 @pytest.mark.parametrize("fn, a, b, exact, evals", [
