@@ -430,18 +430,13 @@ def dbr_reconstruct(f: FuzzyFunction, spec: QuadratureSpec = QuadratureSpec(),
     itself (coordinate residuals)."""
     a, b = f.domain
     u = integrate(f, spec).scaled(1.0 / (b - a))
-    rows = []
-    max_center = 0.0
-    max_coord = 0.0
     ts = node_grid(a, b, grid)
-    for t, r, q in zip(ts, *f.values(ts)):
-        e = LCFN(r - u.r, q - u.q, f.gen)
-        center = e.center()
-        coord = max(abs(e.r), abs(e.q))
-        rows.append((t, center, coord))
-        max_center = max(max_center, abs(center))
-        max_coord = max(max_coord, coord)
-    return ReconstructionResult(u=u, f=f, spec=spec,
-                                residual_grid=tuple(rows),
-                                max_center_residual=max_center,
-                                max_coord_residual=max_coord)
+    rs, qs = f.values(ts)
+    ur, uq, a_m = u.r, u.q, f.gen.a_m
+    er, eq = [r - ur for r in rs], [q - uq for q in qs]
+    center = [x + y * a_m for x, y in zip(er, eq)]  # as LCFN.center()
+    coord = [max(abs(x), abs(y)) for x, y in zip(er, eq)]
+    return ReconstructionResult(
+        u=u, f=f, spec=spec, residual_grid=tuple(zip(ts, center, coord)),
+        max_center_residual=max(0.0, *map(abs, center)),
+        max_coord_residual=max(0.0, *coord))

@@ -2,11 +2,12 @@
 
 Each one takes a route the library does not: a recursive tree walk for
 the compiled expressions, the kernel's pointwise formula for its
-expression form, and one scalar quadrature for the witness's b_k.
+expression form, one scalar quadrature for the witness's b_k, and one
+``LCFN`` per row for the reconstruction's residual grid.
 """
 import math
 
-from lcfn import DiracKernel, expr as ex
+from lcfn import LCFN, DiracKernel, expr as ex
 from lcfn.quadrature import integrate_scalar
 from lcfn.variational import SMOOTHNESS
 
@@ -42,3 +43,17 @@ def b_direct(f, witness, spec, smoothness=SMOOTHNESS):
     return integrate_scalar(
         lambda t: ex.evaluate(squared, t) * kernel_value(kernel, t - t0),
         t0 - eps, t0 + eps, spec)
+
+
+def reconstruction_rows(f, u, ts):
+    """The residual grid of ``dbr_reconstruct`` over ``ts`` and its two
+    maxima, one ``LCFN`` e = f(t) - u per row."""
+    rows, max_center, max_coord = [], 0.0, 0.0
+    for t, r, q in zip(ts, *f.values(ts)):
+        e = LCFN(r - u.r, q - u.q, f.gen)
+        center = e.center()
+        coord = max(abs(e.r), abs(e.q))
+        rows.append((t, center, coord))
+        max_center = max(max_center, abs(center))
+        max_coord = max(max_coord, coord)
+    return tuple(rows), max_center, max_coord

@@ -4,6 +4,7 @@ import dataclasses
 import gc
 import math
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -198,9 +199,33 @@ def _compiled_cases():
     for eps in (-1.0, 0.0, 0.3, 2.0):
         yield f"two-variable eps={eps}", [two], \
             [-1.0 + 3.0 * i / 40 for i in range(41)], eps
-    # sign(-0.0) is +0.0, not copysign(1.0, -0.0)
-    yield "sign at signed zeros", [ex.parse("sign(t)")], \
-        [0.0, -0.0, -1.5, 2.0], None
+    # sign(-0.0) is +0.0, not copysign(1.0, -0.0); a NaN keeps its sign
+    yield "sign at signed zeros and NaN", [ex.parse("sign(t)")], \
+        [0.0, -0.0, -1.5, 2.0, math.nan, -math.nan], None
+    yield from _fast_path_edges()
+
+
+def _fast_path_edges():
+    """Both sides of each predicate under which a compiled kernel runs a
+    guarded operation inline, with signed zeros, infinities and NaN."""
+    t = ex.Var("t")
+    special = [0.0, -0.0, -1.5, math.inf, -math.inf, math.nan]
+    top = math.log(sys.float_info.max)  # exp overflows just above it
+    yield "exp edges", [ex.Call("exp", t)], \
+        [709.0, math.nextafter(709.0, 0.0), math.nextafter(709.0, math.inf),
+         top, math.nextafter(top, math.inf), *special], None
+    yield "log and sqrt edges", [ex.Call("log", t), ex.Call("sqrt", t)], \
+        [*special, 5e-324, -5e-324, 2.0], None
+    yield "division edges", [ex.Bin("/", ex.Num(1.0), t), ex.Bin("/", t, t)], \
+        [*special, 2.0], None
+    # 600 is the Dirac kernel's power at --k 300; each base set straddles
+    # B = 2^min(1000, 1000/|v|), below which |t|^v stays under 2^1000
+    for v in (2.0, 3.0, 0.5, 600.0, 1e-300, 1e300, -1.0, -0.5, 0.0):
+        bound = 2.0 ** min(1000.0, 1000.0 / abs(v)) if v else 2.0 ** 1000
+        above = math.nextafter(bound, math.inf)
+        yield f"power edges t^{v!r}", [ex.Bin("^", t, ex.Num(v))], \
+            [bound, -bound, above, -above, math.nextafter(bound, 0.0),
+             *special, -0.5, 0.5, 1e300, -1e300], None
 
 
 def test_compiled_evaluation_matches_walk_bit_for_bit():
@@ -355,11 +380,16 @@ def test_trees_of_one_shape_share_one_compiled_factory():
     first_kernel, second_kernel = ex.kernel(first), ex.kernel(second)
     assert first_kernel is not second_kernel
     assert first_kernel.__code__ is second_kernel.__code__
-    # '/' and '^' enter as arguments, so they share code yet keep their
-    # own operator; an inline '-' is another shape
+    # a guarded operation is inline under its own predicate, so '/' and
+    # '^' are two shapes; a constant divisor or an integral exponent, and
+    # the bounds of the exponent's predicate, enter as arguments
     quotient, power = ex.parse("t / 4"), ex.parse("t ^ 4")
     assert (ex.evaluate(quotient, 0.5), ex.evaluate(power, 0.5)) == (0.125, 0.0625)
-    assert ex.kernel(quotient).__code__ is ex.kernel(power).__code__
+    code = ex.kernel(quotient).__code__
+    assert ex.kernel(ex.parse("t / 5")).__code__ is code
+    assert ex.kernel(ex.parse("t ^ 3")).__code__ is ex.kernel(power).__code__
+    assert ex.kernel(power).__code__ is not code
+    # an inline '-' is another shape
     assert ex.kernel(ex.parse("2*t - 1")).__code__ \
         is not first_kernel.__code__
 

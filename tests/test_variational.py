@@ -6,6 +6,7 @@ import pytest
 from lcfn import (
     DiracKernel,
     FuzzyFunction,
+    Generator,
     Verdict,
     critical_points,
     dbr_forward_check,
@@ -24,9 +25,11 @@ from lcfn.errors import (
     ZeroCenterAtT0,
 )
 from lcfn.quadrature import QuadratureSpec, adaptive_simpson
-from lcfn.scenarios import catalog_scenario
+from lcfn.calculus import node_grid
+from lcfn.scenarios import catalog_scenario, load_catalog
+from lcfn.variational import RECONSTRUCT_GRID
 from lcfn import expr as ex
-from oracles import b_direct, kernel_value
+from oracles import b_direct, kernel_value, reconstruction_rows
 
 
 def fn(r, q, gen, domain=(0.0, 1.0)):
@@ -338,6 +341,30 @@ def test_dbr_reconstruct_gap_scenario():
     result = dbr_reconstruct(scenario.f, grid=65)
     assert result.max_center_residual < 1e-9
     assert result.max_coord_residual > 0.5
+
+
+_SIGNED_ZERO = "signed zero"
+
+
+@pytest.mark.parametrize("name", [s.name for s in load_catalog()]
+                         + [_SIGNED_ZERO])
+def test_dbr_reconstruct_columns_match_rows(name):
+    if name == _SIGNED_ZERO:
+        # r - u.r is -0.0 - 0.0 = -0.0 for t < 0, and so is q - u.q, so
+        # the center -0.0 + -0.0*a_m is -0.0, a sign that another way of
+        # summing (math.fsum of the two terms, say) loses
+        f = fn("0*t", "0*t", Generator.triangular(0.0, 0.5, 2.0), (-1.0, 0.0))
+    else:
+        f = catalog_scenario(name).f
+    result = dbr_reconstruct(f)
+    want = reconstruction_rows(f, result.u,
+                               node_grid(*f.domain, RECONSTRUCT_GRID))
+    got = (result.residual_grid, result.max_center_residual,
+           result.max_coord_residual)
+    # repr tells -0.0 from 0.0 and prints every NaN as 'nan'
+    assert repr(got) == repr(want)
+    if name == _SIGNED_ZERO:
+        assert repr(result.residual_grid[0]) == "(-1.0, -0.0, 0.0)"
 
 
 def test_dbr_reconstruct_g_tilde(tri_am0):
