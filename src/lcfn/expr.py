@@ -154,43 +154,12 @@ class Call(_Node):
 
 # -- operations: one guarded float function per operator and function name ---
 
-def _fast(template: str, values=lambda operand: {}):
-    """Give a guarded operation the inline path :func:`_compile` emits for
-    it.  ``template`` runs the raw float operation on the operands ``x``
-    and ``y`` under a predicate proving that the operation cannot raise
-    there, and the operation's own call, ``slow``, where the predicate is
-    false.  A NaN fails the comparison predicates (``<``, ``>``, ``>=``);
-    it passes ``/``'s nonzero test, and ``a / nan`` is what ``_div`` gives.
-    ``values(operand)``, on the node of the last operand, gives the fields
-    that enter the kernel as arguments, or None where there is no fast
-    path."""
-    def mark(fn):
-        fn.fast = template, values
-        return fn
-    return mark
-
-
-@_fast("({x} / {y} if {y} else {slow})")
 def _div(a: float, b: float) -> float:
     if b == 0.0:
         raise DivisionByZero("division by zero")
     return a / b
 
 
-def _pow_bounds(exponent: Expr):
-    """The fields of ``_pow``'s template: ``lo < a < hi`` proves ``a ** v``
-    finite and real for a constant exponent v that is finite and positive;
-    None for any other exponent.  Below hi = 2^min(1000, 1000/v), |a ** v|
-    stays under 2^1000.  A negative base needs an integral v; otherwise
-    lo = -5e-324, and lo < a holds for exactly the a >= 0.0."""
-    if not isinstance(exponent, Num) or not 0.0 < exponent.value < math.inf:
-        return None
-    v = exponent.value
-    hi = 2.0 ** min(1000.0, 1000.0 / v)
-    return {"lo": -hi if v.is_integer() else -5e-324, "hi": hi}
-
-
-@_fast("({x} ** {y} if {lo} < {x} < {hi} else {slow})", _pow_bounds)
 def _pow(a: float, b: float) -> float:
     if a == 0.0 and b < 0.0:
         raise DivisionByZero("zero raised to a negative power")
@@ -206,7 +175,6 @@ def _pow(a: float, b: float) -> float:
     return result
 
 
-@_fast("({g}({x}) if {x} < 709.0 else {slow})", lambda _: {"g": math.exp})
 def _exp(x: float) -> float:
     try:
         return math.exp(x)
@@ -214,14 +182,12 @@ def _exp(x: float) -> float:
         raise EvalError("overflow in exp") from None
 
 
-@_fast("({g}({x}) if {x} > 0.0 else {slow})", lambda _: {"g": math.log})
 def _log(x: float) -> float:
     if x <= 0.0:
         raise EvalDomainError(f"log of nonpositive value {x!r}")
     return math.log(x)
 
 
-@_fast("({g}({x}) if {x} >= 0.0 else {slow})", lambda _: {"g": math.sqrt})
 def _sqrt(x: float) -> float:
     if x < 0.0:
         raise EvalDomainError(f"sqrt of negative value {x!r}")
@@ -239,6 +205,9 @@ _BIN = {"+": operator.add, "-": operator.sub, "*": operator.mul,
 # the parser accepts it so printed derivatives reparse.
 _FN = {"sin": math.sin, "cos": math.cos, "exp": _exp, "log": _log,
        "abs": abs, "sqrt": _sqrt, "sign": _sign}
+# What a compiled kernel calls in place of the entry of the same name: the
+# raw function, raising (OverflowError or ValueError) where the entry does.
+_RAW = {"exp": math.exp, "log": math.log, "sqrt": math.sqrt}
 
 NUMBER = r"[0-9]+(?:\.[0-9]*)?(?:[eE][+-]?[0-9]+)?|\.[0-9]+(?:[eE][+-]?[0-9]+)?"
 _TOKEN = re.compile(
@@ -397,28 +366,25 @@ def kernel(*roots):
 def _compile(roots: tuple):
     """One straight-line function ``(ts, eps) -> (values of root 0, values
     of root 1, ...)`` doing, point after point, the float operations of
-    the reference tree walk of each root in turn.
+    the tree walk :func:`_walk` of each root in turn.
 
     A post-order walk (left before right, root after root) emits one
     ``vN = ...`` line per operation into the loop of a factory
     ``_make(k0, k1, ...)``; a subtree met again (in any root; equal
     subtrees are one object) reuses its ``vN``, so it runs once per
-    point.  Constants and ``t`` are read in place, since reading them
-    cannot fail.  ``+ - *`` and unary minus are inline.  A guarded
-    operation with a fast path (see :func:`_fast`) is inline too, under a
-    predicate that proves it cannot raise: ``/`` by a nonzero, ``log`` of
-    a positive, ``sqrt`` of a nonnegative, ``exp`` below 709, and ``^``
-    with a finite positive constant exponent on a base inside
-    :func:`_pow_bounds`.  A NaN fails the comparisons of ``log``, ``sqrt``,
-    ``exp`` and ``^``; as a divisor it passes, and the inline ``/`` gives
-    what ``_div`` gives.  Where the predicate is false, and for every
-    other operation (``sin``, ``cos``, ``abs``, ``sign``, ``^`` with any
-    other exponent), the ``_BIN``/``_FN`` entry is called, and a variable
-    other than ``t`` goes through ``_var``; so the entry is the only code that raises, and the first
-    error and its message are those of the walk.  Constants, variable
-    names, those functions, the predicates' bounds and ``_replay`` enter
-    as the arguments ``kN``, never as text, so trees of one shape share
-    one source and :func:`_factory` compiles each shape once.
+    point.  Constants and ``t`` are read in place.  Each operation runs
+    raw: ``+ - * /`` and unary minus inline, ``^`` as ``**`` on a constant
+    integral exponent, ``exp``, ``log`` and ``sqrt`` as their ``_RAW``
+    functions, ``sin``, ``cos`` and ``abs`` as their (raw) entries.  These
+    give the bits of the ``_BIN``/``_FN`` entries and raise, as an
+    ``ArithmeticError`` or ``ValueError``, exactly where the entries do;
+    :func:`_replay` then walks the point the batch stopped at, to raise
+    the walk's error.  Other powers call ``_pow`` (``**`` of a negative
+    base gives a complex number at a non-integral exponent), ``sign``
+    calls ``_sign`` and other variables ``_var``.  Constants, variable
+    names, those functions and ``_replay`` enter as the arguments ``kN``,
+    never as text, so trees of one shape share one source and
+    :func:`_factory` compiles each shape once.
     """
     lines, args, names = [], [], {}
 
@@ -441,26 +407,19 @@ def _compile(roots: tuple):
             rhs = f"-{emit(node.arg)}"
         elif isinstance(node, Bin):
             a, b = emit(node.left), emit(node.right)
-            rhs = (f"{a} {node.op} {b}" if node.op in ("+", "-", "*")
-                   else guarded(_BIN[node.op], (a, b), node.right))
+            if node.op != "^":
+                rhs = f"{a} {node.op} {b}"
+            elif isinstance(node.right, Num) and node.right.value.is_integer():
+                rhs = f"{a} ** {b}"
+            else:
+                rhs = f"{arg(_pow)}({a}, {b})"
         else:
-            rhs = guarded(_FN[node.fn], (emit(node.arg),), node.arg)
+            fn = _RAW.get(node.fn, _FN[node.fn])
+            rhs = f"{arg(fn)}({emit(node.arg)})"
         name = f"v{len(lines)}"
         lines.append(f"    {name} = {rhs}\n")
         names[id(node)] = name
         return name
-
-    def guarded(fn, xs: tuple, operand) -> str:
-        """``fn`` on the operand names ``xs``: its fast template (see
-        :func:`_fast`) where its values apply to ``operand``, the node of
-        the last operand, else a call of it."""
-        slow = f"{arg(fn)}({', '.join(xs)})"
-        template, values = getattr(fn, "fast", (None, lambda _: None))
-        fields = values(operand)
-        if fields is None:
-            return slow
-        fields = {field: arg(value) for field, value in fields.items()}
-        return template.format(x=xs[0], y=xs[-1], slow=slow, **fields)
 
     results = [emit(root) for root in roots]
     lines += [f"    a{i}({name})\n" for i, name in enumerate(results)]
@@ -470,21 +429,36 @@ def _compile(roots: tuple):
            " def _f(ts, eps=None):\n"
            + "".join(f"  o{i} = []; a{i} = o{i}.append\n" for i in outs)
            + "  try:\n   for t in ts:\n" + "".join(lines)
-           + f"  except ValueError:\n   {replay}(ts, eps)\n   raise\n"
+           + "  except (ArithmeticError, ValueError):\n"
+           + f"   {replay}(t, eps)\n   raise\n"
            + f"  return {', '.join(f'o{i}' for i in outs)},\n return _f\n")
     return _factory(src)(*args)
 
 
-def _replay(roots: tuple, ts, eps: float | None) -> None:
-    """Re-run a batch stopped by the ``ValueError`` of ``math.sin`` or
-    ``math.cos`` at an infinite argument one point and root at a time:
-    the one-point call that meets it retypes it, naming its root and t."""
-    if len(roots) == len(ts) == 1:
-        raise EvalDomainError(f"sin or cos of an infinite value in "
-                              f"{to_source(roots[0])} at t={ts[0]!r}") from None
-    for t in ts:
-        for root in roots:
-            evaluate(root, t, eps)
+def _replay(roots: tuple, t: float, eps: float | None) -> None:
+    """Walk ``roots`` at ``t``, the point where a raw operation of their
+    kernel raised, so that the first entry to raise there raises the
+    walk's error.  The ``ValueError`` of ``math.sin`` or ``math.cos`` at
+    an infinite argument is retyped, naming its root and t."""
+    for root in roots:
+        try:
+            _walk(root, t, eps)
+        except ValueError:
+            raise EvalDomainError(f"sin or cos of an infinite value in "
+                                  f"{to_source(root)} at t={t!r}") from None
+
+
+def _walk(e: Expr, t: float, eps: float | None) -> float:
+    """``e`` at ``t`` by a recursive walk through the table entries."""
+    if isinstance(e, Num):
+        return e.value
+    if isinstance(e, Var):
+        return t if e.name == "t" else _var(e.name, eps)
+    if isinstance(e, Neg):
+        return -_walk(e.arg, t, eps)
+    if isinstance(e, Bin):
+        return _BIN[e.op](_walk(e.left, t, eps), _walk(e.right, t, eps))
+    return _FN[e.fn](_walk(e.arg, t, eps))
 
 
 @lru_cache(maxsize=1024)
@@ -492,7 +466,7 @@ def _factory(src: str):
     """The factory defined by ``src``, compiled once per tree shape; the
     source names nothing but its arguments, so it runs in an empty scope.
     1024 is above the measured working set: 240 cycles of perfbench's
-    checker-sweep build 454-478 shapes (seeds 1, 101 and 1501)."""
+    checker-sweep build 452-476 shapes (seeds 1, 101 and 1501)."""
     scope = {}
     exec(compile(src, "<lcfn.expr>", "exec"), scope)
     return scope["_make"]

@@ -10,6 +10,7 @@ meaningless.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 from .errors import (
@@ -145,7 +146,9 @@ def validate(knots) -> ValidationReport:
         if not knots[i - 1][0] < knots[i][0]:
             raise UnsortedKnots(
                 f"knot abscissae must increase strictly (index {i})")
-    for x, mu in knots:
+    for i, (x, mu) in enumerate(knots):
+        if not math.isfinite(x):
+            raise GeneratorError(f"knot {i} has a non-finite abscissa {x}")
         if not 0.0 <= mu <= 1.0:
             raise GeneratorError(f"membership {mu} at x={x} outside [0, 1]")
 

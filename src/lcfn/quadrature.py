@@ -67,7 +67,7 @@ _K15, _G7 = _dot(_WK15), _dot(_WG7, 2, 1)
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """The absolute tolerance of ``integrate_scalar``; its relative
+    """The absolute tolerance of every :func:`qag` integral; its relative
     tolerance ``REL_TOL`` and the Gauss-Legendre order are fixed."""
 
     abs_tol: float = 1e-10

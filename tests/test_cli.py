@@ -93,6 +93,8 @@ GOOD_GEN = {"kind": "triangular", "left": -1, "peak": 0, "right": 2}
     ("--gen", {"kind": "piecewise-linear", "knots": 5},
      "knots must be [x, mu] pairs of numbers, got 5"),
     ("--gen", [1, 2], "generator config must be a JSON object, got list"),
+    ("--gen", {"kind": "triangular", "left": -1, "peak": 0,
+               "right": float("inf")}, "knot 2 has a non-finite abscissa inf"),
     ("--scenario", {"gen": GOOD_GEN, "domain": [0], "r": "t", "q": "t"},
      "'domain' must be [a, b], got [0]"),
     ("--scenario", {"gen": GOOD_GEN, "domain": [0, 1], "r": 5, "q": "t"},
@@ -100,8 +102,9 @@ GOOD_GEN = {"kind": "triangular", "left": -1, "peak": 0, "right": 2}
     ("--scenario", {"gen": GOOD_GEN, "domain": [0, 1], "r": "t", "q": "t",
                     "eps0": [1]}, "'eps0' must be a number, got [1]"),
     ("--scenario", [1, 2], "scenario must be a JSON object, got list"),
-], ids=["gen-missing-key", "gen-knots-int", "gen-list", "scenario-domain",
-        "scenario-r-int", "scenario-eps0-list", "scenario-list"])
+], ids=["gen-missing-key", "gen-knots-int", "gen-list", "gen-infinite-knot",
+        "scenario-domain", "scenario-r-int", "scenario-eps0-list",
+        "scenario-list"])
 def test_malformed_config_exits_2(tmp_path, flag, config, message):
     path = tmp_path / "config.json"
     path.write_text(json.dumps(config))

@@ -202,12 +202,13 @@ def _compiled_cases():
     # sign(-0.0) is +0.0, not copysign(1.0, -0.0); a NaN keeps its sign
     yield "sign at signed zeros and NaN", [ex.parse("sign(t)")], \
         [0.0, -0.0, -1.5, 2.0, math.nan, -math.nan], None
-    yield from _fast_path_edges()
+    yield from _raw_operation_edges()
 
 
-def _fast_path_edges():
-    """Both sides of each predicate under which a compiled kernel runs a
-    guarded operation inline, with signed zeros, infinities and NaN."""
+def _raw_operation_edges():
+    """Both sides of each input at which a raw float operation in a
+    compiled kernel raises (overflow, a zero divisor or base, a domain
+    edge), with signed zeros, infinities and NaN."""
     t = ex.Var("t")
     special = [0.0, -0.0, -1.5, math.inf, -math.inf, math.nan]
     top = math.log(sys.float_info.max)  # exp overflows just above it
@@ -226,6 +227,16 @@ def _fast_path_edges():
         yield f"power edges t^{v!r}", [ex.Bin("^", t, ex.Num(v))], \
             [bound, -bound, above, -above, math.nextafter(bound, 0.0),
              *special, -0.5, 0.5, 1e300, -1e300], None
+    # the largest bases whose square and cube are finite, and the next
+    # floats, whose powers overflow
+    for v, top in ((2.0, 1.3407807929942596e154), (3.0, 5.643803094122361e102)):
+        above = math.nextafter(top, math.inf)
+        yield f"overflow edges t^{v!r}", [ex.Bin("^", t, ex.Num(v))], \
+            [top, -top, above, -above], None
+    # a zero base raises, the smallest subnormal's reciprocal overflows
+    yield "negative integral powers", \
+        [ex.Bin("^", t, ex.Num(-1.0)), ex.Bin("^", t, ex.Num(-2.0))], \
+        [5e-324, -5e-324, 0.0, -0.0], None
 
 
 def test_compiled_evaluation_matches_walk_bit_for_bit():
@@ -380,9 +391,8 @@ def test_trees_of_one_shape_share_one_compiled_factory():
     first_kernel, second_kernel = ex.kernel(first), ex.kernel(second)
     assert first_kernel is not second_kernel
     assert first_kernel.__code__ is second_kernel.__code__
-    # a guarded operation is inline under its own predicate, so '/' and
-    # '^' are two shapes; a constant divisor or an integral exponent, and
-    # the bounds of the exponent's predicate, enter as arguments
+    # '/' and '^' run raw, inline as '/' and '**', so they are two shapes;
+    # a constant divisor or an integral exponent enters as an argument
     quotient, power = ex.parse("t / 4"), ex.parse("t ^ 4")
     assert (ex.evaluate(quotient, 0.5), ex.evaluate(power, 0.5)) == (0.125, 0.0625)
     code = ex.kernel(quotient).__code__

@@ -44,6 +44,13 @@ def test_unsorted_knots_rejected():
         Generator.piecewise_linear([(0, 0), (2, 1), (1, 0)])
 
 
+def test_infinite_knot_rejected():
+    # the support must be bounded: an infinite end knot passes every
+    # ordering and membership check
+    with pytest.raises(GeneratorError, match="knot 2 has a non-finite"):
+        Generator(((-1, 0), (0, 1), (float("inf"), 0)))
+
+
 def test_nonzero_support_edge_rejected():
     with pytest.raises(GeneratorError):
         Generator.piecewise_linear([(0, 0.2), (1, 1), (2, 0)])
