@@ -60,7 +60,7 @@ class CheckReport:
         return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FuzzyFunction:
     """t -> r(t) + q(t)*A on a closed interval, components as expressions."""
 
@@ -70,12 +70,19 @@ class FuzzyFunction:
     domain: tuple[float, float]
     eps_aware: bool = field(default=False, compare=False)
 
-    def __post_init__(self):
-        a, b = self.domain
+    def __init__(self, r: ex.Expr, q: ex.Expr, gen: Generator,
+                 domain: tuple[float, float], eps_aware: bool = False):
+        # dataclass keeps a class-defined __init__; see core.LCFN
+        a, b = domain
         if not (math.isfinite(a) and math.isfinite(b)):
             raise ValueError(f"domain ends must be finite, got [{a}, {b}]")
         if not a < b:
             raise ValueError(f"empty domain [{a}, {b}]")
+        _set_r(self, r)
+        _set_q(self, q)
+        _set_gen(self, gen)
+        _set_domain(self, domain)
+        _set_eps_aware(self, eps_aware)
 
     @classmethod
     def from_strings(cls, r_src: str, q_src: str, gen: Generator,
@@ -132,6 +139,11 @@ class FuzzyFunction:
             raise GeneratorMismatch("functions live over different generators")
         if self.domain != other.domain:
             raise ValueError("functions must share a domain")
+
+
+_set_r, _set_q, _set_gen, _set_domain, _set_eps_aware = (
+    FuzzyFunction.__dict__[name].__set__
+    for name in ("r", "q", "gen", "domain", "eps_aware"))
 
 
 def deriv(f: FuzzyFunction, t: float, eps: float | None = None) -> LCFN:

@@ -38,13 +38,20 @@ class SignClass(enum.Enum):
     POSITIVE = "positive"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LCFN:
     """r + q*A over a shared generator; immutable, operations are pure."""
 
     r: float
     q: float
     gen: Generator
+
+    def __init__(self, r: float, q: float, gen: Generator):
+        # dataclass keeps a class-defined __init__; the slot setters skip
+        # the frozen __setattr__ and its object.__setattr__ per field.
+        _set_r(self, r)
+        _set_q(self, q)
+        _set_gen(self, gen)
 
     @classmethod
     def zero(cls, gen: Generator) -> "LCFN":
@@ -71,7 +78,8 @@ class LCFN:
         return SignClass.ZERO
 
     def cross(self, other: "LCFN") -> "LCFN":
-        _require_same_gen(self, other)
+        if self.gen is not other.gen:
+            _require_same_gen(self, other)
         am = self.gen.a_m
         qq = self.q * other.q
         return LCFN(
@@ -96,11 +104,13 @@ class LCFN:
 
     # -- vector-space dunders ------------------------------------------------
     def __add__(self, other: "LCFN") -> "LCFN":
-        _require_same_gen(self, other)
+        if self.gen is not other.gen:
+            _require_same_gen(self, other)
         return LCFN(self.r + other.r, self.q + other.q, self.gen)
 
     def __sub__(self, other: "LCFN") -> "LCFN":
-        _require_same_gen(self, other)
+        if self.gen is not other.gen:
+            _require_same_gen(self, other)
         return LCFN(self.r - other.r, self.q - other.q, self.gen)
 
     def __neg__(self) -> "LCFN":
@@ -127,6 +137,10 @@ class LCFN:
         return compare(self, other) is not Ordering.LESS
 
 
+_set_r, _set_q, _set_gen = (LCFN.__dict__[name].__set__
+                            for name in ("r", "q", "gen"))
+
+
 def compare_with_tier(b: LCFN, c: LCFN) -> tuple[Ordering, int | None]:
     """Three-way comparison plus the deciding tier (1 = center,
     2 = noise width, 3 = signed noise); Equal carries no tier.
@@ -134,7 +148,8 @@ def compare_with_tier(b: LCFN, c: LCFN) -> tuple[Ordering, int | None]:
     Exact float comparisons throughout; ties are genuine ties, never
     tolerance artifacts, so the order is antisymmetric.
     """
-    _require_same_gen(b, c)
+    if b.gen is not c.gen:
+        _require_same_gen(b, c)
     cb, cc = b.center(), c.center()
     if cb < cc:
         return (Ordering.LESS, 1)
@@ -176,9 +191,9 @@ def scalar_ge(lam: float, b: LCFN) -> bool:
 def cross_oracle(b: LCFN, c: LCFN) -> LCFN:
     """The product via its defining form center(C)*B + center(B)*C - b*c,
     built from scaling and addition only.  Kept separate from cross() so
-    tests can hold the two routes against each other.
+    tests can hold the two routes against each other.  The addition checks
+    that b and c share a generator.
     """
-    _require_same_gen(b, c)
     cb, cc = b.center(), c.center()
     return b.scaled(cc) + c.scaled(cb) - LCFN.from_scalar(cb * cc, b.gen)
 
@@ -252,6 +267,9 @@ def element_payload(b: LCFN) -> dict:
 
 
 def _require_same_gen(b: LCFN, c: LCFN) -> None:
+    """Raise unless b and c share a generator; callers that operate on two
+    elements test ``b.gen is not c.gen`` first, so shared generators skip
+    the call."""
     if not same_generator(b.gen, c.gen):
         raise GeneratorMismatch(
             "elements belong to spaces over different generators")

@@ -167,9 +167,6 @@ def _pow(a: float, b: float) -> float:
         result = a ** b
     except OverflowError:
         raise EvalError("overflow in power") from None
-    except ValueError:
-        raise EvalDomainError(
-            f"negative base {a!r} with non-integer exponent") from None
     if isinstance(result, complex):
         raise EvalDomainError(f"negative base {a!r} with non-integer exponent")
     return result

@@ -52,9 +52,17 @@ class Generator:
 
     knots: tuple[Knot, ...]
     a_m: float = field(init=False)
+    # alpha_level's branches, both ascending in mu: the knots up to the
+    # peak, and the knots from the peak reversed.
+    _left: tuple[Knot, ...] = field(init=False, repr=False, compare=False)
+    _right: tuple[Knot, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "a_m", validate(self.knots).a_m)
+        a_m = validate(self.knots).a_m
+        peak = [float(mu) for _, mu in self.knots].index(1.0)
+        object.__setattr__(self, "a_m", a_m)
+        object.__setattr__(self, "_left", self.knots[: peak + 1])
+        object.__setattr__(self, "_right", tuple(reversed(self.knots[peak:])))
 
     @classmethod
     def triangular(cls, left: float, peak: float, right: float) -> "Generator":
@@ -108,12 +116,9 @@ class Generator:
             raise AlphaOutOfRange(f"alpha must lie in [0, 1], got {alpha}")
         if alpha == 0.0:
             return self.support
-        peak = self._peak_index()
         if alpha == 1.0:
             return (self.a_m, self.a_m)
-        lo = _branch_x_at(self.knots[: peak + 1], alpha)
-        hi = _branch_x_at(tuple(reversed(self.knots[peak:])), alpha)
-        return (lo, hi)
+        return (_branch_x_at(self._left, alpha), _branch_x_at(self._right, alpha))
 
     def center_at_zero(self) -> "Generator":
         """Shift the polyline so the peak sits at 0.
@@ -125,12 +130,6 @@ class Generator:
             return self
         shifted = tuple((x - self.a_m, mu) for x, mu in self.knots)
         return Generator(shifted)
-
-    def _peak_index(self) -> int:
-        for i, (_, mu) in enumerate(self.knots):
-            if mu == 1.0:
-                return i
-        raise NotNormal("no knot with membership 1")  # unreachable post-validation
 
 
 def validate(knots) -> ValidationReport:
@@ -149,6 +148,10 @@ def validate(knots) -> ValidationReport:
     for i, (x, mu) in enumerate(knots):
         if not math.isfinite(x):
             raise GeneratorError(f"knot {i} has a non-finite abscissa {x}")
+        if i and not math.isfinite(x - knots[i - 1][0]):
+            raise GeneratorError(
+                f"knot {i} lies too far from knot {i - 1}: their spacing "
+                "overflows a float")
         if not 0.0 <= mu <= 1.0:
             raise GeneratorError(f"membership {mu} at x={x} outside [0, 1]")
 
@@ -172,6 +175,11 @@ def validate(knots) -> ValidationReport:
     a_m = knots[peak][0]
     left = knots[: peak + 1]
     right = tuple(reversed(knots[peak:]))  # ascending in mu
+    for i, (x, _) in enumerate(left):
+        if not math.isfinite(2.0 * a_m - x):
+            raise GeneratorError(
+                f"knot {i} mirrored about the peak, 2*a_m - x, overflows a "
+                "float, so symmetry cannot be tested")
 
     # Two piecewise-linear branches coincide iff they coincide at the union
     # of their breakpoint membership values, so this grid test is exact.

@@ -2,12 +2,14 @@
 
 Each one takes a route the library does not: a recursive tree walk for
 the compiled expressions, the kernel's pointwise formula for its
-expression form, one scalar quadrature for the witness's b_k, and one
-``LCFN`` per row for the reconstruction's residual grid.
+expression form, one scalar quadrature for the witness's b_k, one
+``LCFN`` per row for the reconstruction's residual grid, and branches
+sliced from the knots on every call for a generator's alpha-levels.
 """
 import math
 
 from lcfn import LCFN, DiracKernel, expr as ex
+from lcfn.generator import _branch_x_at
 from lcfn.quadrature import integrate_scalar
 from lcfn.variational import SMOOTHNESS
 
@@ -57,3 +59,16 @@ def reconstruction_rows(f, u, ts):
         max_center = max(max_center, abs(center))
         max_coord = max(max_coord, coord)
     return tuple(rows), max_center, max_coord
+
+
+def alpha_level(gen, alpha):
+    """``gen.alpha_level(alpha)`` for alpha in [0, 1], finding the peak and
+    slicing both branches from ``gen.knots`` on every call."""
+    if alpha == 0.0:
+        return gen.support
+    peak = next(i for i, (_, mu) in enumerate(gen.knots) if mu == 1.0)
+    if alpha == 1.0:
+        return (gen.a_m, gen.a_m)
+    lo = _branch_x_at(gen.knots[: peak + 1], alpha)
+    hi = _branch_x_at(tuple(reversed(gen.knots[peak:])), alpha)
+    return (lo, hi)

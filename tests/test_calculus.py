@@ -1,5 +1,8 @@
 """Componentwise derivative/integral and the calculus theorem checkers."""
+import copy
+import dataclasses
 import math
+import pickle
 import random
 
 import pytest
@@ -40,6 +43,28 @@ def limit_quotient(f, t, h):
     """Central difference quotient (f(t+h) - f(t-h)) / 2h, to compare
     deriv() against the limit definition in the norm."""
     return (f.at(t + h) - f.at(t - h)).scaled(1.0 / (2.0 * h))
+
+
+# -- values ------------------------------------------------------------------
+
+def test_fuzzy_function_is_a_frozen_slotted_value(tri_am0):
+    f = FuzzyFunction.from_strings("t^2", "sin(t)", tri_am0, (0, 1),
+                                   two_variable=True)
+    assert repr(f) == (
+        "FuzzyFunction(r=Bin(op='^', left=Var(name='t'), right=Num(value=2.0)),"
+        " q=Call(fn='sin', arg=Var(name='t')), gen=Generator(knots=((-1.0, 0.0),"
+        " (0.0, 1.0), (2.0, 0.0)), a_m=0.0), domain=(0.0, 1.0), eps_aware=True)")
+    # expressions hash by identity, so the pin is the field tuple; eps_aware
+    # stays out of == and hash
+    assert hash(f) == hash((f.r, f.q, f.gen, f.domain))
+    plain = FuzzyFunction(f.r, f.q, f.gen, f.domain)
+    assert plain == f and hash(plain) == hash(f) and not plain.eps_aware
+    assert not hasattr(f, "__dict__")
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        f.domain = (0.0, 2.0)
+    for twin in (copy.copy(f), copy.deepcopy(f), pickle.loads(pickle.dumps(f))):
+        assert twin == f and hash(twin) == hash(f) and repr(twin) == repr(f)
+        assert twin.eps_aware
 
 
 # -- deriv -----------------------------------------------------------------

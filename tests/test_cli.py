@@ -95,6 +95,9 @@ GOOD_GEN = {"kind": "triangular", "left": -1, "peak": 0, "right": 2}
     ("--gen", [1, 2], "generator config must be a JSON object, got list"),
     ("--gen", {"kind": "triangular", "left": -1, "peak": 0,
                "right": float("inf")}, "knot 2 has a non-finite abscissa inf"),
+    ("--gen", {"kind": "triangular", "left": -1.7e308, "peak": 1.7e308,
+               "right": 1.75e308},
+     "knot 1 lies too far from knot 0: their spacing overflows a float"),
     ("--scenario", {"gen": GOOD_GEN, "domain": [0], "r": "t", "q": "t"},
      "'domain' must be [a, b], got [0]"),
     ("--scenario", {"gen": GOOD_GEN, "domain": [0, 1], "r": 5, "q": "t"},
@@ -103,6 +106,7 @@ GOOD_GEN = {"kind": "triangular", "left": -1, "peak": 0, "right": 2}
                     "eps0": [1]}, "'eps0' must be a number, got [1]"),
     ("--scenario", [1, 2], "scenario must be a JSON object, got list"),
 ], ids=["gen-missing-key", "gen-knots-int", "gen-list", "gen-infinite-knot",
+        "gen-spacing-overflow",
         "scenario-domain", "scenario-r-int", "scenario-eps0-list",
         "scenario-list"])
 def test_malformed_config_exits_2(tmp_path, flag, config, message):

@@ -1,5 +1,8 @@
 """Element arithmetic, the total order, sign classes, and the product."""
+import copy
+import dataclasses
 import math
+import pickle
 import random
 
 import pytest
@@ -50,11 +53,24 @@ def test_scale_neg_sub(tri_am0):
     assert -LCFN(1, -2, tri_am0) == LCFN(-1, 2, tri_am0)
 
 
+# Every operation on two elements; each requires one generator, and skips
+# the equality test when both hold the same Generator object.
+TWO_ELEMENT_OPS = {
+    "+": lambda b, c: b + c,
+    "-": lambda b, c: b - c,
+    "cross": LCFN.cross,
+    "compare": compare,
+    "compare_with_tier": compare_with_tier,
+    "cross_oracle": cross_oracle,
+}
+
+
 def test_generator_mismatch_raises(tri_am0, tri_am05):
-    with pytest.raises(GeneratorMismatch):
-        LCFN(1, 0, tri_am0) + LCFN(1, 0, tri_am05)
-    with pytest.raises(GeneratorMismatch):
-        LCFN(1, 0, tri_am0).cross(LCFN(1, 0, tri_am05))
+    for name, op in TWO_ELEMENT_OPS.items():
+        with pytest.raises(GeneratorMismatch):
+            op(LCFN(1, 0, tri_am0), LCFN(1, 0, tri_am05))
+        with pytest.raises(GeneratorMismatch):
+            op(LCFN(1, 0, tri_am05), LCFN(1, 0, tri_am0))
 
 
 def test_equal_configs_interoperate():
@@ -62,6 +78,37 @@ def test_equal_configs_interoperate():
     g2 = Generator.triangular(-1, 0, 2)
     assert g1 is not g2
     assert LCFN(1, 1, g1) + LCFN(1, 1, g2) == LCFN(2, 2, g1)
+    b, c = LCFN(3.0, 2.0, g1), LCFN(-1.0, 0.5, g1)
+    for name, op in TWO_ELEMENT_OPS.items():
+        assert op(b, LCFN(c.r, c.q, g2)) == op(b, c), name
+
+
+# -- value semantics -----------------------------------------------------------
+
+PINNED_GEN = ((-1.0, 0.0), (0.3, 1.0), (2.0, 0.0))
+PINNED_PL = ((-2.0, 0.0), (-1.0, 0.4), (0.5, 1.0), (1.0, 0.7), (3.0, 0.0))
+
+
+@pytest.mark.parametrize("r, q, knots, text, hashed", [
+    (1.5, -2.25, PINNED_GEN,
+     "LCFN(r=1.5, q=-2.25, gen=Generator(knots=((-1.0, 0.0), (0.3, 1.0), "
+     "(2.0, 0.0)), a_m=0.3))", 6888125113994339963),
+    (0.0, -0.0, PINNED_PL,
+     "LCFN(r=0.0, q=-0.0, gen=Generator(knots=((-2.0, 0.0), (-1.0, 0.4), "
+     "(0.5, 1.0), (1.0, 0.7), (3.0, 0.0)), a_m=0.5))", 3100525891683085774),
+    (1e300, 5e-324, PINNED_GEN,
+     "LCFN(r=1e+300, q=5e-324, gen=Generator(knots=((-1.0, 0.0), (0.3, 1.0), "
+     "(2.0, 0.0)), a_m=0.3))", -2897028113142013836),
+], ids=["triangular", "signed-zero", "extremes"])
+def test_lcfn_is_a_frozen_slotted_value(r, q, knots, text, hashed):
+    b = LCFN(r, q, Generator.piecewise_linear(knots))
+    assert repr(b) == text and hash(b) == hashed
+    assert b == LCFN(r=r, q=q, gen=Generator.piecewise_linear(knots))
+    assert not hasattr(b, "__dict__")
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        b.r = 2.0
+    for twin in (copy.copy(b), copy.deepcopy(b), pickle.loads(pickle.dumps(b))):
+        assert twin == b and hash(twin) == hash(b) and repr(twin) == repr(b)
 
 
 # -- center / norm -------------------------------------------------------------

@@ -1,9 +1,11 @@
 """Generator validation, alpha-levels, and centering."""
+import copy
 import json
+import pickle
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, reject, settings, strategies as st
 
 from lcfn import LCFN, Generator, load_generator, validate
 from lcfn.errors import (
@@ -15,6 +17,7 @@ from lcfn.errors import (
     UnsortedKnots,
 )
 
+import oracles
 from conftest import random_generator
 
 
@@ -49,6 +52,17 @@ def test_infinite_knot_rejected():
     # ordering and membership check
     with pytest.raises(GeneratorError, match="knot 2 has a non-finite"):
         Generator(((-1, 0), (0, 1), (float("inf"), 0)))
+
+
+def test_overflowing_knot_spacing_rejected():
+    # finite knots whose difference is inf would interpolate to inf:
+    # alpha_level(0.5) was (inf, 1.725e+308)
+    with pytest.raises(GeneratorError, match="knot 1 lies too far from knot 0"):
+        Generator(((-1.7e308, 0), (1.7e308, 1), (1.75e308, 0)))
+    # a mirror image whose reflection 2*a_m - x overflows passed the
+    # symmetry test with an infinite gap
+    with pytest.raises(GeneratorError, match="knot 0 mirrored about the peak"):
+        Generator(((1.0e308, 0), (1.2e308, 1), (1.4e308, 0)))
 
 
 def test_nonzero_support_edge_rejected():
@@ -174,6 +188,56 @@ def test_triangular_equals_its_piecewise_linear_twin():
     assert twin.to_config() == tri.to_config()
     total = LCFN(1.0, 2.0, tri) + LCFN(0.5, -1.0, twin)  # no GeneratorMismatch
     assert (total.r, total.q) == (1.5, 1.0)
+
+
+@pytest.mark.parametrize("knots, text, hashed", [
+    (((-1.0, 0.0), (0.3, 1.0), (2.0, 0.0)),
+     "Generator(knots=((-1.0, 0.0), (0.3, 1.0), (2.0, 0.0)), a_m=0.3)",
+     8588218499092563207),
+    (((-2.0, 0.0), (-1.0, 0.4), (0.5, 1.0), (1.0, 0.7), (3.0, 0.0)),
+     "Generator(knots=((-2.0, 0.0), (-1.0, 0.4), (0.5, 1.0), (1.0, 0.7), "
+     "(3.0, 0.0)), a_m=0.5)",
+     -3660920448275339658),
+], ids=["triangular", "piecewise-linear"])
+def test_repr_hash_and_copies_are_the_knots_and_peak(knots, text, hashed):
+    # the cached branches stay out of repr, ==, hash and the config
+    g = Generator.piecewise_linear(knots)
+    assert repr(g) == text and hash(g) == hashed
+    for twin in (copy.copy(g), copy.deepcopy(g), pickle.loads(pickle.dumps(g))):
+        assert twin == g and hash(twin) == hash(g) and repr(twin) == repr(g)
+        assert twin.to_config() == g.to_config()
+        assert twin.alpha_level(0.5) == g.alpha_level(0.5)
+
+
+@st.composite
+def generator_and_alpha(draw):
+    """A valid piecewise-linear generator of 3-7 knots, and an alpha in
+    [0, 1] that is one of its memberships half of the time."""
+    n = draw(st.integers(3, 7))
+    xs = sorted(draw(st.lists(st.floats(-100.0, 100.0), min_size=n,
+                              max_size=n, unique=True)))
+    peak = draw(st.integers(1, n - 2))
+    inner = st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
+    rise = draw(st.lists(inner, min_size=peak - 1, max_size=peak - 1,
+                         unique=True))
+    fall = draw(st.lists(inner, min_size=n - peak - 2, max_size=n - peak - 2,
+                         unique=True))
+    mus = [0.0, *sorted(rise), 1.0, *sorted(fall, reverse=True), 0.0]
+    try:
+        g = Generator.piecewise_linear(zip(xs, mus))
+    except Symmetric:
+        reject()
+    alpha = draw(st.one_of(st.floats(0.0, 1.0), st.sampled_from(mus)))
+    return g, alpha
+
+
+@settings(max_examples=300)
+@given(generator_and_alpha())
+def test_alpha_level_matches_sliced_branches(case):
+    g, alpha = case
+    got = g.alpha_level(alpha)
+    want = oracles.alpha_level(g, alpha)
+    assert [x.hex() for x in got] == [x.hex() for x in want]
 
 
 def test_unknown_kind_rejected():
