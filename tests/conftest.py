@@ -11,6 +11,9 @@ Two sampling regimes on purpose:
 """
 from __future__ import annotations
 
+import copy
+import dataclasses
+import pickle
 import random
 
 import pytest
@@ -88,3 +91,31 @@ def lattice_element_in_class(rng: random.Random, gen: Generator,
 def continuous_element(rng: random.Random, gen: Generator,
                        scale: float = 10.0) -> LCFN:
     return LCFN(rng.uniform(-scale, scale), rng.uniform(-scale, scale), gen)
+
+
+def assert_frozen_value(value, text: str, key: tuple | None, other) -> None:
+    """The value-class contract: ``value`` prints as ``text`` and hashes as
+    ``key``, the tuple of its compared fields (``None``: a field is a dict,
+    so ``hash`` raises); ``other`` differs in a compared field and is
+    unequal; copies, deep copies and pickle round trips are equal twins;
+    setting or deleting its first field raises ``FrozenInstanceError``."""
+    assert repr(value) == text
+    if key is None:
+        with pytest.raises(TypeError, match="unhashable type: 'dict'"):
+            hash(value)
+    else:
+        assert hash(value) == hash(key)
+    assert value == value and value != other and not value == other
+    assert value != key
+    for twin in (copy.copy(value), copy.deepcopy(value),
+                 pickle.loads(pickle.dumps(value))):
+        assert twin is not value and type(twin) is type(value)
+        assert twin == value and repr(twin) == text
+        if key is not None:
+            assert hash(twin) == hash(value)
+    first = text.partition("(")[2].partition("=")[0]
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(value, first, getattr(value, first))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        delattr(value, first)
+    assert repr(value) == text

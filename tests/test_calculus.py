@@ -32,7 +32,15 @@ from lcfn.quadrature import (
     gauss_legendre,
     integrate_scalar,
 )
-from lcfn.scenarios import catalog_names, catalog_scenario, load_catalog
+from lcfn.calculus import CheckReport
+from lcfn.scenarios import (
+    catalog_names,
+    catalog_scenario,
+    load_catalog,
+    parse_scenario,
+)
+
+from conftest import assert_frozen_value
 
 
 def fn(r, q, gen, domain=(0.0, 1.0)):
@@ -65,6 +73,40 @@ def test_fuzzy_function_is_a_frozen_slotted_value(tri_am0):
     for twin in (copy.copy(f), copy.deepcopy(f), pickle.loads(pickle.dumps(f))):
         assert twin == f and hash(twin) == hash(f) and repr(twin) == repr(f)
         assert twin.eps_aware
+
+
+@pytest.mark.parametrize("value, text, other", [
+    (CheckReport("ftc", True, 1e-08, {"max": 0.5}, notes=("spot",),
+                 records=({"t": 0.25},)),
+     "CheckReport(check='ftc', passed=True, tolerance=1e-08, "
+     "residuals={'max': 0.5}, notes=('spot',), records=({'t': 0.25},))",
+     CheckReport("ftc", True, 1e-08, {"max": 0.5}, notes=("spot",))),
+    (CheckReport("ibp", False, 1e-08, {}),
+     "CheckReport(check='ibp', passed=False, tolerance=1e-08, residuals={}, "
+     "notes=(), records=())",
+     CheckReport("ibp", True, 1e-08, {})),
+], ids=["full", "defaults"])
+def test_check_report_is_a_frozen_value(value, text, other):
+    # residuals is a dict, so a report is unhashable
+    assert_frozen_value(value, text, None, other)
+
+
+def test_scenario_is_a_frozen_value():
+    cfg = {"name": "demo", "domain": [0, 1], "r": "t", "q": "1",
+           "gen": {"kind": "triangular", "left": -1, "peak": 0, "right": 2},
+           "partner": {"r": "2", "q": "t"}}
+    s = parse_scenario(cfg)
+    gen = ("Generator(knots=((-1.0, 0.0), (0.0, 1.0), (2.0, 0.0)), "
+           "a_m=0.0)")
+    assert_frozen_value(
+        s,
+        f"Scenario(name='demo', gen={gen}, domain=(0.0, 1.0), "
+        f"f=FuzzyFunction(r=Var(name='t'), q=Num(value=1.0), gen={gen}, "
+        "domain=(0.0, 1.0), eps_aware=False), partner=FuzzyFunction("
+        f"r=Num(value=2.0), q=Var(name='t'), gen={gen}, domain=(0.0, 1.0), "
+        "eps_aware=False), eps0=None)",
+        (s.name, s.gen, s.domain, s.f, s.partner, s.eps0),
+        parse_scenario({**cfg, "partner": None}))
 
 
 # -- deriv -----------------------------------------------------------------

@@ -18,7 +18,7 @@ from lcfn.errors import (
 )
 
 import oracles
-from conftest import random_generator
+from conftest import assert_frozen_value, random_generator
 
 
 def test_valid_triangular_unequal_spreads():
@@ -85,6 +85,14 @@ def test_asymmetry_gap_reported():
     report = validate([(-1, 0), (0, 1), (2, 0)])
     assert report.a_m == 0.0
     assert report.asymmetry_gap == pytest.approx(1.0)
+
+
+def test_validation_report_is_a_frozen_value():
+    report = validate([(-1, 0), (0.25, 1), (2, 0)])
+    assert_frozen_value(
+        report,
+        "ValidationReport(a_m=0.25, support=(-1.0, 2.0), asymmetry_gap=0.5)",
+        (0.25, (-1.0, 2.0), 0.5), validate([(-1, 0), (0.25, 1), (3, 0)]))
 
 
 def test_alpha_level_triangular():

@@ -23,6 +23,8 @@ from lcfn.quadrature import (
     qag,
 )
 
+from conftest import assert_frozen_value
+
 SPEC = QuadratureSpec()
 
 
@@ -91,6 +93,12 @@ def test_gauss_legendre_order_is_fixed():
     assert QuadratureSpec().nodes == 64
     with pytest.raises(TypeError):
         QuadratureSpec(nodes=64)
+
+
+def test_spec_is_a_frozen_value():
+    assert_frozen_value(QuadratureSpec(), "QuadratureSpec(abs_tol=1e-10)",
+                        (1e-10,), QuadratureSpec(1e-6))
+    assert QuadratureSpec(abs_tol=1e-6) == QuadratureSpec(1e-6)
 
 
 # -- adaptive Gauss-Kronrod -----------------------------------------------

@@ -27,8 +27,15 @@ from lcfn.errors import (
 from lcfn.quadrature import QuadratureSpec, adaptive_simpson
 from lcfn.calculus import node_grid
 from lcfn.scenarios import catalog_scenario, load_catalog
-from lcfn.variational import RECONSTRUCT_GRID
-from lcfn import expr as ex
+from lcfn.variational import (
+    RECONSTRUCT_GRID,
+    CriticalPoint,
+    LocalOrderReport,
+    ReconstructionResult,
+    WitnessResult,
+)
+from lcfn import LCFN, expr as ex
+from conftest import assert_frozen_value
 from oracles import b_direct, kernel_value, reconstruction_rows
 
 
@@ -444,3 +451,54 @@ def test_lagrange_scan_rejects_empty_index_ladder():
     f = catalog_scenario("s06_recovery_window").f
     with pytest.raises(ValueError, match="non-empty index ladder, got"):
         lagrange_scan(f, indices=(), grid=1)
+
+
+# -- result values -------------------------------------------------------------
+
+_GEN = Generator.triangular(-1.0, 0.0, 2.0)
+_F = FuzzyFunction.from_strings("t^2", "1", _GEN, (0, 1))
+_GEN_TEXT = "Generator(knots=((-1.0, 0.0), (0.0, 1.0), (2.0, 0.0)), a_m=0.0)"
+_F_TEXT = ("FuzzyFunction(r=Bin(op='^', left=Var(name='t'), "
+           f"right=Num(value=2.0)), q=Num(value=1.0), gen={_GEN_TEXT}, "
+           "domain=(0.0, 1.0), eps_aware=False)")
+_GRID = ((0.0, -0.5, 0.5), (1.0, 0.5, 0.5))
+
+
+@pytest.mark.parametrize("value, text, key, other", [
+    (CriticalPoint(0.5, 0.0, 2.0, Verdict.LOCAL_MIN),
+     "CriticalPoint(t_star=0.5, center_d1=0.0, center_d2=2.0, "
+     "verdict=<Verdict.LOCAL_MIN: 'local-min'>)",
+     (0.5, 0.0, 2.0, Verdict.LOCAL_MIN),
+     CriticalPoint(0.5, 0.0, 2.0, Verdict.INCONCLUSIVE)),
+    (LocalOrderReport(0.5, "local-min", 8, False, first_violation=0.625),
+     "LocalOrderReport(t_star=0.5, claim='local-min', checked=8, "
+     "passed=False, first_violation=0.625)",
+     (0.5, "local-min", 8, False, 0.625),
+     LocalOrderReport(0.5, "local-min", 8, False)),
+    (LocalOrderReport(0.5, "none", 0, True),
+     "LocalOrderReport(t_star=0.5, claim='none', checked=0, passed=True, "
+     "first_violation=None)",
+     (0.5, "none", 0, True, None),
+     LocalOrderReport(0.5, "none", 1, True)),
+    (DiracKernel.build(0.25, 1, 2),
+     "DiracKernel(epsilon=0.25, smoothness=1, index=2, mass_norm=0.13671875)",
+     (0.25, 1, 2, 0.13671875), DiracKernel.build(0.25, 1, 3)),
+    (WitnessResult(0.5, 2, 0.25, _F, 1.5, 0.25),
+     f"WitnessResult(t0=0.5, index=2, epsilon=0.25, eta={_F_TEXT}, b_k=1.5, "
+     "limit=0.25)",
+     (0.5, 2, 0.25, _F, 1.5, 0.25),
+     WitnessResult(0.5, 2, 0.25, _F, 1.5, 0.5)),
+    (ReconstructionResult(u=LCFN(0.5, 0.25, _GEN), f=_F, spec=QuadratureSpec(),
+                          residual_grid=_GRID, max_center_residual=0.5,
+                          max_coord_residual=0.5),
+     f"ReconstructionResult(u=LCFN(r=0.5, q=0.25, gen={_GEN_TEXT}), "
+     f"f={_F_TEXT}, spec=QuadratureSpec(abs_tol=1e-10), "
+     "residual_grid=((0.0, -0.5, 0.5), (1.0, 0.5, 0.5)), "
+     "max_center_residual=0.5, max_coord_residual=0.5)",
+     (LCFN(0.5, 0.25, _GEN), _F, QuadratureSpec(), _GRID, 0.5, 0.5),
+     ReconstructionResult(LCFN(0.5, 0.25, _GEN), _F, QuadratureSpec(), _GRID,
+                          0.5, 0.25)),
+], ids=["critical-point", "local-order", "local-order-defaults",
+        "dirac-kernel", "witness", "reconstruction"])
+def test_results_are_frozen_values(value, text, key, other):
+    assert_frozen_value(value, text, key, other)
