@@ -14,7 +14,6 @@ tolerances.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from functools import partial
 from itertools import chain
 
@@ -24,6 +23,7 @@ from .errors import EvalError, GeneratorMismatch, OutsideDomain
 from .generator import Generator, same_generator
 # Not called here: perfbench hooks integrate_scalar.
 from .quadrature import QuadratureSpec, gauss_legendre, integrate_scalar, qag
+from .value import Value
 
 FTC_TOL = 1e-8
 IBP_TOL = 1e-8
@@ -35,16 +35,16 @@ AE_THRESHOLD = 1e-9  # |center| above this counts as a grid violation
 SPOT_FRACTIONS = (0.21, 0.5, 0.79)  # FTC spot checks, as domain fractions
 
 
-@dataclass(frozen=True)
-class CheckReport:
+class CheckReport(Value):
     """Uniform result shape for the theorem checkers."""
 
-    check: str
-    passed: bool
-    tolerance: float
-    residuals: dict
-    notes: tuple[str, ...] = ()
-    records: tuple[dict, ...] = ()
+    __slots__ = ("check", "passed", "tolerance", "residuals", "notes",
+                 "records")
+
+    def __init__(self, check: str, passed: bool, tolerance: float,
+                 residuals: dict, notes: tuple[str, ...] = (),
+                 records: tuple[dict, ...] = ()):
+        self._set(check, passed, tolerance, residuals, notes, records)
 
     def to_dict(self) -> dict:
         out = {
@@ -60,19 +60,14 @@ class CheckReport:
         return out
 
 
-@dataclass(frozen=True, slots=True)
-class FuzzyFunction:
+class FuzzyFunction(Value):
     """t -> r(t) + q(t)*A on a closed interval, components as expressions."""
 
-    r: ex.Expr
-    q: ex.Expr
-    gen: Generator
-    domain: tuple[float, float]
-    eps_aware: bool = field(default=False, compare=False)
+    __slots__ = ("r", "q", "gen", "domain", "eps_aware")
 
     def __init__(self, r: ex.Expr, q: ex.Expr, gen: Generator,
                  domain: tuple[float, float], eps_aware: bool = False):
-        # dataclass keeps a class-defined __init__; see core.LCFN
+        # the slot setters skip the frozen __setattr__, as in core.LCFN
         a, b = domain
         if not (math.isfinite(a) and math.isfinite(b)):
             raise ValueError(f"domain ends must be finite, got [{a}, {b}]")
@@ -83,6 +78,9 @@ class FuzzyFunction:
         _set_gen(self, gen)
         _set_domain(self, domain)
         _set_eps_aware(self, eps_aware)
+
+    def _key(self) -> tuple:  # eps_aware stays out of == and hash
+        return (self.r, self.q, self.gen, self.domain)
 
     @classmethod
     def from_strings(cls, r_src: str, q_src: str, gen: Generator,

@@ -17,11 +17,11 @@ from __future__ import annotations
 import enum
 import math
 import re
-from dataclasses import dataclass
 
 from .errors import ExprSyntaxError, GeneratorMismatch
 from .expr import NUMBER
 from .generator import Generator, same_generator
+from .value import Value
 
 
 class Ordering(enum.IntEnum):
@@ -38,17 +38,13 @@ class SignClass(enum.Enum):
     POSITIVE = "positive"
 
 
-@dataclass(frozen=True, slots=True)
-class LCFN:
+class LCFN(Value):
     """r + q*A over a shared generator; immutable, operations are pure."""
 
-    r: float
-    q: float
-    gen: Generator
+    __slots__ = ("r", "q", "gen")
 
     def __init__(self, r: float, q: float, gen: Generator):
-        # dataclass keeps a class-defined __init__; the slot setters skip
-        # the frozen __setattr__ and its object.__setattr__ per field.
+        # the slot setters skip the frozen __setattr__
         _set_r(self, r)
         _set_q(self, q)
         _set_gen(self, gen)

@@ -31,9 +31,7 @@ import math
 import operator
 import re
 import weakref
-from dataclasses import dataclass
 from functools import lru_cache, partial
-from typing import Union
 
 from .errors import (
     DivisionByZero,
@@ -43,11 +41,10 @@ from .errors import (
     ExprSyntaxError,
     UnknownFunction,
 )
+from .value import Value
 
-Expr = Union["Num", "Var", "Neg", "Bin", "Call"]
 
-
-class _Node:
+class Expr(Value):
     """Base of the node classes.  Nodes are hash-consed (value numbering,
     Ershov 1958): ``Bin(op, left, right)`` returns the live node with that
     operator and those very child objects if there is one, so equal trees
@@ -55,20 +52,19 @@ class _Node:
     its live nodes in a weak table keyed on its fields, children by ``id``
     (a live node keeps its children alive, so no id in a live key is
     reused); a ``Num`` key tells 0.0 from -0.0.  ``_derivatives`` maps a
-    variable to the node's derivative (:func:`_d`)."""
+    variable to the node's derivative (:func:`_d`).  Copies and unpickled
+    nodes are rebuilt through the table."""
 
     __slots__ = ("__weakref__", "_derivatives")
-
-    def __reduce__(self):  # copy and pickle rebuild through the table
-        return type(self), tuple(getattr(self, f) for f in self.__slots__)
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
 
 
 def _intern(cls, table, key, *values):
     """A new ``cls`` node with ``values`` for its fields (in ``__slots__``
     order), entered in ``table`` under ``key``; called on a table miss."""
     node = object.__new__(cls)
-    for name, value in zip(cls.__slots__, values):
-        object.__setattr__(node, name, value)
+    node._set(*values)
     table[key] = node
     return node
 
@@ -80,10 +76,8 @@ _NUM_REFS, _VAR_REFS, _NEG_REFS, _BIN_REFS, _CALL_REFS = (
     table.data for table in (_NUMS, _VARS, _NEGS, _BINS, _CALLS))
 
 
-@dataclass(frozen=True, eq=False, init=False)
-class Num(_Node):
+class Num(Expr):
     __slots__ = ("value",)
-    value: float
 
     def __new__(cls, value: float):
         key = value or repr(float(value))  # 0.0 and -0.0 compare equal
@@ -94,10 +88,8 @@ class Num(_Node):
         return _intern(cls, _NUMS, key, float(value))
 
 
-@dataclass(frozen=True, eq=False, init=False)
-class Var(_Node):
+class Var(Expr):
     __slots__ = ("name",)
-    name: str
 
     def __new__(cls, name: str):
         ref = _VAR_REFS.get(name)
@@ -106,10 +98,8 @@ class Var(_Node):
         return _intern(cls, _VARS, name, name)
 
 
-@dataclass(frozen=True, eq=False, init=False)
-class Neg(_Node):
+class Neg(Expr):
     __slots__ = ("arg",)
-    arg: Expr
 
     def __new__(cls, arg: Expr):
         key = id(arg)
@@ -119,12 +109,8 @@ class Neg(_Node):
         return _intern(cls, _NEGS, key, arg)
 
 
-@dataclass(frozen=True, eq=False, init=False)
-class Bin(_Node):
-    __slots__ = ("op", "left", "right")
-    op: str  # a key of _BIN
-    left: Expr
-    right: Expr
+class Bin(Expr):
+    __slots__ = ("op", "left", "right")  # op: a key of _BIN
 
     def __new__(cls, op: str, left: Expr, right: Expr):
         key = (op, id(left), id(right))
@@ -136,11 +122,8 @@ class Bin(_Node):
         return _intern(cls, _BINS, key, op, left, right)
 
 
-@dataclass(frozen=True, eq=False, init=False)
-class Call(_Node):
-    __slots__ = ("fn", "arg")
-    fn: str  # a key of _FN
-    arg: Expr
+class Call(Expr):
+    __slots__ = ("fn", "arg")  # fn: a key of _FN
 
     def __new__(cls, fn: str, arg: Expr):
         key = (fn, id(arg))

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
 
 from .errors import (
     AlphaOutOfRange,
@@ -21,6 +20,7 @@ from .errors import (
     Symmetric,
     UnsortedKnots,
 )
+from .value import Value
 
 TRIANGULAR = "triangular"
 PIECEWISE_LINEAR = "piecewise-linear"
@@ -31,17 +31,18 @@ MIRROR_TOL = 1e-12
 Knot = tuple[float, float]
 
 
-@dataclass(frozen=True)
-class ValidationReport:
-    """Outcome of a successful validation."""
+class ValidationReport(Value):
+    """Outcome of a successful validation; ``asymmetry_gap`` is the largest
+    |reflected left branch - right branch|."""
 
-    a_m: float
-    support: tuple[float, float]
-    asymmetry_gap: float  # max |reflected left branch - right branch|
+    __slots__ = ("a_m", "support", "asymmetry_gap")
+
+    def __init__(self, a_m: float, support: tuple[float, float],
+                 asymmetry_gap: float):
+        self._set(a_m, support, asymmetry_gap)
 
 
-@dataclass(frozen=True)
-class Generator:
+class Generator(Value):
     """Immutable generator; safe to share between threads.
 
     ``knots`` is the membership polyline as (x, mu) pairs, validated on
@@ -50,19 +51,18 @@ class Generator:
     equals its 3-knot piecewise-linear twin.
     """
 
-    knots: tuple[Knot, ...]
-    a_m: float = field(init=False)
-    # alpha_level's branches, both ascending in mu: the knots up to the
-    # peak, and the knots from the peak reversed.
-    _left: tuple[Knot, ...] = field(init=False, repr=False, compare=False)
-    _right: tuple[Knot, ...] = field(init=False, repr=False, compare=False)
+    # _left and _right are alpha_level's branches, both ascending in mu:
+    # the knots up to the peak, and the knots from the peak reversed.
+    __slots__ = ("knots", "a_m", "_left", "_right")
 
-    def __post_init__(self):
-        a_m = validate(self.knots).a_m
-        peak = [float(mu) for _, mu in self.knots].index(1.0)
-        object.__setattr__(self, "a_m", a_m)
-        object.__setattr__(self, "_left", self.knots[: peak + 1])
-        object.__setattr__(self, "_right", tuple(reversed(self.knots[peak:])))
+    def __init__(self, knots: tuple[Knot, ...]):
+        a_m = validate(knots).a_m
+        peak = [float(mu) for _, mu in knots].index(1.0)
+        self._set(knots, a_m, knots[: peak + 1],
+                  tuple(reversed(knots[peak:])))
+
+    def __reduce__(self):  # a_m is derived, not a constructor argument
+        return Generator, (self.knots,)
 
     @classmethod
     def triangular(cls, left: float, peak: float, right: float) -> "Generator":
@@ -154,6 +154,10 @@ def validate(knots) -> ValidationReport:
                 "overflows a float")
         if not 0.0 <= mu <= 1.0:
             raise GeneratorError(f"membership {mu} at x={x} outside [0, 1]")
+    if not math.isfinite(knots[-1][0] - knots[0][0]):  # bounds asymmetry_gap
+        raise GeneratorError(
+            f"knot {len(knots) - 1} lies too far from knot 0: the support "
+            "width overflows a float")
 
     ones = [i for i, (_, mu) in enumerate(knots) if mu == 1.0]
     if not ones:

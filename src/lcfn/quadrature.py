@@ -18,10 +18,10 @@ from __future__ import annotations
 import heapq
 import math
 import operator
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import NonFiniteIntegrand, QuadratureNonConvergent
+from .value import Value
 
 MAX_DEPTH = 40  # adaptive Simpson recursion limit
 MAX_EVALS = 2 ** 20  # integrand evaluations per adaptive Simpson integral
@@ -65,18 +65,18 @@ def _dot(weights: tuple[float, ...], step: int = 1, start: int = 0):
 _K15, _G7 = _dot(_WK15), _dot(_WG7, 2, 1)
 
 
-@dataclass(frozen=True)
-class QuadratureSpec:
+class QuadratureSpec(Value):
     """The absolute tolerance of every :func:`qag` integral; its relative
     tolerance ``REL_TOL`` and the Gauss-Legendre order are fixed."""
 
-    abs_tol: float = 1e-10
+    __slots__ = ("abs_tol",)
     nodes = 64  # class constant, not a field
 
-    def __post_init__(self):
-        if not (math.isfinite(self.abs_tol) and self.abs_tol > 0.0):
+    def __init__(self, abs_tol: float = 1e-10):
+        if not (math.isfinite(abs_tol) and abs_tol > 0.0):
             raise ValueError(
-                f"abs_tol must be finite and positive, got {self.abs_tol!r}")
+                f"abs_tol must be finite and positive, got {abs_tol!r}")
+        self._set(abs_tol)
 
 
 def integrate_scalar(fn, a: float, b: float, spec: QuadratureSpec) -> float:

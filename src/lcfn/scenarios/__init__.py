@@ -18,22 +18,22 @@ variational checkers.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
-from importlib import resources
 
 from ..calculus import FuzzyFunction
 from ..errors import LcfnError
 from ..generator import Generator
+from ..value import Value
 
 
-@dataclass(frozen=True)
-class Scenario:
-    name: str
-    gen: Generator
-    domain: tuple[float, float]
-    f: FuzzyFunction
-    partner: FuzzyFunction | None
-    eps0: float | None
+class Scenario(Value):
+    """A parsed scenario file."""
+
+    __slots__ = ("name", "gen", "domain", "f", "partner", "eps0")
+
+    def __init__(self, name: str, gen: Generator,
+                 domain: tuple[float, float], f: FuzzyFunction,
+                 partner: FuzzyFunction | None, eps0: float | None):
+        self._set(name, gen, domain, f, partner, eps0)
 
 
 def parse_scenario(cfg: dict, gen_override: Generator | None = None) -> Scenario:
@@ -87,12 +87,14 @@ def _source(cfg: dict, key: str) -> str:
 
 
 def catalog_names() -> tuple[str, ...]:
+    from importlib import resources  # no CLI verb reads the catalog
     files = resources.files(__name__)
     return tuple(sorted(p.name for p in files.iterdir()
                         if p.name.endswith(".json")))
 
 
 def load_catalog() -> tuple[Scenario, ...]:
+    from importlib import resources
     files = resources.files(__name__)
     out = []
     for name in catalog_names():

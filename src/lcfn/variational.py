@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
 
 from . import expr as ex
 from .calculus import (CheckReport, FuzzyFunction, finite, integrate,
@@ -29,6 +28,7 @@ from .errors import (
 )
 # Not called here: perfbench hooks these names.
 from .quadrature import QuadratureSpec, adaptive_simpson, integrate_scalar
+from .value import Value
 
 ROOT_TOL = 1e-12          # bisection bracket width
 CLASSIFY_TOL = 1e-9       # |g''| below this gives no verdict
@@ -53,12 +53,14 @@ class Verdict(enum.Enum):
     INCONCLUSIVE = "inconclusive"
 
 
-@dataclass(frozen=True)
-class CriticalPoint:
-    t_star: float
-    center_d1: float  # g'(t*)
-    center_d2: float  # g''(t*)
-    verdict: Verdict
+class CriticalPoint(Value):
+    """A critical point t* of the center g, with g'(t*) and g''(t*)."""
+
+    __slots__ = ("t_star", "center_d1", "center_d2", "verdict")
+
+    def __init__(self, t_star: float, center_d1: float, center_d2: float,
+                 verdict: Verdict):
+        self._set(t_star, center_d1, center_d2, verdict)
 
     def to_dict(self) -> dict:
         return {"t": self.t_star, "d1": self.center_d1,
@@ -140,13 +142,14 @@ def _bisect(fn: ex.Expr, lo: float, hi: float, flo: float) -> float:
     return 0.5 * (lo + hi)
 
 
-@dataclass(frozen=True)
-class LocalOrderReport:
-    t_star: float
-    claim: str
-    checked: int
-    passed: bool
-    first_violation: float | None = None
+class LocalOrderReport(Value):
+    """The order-based extremum check around a critical point."""
+
+    __slots__ = ("t_star", "claim", "checked", "passed", "first_violation")
+
+    def __init__(self, t_star: float, claim: str, checked: int, passed: bool,
+                 first_violation: float | None = None):
+        self._set(t_star, claim, checked, passed, first_violation)
 
     def to_dict(self) -> dict:
         out = {"t": self.t_star, "claim": self.claim,
@@ -181,16 +184,17 @@ def verify_local_order(f: FuzzyFunction, cp: CriticalPoint,
 
 # -- mollifier kernels ---------------------------------------------------------
 
-@dataclass(frozen=True)
-class DiracKernel:
+class DiracKernel(Value):
     """Even, nonnegative cosine-power bump of unit mass on [-eps, eps];
     it vanishes at the edges together with its first ``smoothness``
-    derivatives, and concentrates as ``index`` grows."""
+    derivatives (l), and concentrates as ``index`` (k) grows.  ``mass_norm``
+    is the normalization constant."""
 
-    epsilon: float
-    smoothness: int  # l
-    index: int       # k
-    mass_norm: float  # normalization constant
+    __slots__ = ("epsilon", "smoothness", "index", "mass_norm")
+
+    def __init__(self, epsilon: float, smoothness: int, index: int,
+                 mass_norm: float):
+        self._set(epsilon, smoothness, index, mass_norm)
 
     @property
     def power(self) -> int:
@@ -228,14 +232,17 @@ class DiracKernel:
 
 # -- Lagrange-lemma harness ----------------------------------------------------
 
-@dataclass(frozen=True)
-class WitnessResult:
-    t0: float
-    index: int
-    epsilon: float        # effective (clamped) window half-width
-    eta: FuzzyFunction    # supported on the window, zero outside
-    b_k: float            # center of integral of f (*) eta
-    limit: float          # (r(t0) + a_m*q(t0))^2, the k -> inf target
+class WitnessResult(Value):
+    """One Lagrange witness at t0: ``epsilon`` is the effective (clamped)
+    window half-width, ``eta`` is supported on the window and zero
+    outside, ``b_k`` is the center of the integral of f (*) eta, and
+    ``limit`` is (r(t0) + a_m*q(t0))^2, the k -> inf target."""
+
+    __slots__ = ("t0", "index", "epsilon", "eta", "b_k", "limit")
+
+    def __init__(self, t0: float, index: int, epsilon: float,
+                 eta: FuzzyFunction, b_k: float, limit: float):
+        self._set(t0, index, epsilon, eta, b_k, limit)
 
 
 def _window(f: FuzzyFunction, t0: float, epsilon: float) -> float:
@@ -396,17 +403,19 @@ def dbr_forward_check(f: FuzzyFunction, g: FuzzyFunction,
         records=records)
 
 
-@dataclass(frozen=True)
-class ReconstructionResult:
-    """Mean value u of f, and the f(t) - u residual grid that separates
-    'constant modulo the zero class' from genuinely constant."""
+class ReconstructionResult(Value):
+    """Mean value u of f, and the f(t) - u residual grid, of (t, center,
+    coord) rows, that separates 'constant modulo the zero class' from
+    genuinely constant."""
 
-    u: LCFN
-    f: FuzzyFunction
-    spec: QuadratureSpec
-    residual_grid: tuple[tuple[float, float, float], ...]  # (t, center, coord)
-    max_center_residual: float
-    max_coord_residual: float
+    __slots__ = ("u", "f", "spec", "residual_grid", "max_center_residual",
+                 "max_coord_residual")
+
+    def __init__(self, u: LCFN, f: FuzzyFunction, spec: QuadratureSpec,
+                 residual_grid: tuple[tuple[float, float, float], ...],
+                 max_center_residual: float, max_coord_residual: float):
+        self._set(u, f, spec, residual_grid, max_center_residual,
+                  max_coord_residual)
 
     def g_tilde(self, t: float) -> LCFN:
         """The continuous reconstruction F(t) + u, where F(t) is the

@@ -1,6 +1,7 @@
 """Generator validation, alpha-levels, and centering."""
 import copy
 import json
+import math
 import pickle
 import random
 
@@ -63,6 +64,21 @@ def test_overflowing_knot_spacing_rejected():
     # symmetry test with an infinite gap
     with pytest.raises(GeneratorError, match="knot 0 mirrored about the peak"):
         Generator(((1.0e308, 0), (1.2e308, 1), (1.4e308, 0)))
+    # every spacing and mirror finite, but the support width is not: the
+    # asymmetry gap read inf
+    with pytest.raises(GeneratorError, match="knot 3 lies too far from knot "
+                       "0: the support width overflows a float"):
+        validate(((-0.85e308, 0), (-0.8e308, 1), (0.95e308, 0.99),
+                  (1.7e308, 0)))
+
+
+def test_asymmetry_gap_is_finite_near_the_float_limit():
+    # support width 1.75e308, just inside the largest float (about 1.8e308);
+    # the gap, at mu = 0, is 0.9e308 - (2*a_m + 0.85e308)
+    report = validate(((-0.85e308, 0), (-0.8e308, 1), (0.5e308, 0.99),
+                       (0.9e308, 0)))
+    assert math.isfinite(report.asymmetry_gap)
+    assert report.asymmetry_gap == pytest.approx(1.65e308)
 
 
 def test_nonzero_support_edge_rejected():

@@ -11,10 +11,10 @@ SUBMODULES = ("calculus", "core", "errors", "expr", "generator", "quadrature",
               "variational")
 
 
-def run_python(code):
+def run_python(code, *flags):
     src = os.path.dirname(os.path.dirname(lcfn.__file__))
     env = {**os.environ, "PYTHONPATH": src}
-    done = subprocess.run([sys.executable, "-c", code], env=env,
+    done = subprocess.run([sys.executable, *flags, "-c", code], env=env,
                           capture_output=True, text=True, check=True)
     return done.stdout.strip()
 
@@ -22,6 +22,14 @@ def run_python(code):
 def test_bare_import_loads_no_submodule():
     out = run_python("import lcfn, sys; "
                      "print([m for m in sys.modules if m.startswith('lcfn.')])")
+    assert out == "[]"
+
+
+def test_cli_import_leaves_heavy_stdlib_modules_out():
+    # -S: site's .pth files may import typing or importlib.resources first
+    out = run_python("import lcfn.cli, sys; print([m for m in ('dataclasses', "
+                     "'inspect', 'typing', 'importlib.resources') "
+                     "if m in sys.modules])", "-S")
     assert out == "[]"
 
 
