@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from lcfn import (
     LCFN,
+    FuzzyFunction,
     Generator,
     Ordering,
     SignClass,
@@ -109,6 +110,14 @@ def test_lcfn_is_a_frozen_slotted_value(r, q, knots, text, hashed):
         b.r = 2.0
     for twin in (copy.copy(b), copy.deepcopy(b), pickle.loads(pickle.dumps(b))):
         assert twin == b and hash(twin) == hash(b) and repr(twin) == repr(b)
+
+
+def test_every_attribute_name_is_frozen(tri_am0):
+    # not only the fields: a slotted class has no other name to set either
+    f = FuzzyFunction.from_strings("t", "1", tri_am0, (0.0, 1.0))
+    for value in (LCFN(1.0, 2.0, tri_am0), f, tri_am0):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            value.x = 1.0
 
 
 # -- center / norm -------------------------------------------------------------
