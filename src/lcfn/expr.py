@@ -357,14 +357,15 @@ def _compile(roots: tuple):
     integral exponent, ``exp``, ``log`` and ``sqrt`` as their ``_RAW``
     functions, ``sin``, ``cos`` and ``abs`` as their (raw) entries.  These
     give the bits of the ``_BIN``/``_FN`` entries and raise, as an
-    ``ArithmeticError`` or ``ValueError``, exactly where the entries do;
-    :func:`_replay` then walks the point the batch stopped at, to raise
-    the walk's error.  Other powers call ``_pow`` (``**`` of a negative
-    base gives a complex number at a non-integral exponent), ``sign``
-    calls ``_sign`` and other variables ``_var``.  Constants, variable
-    names, those functions and ``_replay`` enter as the arguments ``kN``,
-    never as text, so trees of one shape share one source and
-    :func:`_factory` compiles each shape once.
+    ``ArithmeticError`` or ``ValueError``, exactly where the entries do.
+    Other powers call ``_pow`` (``**`` of a negative base gives a complex
+    number at a non-integral exponent), ``sign`` calls ``_sign`` and other
+    variables ``_var``; ``_pow`` and ``_var`` raise their ``EvalError``.
+    On any of these errors :func:`_replay` walks the point the batch
+    stopped at, to raise the walk's error naming t.  Constants, variable
+    names, those functions, the caught classes and ``_replay`` enter as
+    the arguments ``kN``, never as text, so trees of one shape share one
+    source and :func:`_factory` compiles each shape once.
     """
     lines, args, names = [], [], {}
 
@@ -404,12 +405,13 @@ def _compile(roots: tuple):
     results = [emit(root) for root in roots]
     lines += [f"    a{i}({name})\n" for i, name in enumerate(results)]
     replay = arg(partial(_replay, roots))
+    caught = arg((ArithmeticError, ValueError, EvalError))
     outs = range(len(roots))
     src = (f"def _make({', '.join(f'k{i}' for i in range(len(args)))}):\n"
            " def _f(ts, eps=None):\n"
            + "".join(f"  o{i} = []; a{i} = o{i}.append\n" for i in outs)
            + "  try:\n   for t in ts:\n" + "".join(lines)
-           + "  except (ArithmeticError, ValueError):\n"
+           + f"  except {caught}:\n"
            + f"   {replay}(t, eps)\n   raise\n"
            + f"  return {', '.join(f'o{i}' for i in outs)},\n return _f\n")
     return _factory(src)(*args)
@@ -418,14 +420,17 @@ def _compile(roots: tuple):
 def _replay(roots: tuple, t: float, eps: float | None) -> None:
     """Walk ``roots`` at ``t``, the point where a raw operation of their
     kernel raised, so that the first entry to raise there raises the
-    walk's error.  The ``ValueError`` of ``math.sin`` or ``math.cos`` at
-    an infinite argument is retyped, naming its root and t."""
+    walk's error, of its class, with ``at t=...`` added.  The
+    ``ValueError`` of ``math.sin`` or ``math.cos`` at an infinite argument
+    is retyped, naming its root and t."""
     for root in roots:
         try:
             _walk(root, t, eps)
         except ValueError:
             raise EvalDomainError(f"sin or cos of an infinite value in "
                                   f"{to_source(root)} at t={t!r}") from None
+        except EvalError as err:
+            raise type(err)(f"{err} at t={t!r}") from None
 
 
 def _walk(e: Expr, t: float, eps: float | None) -> float:

@@ -9,6 +9,7 @@ sliced from the knots on every call for a generator's alpha-levels.
 import math
 
 from lcfn import LCFN, DiracKernel, expr as ex
+from lcfn.errors import EvalError
 from lcfn.generator import _branch_x_at
 from lcfn.quadrature import integrate_scalar
 from lcfn.variational import SMOOTHNESS
@@ -25,6 +26,15 @@ def walk(e, t, eps=None):
     if isinstance(e, ex.Bin):
         return ex._BIN[e.op](walk(e.left, t, eps), walk(e.right, t, eps))
     return ex._FN[e.fn](walk(e.arg, t, eps))
+
+
+def walk_at(e, t, eps=None):
+    """``walk``, its ``EvalError`` raised again as the compiled kernels
+    raise it: of its class, with ``at t=...`` added."""
+    try:
+        return walk(e, t, eps)
+    except EvalError as err:
+        raise type(err)(f"{err} at t={t!r}") from None
 
 
 def kernel_value(kernel, x):

@@ -300,6 +300,22 @@ def test_overflowed_integrand_exits_2(tri):
     assert result.stdout == ""
 
 
+@pytest.mark.parametrize("r_src, message", [
+    ("log(t-2)", "log of nonpositive value -1.9957276855604063 "
+                 "at t=0.004272314439593694"),
+    ("sqrt(t-2)", "sqrt of negative value -1.9957276855604063 "
+                  "at t=0.004272314439593694"),
+    ("1/(t-0.5)", "division by zero at t=0.5"),
+    ("exp(1000*t)", "overflow in exp at t=0.7930436177338456"),
+])
+def test_evaluation_error_names_t(tri, r_src, message):
+    result = run_cli("integrate", "--gen", tri, "--r", r_src,
+                     "--q", "t", "--domain", "0", "1")
+    assert result.returncode == 2
+    assert result.stderr == f"error: {message}\n"
+    assert result.stdout == ""
+
+
 def test_sine_of_infinite_value_exits_2(tri):
     result = run_cli("integrate", "--gen", tri, "--r", "sin(1e300*1e300*t)",
                      "--q", "t", "--domain", "0", "1")

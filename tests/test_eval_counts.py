@@ -11,6 +11,7 @@ It also counts the points read through ``calculus.sample`` (``f.at`` and
 the checkers' grids) and the ``ex.evaluate`` calls left in the checkers,
 wrapping each where ``calculus`` and ``variational`` import it.
 """
+import collections
 import types
 
 import pytest
@@ -76,6 +77,27 @@ def test_ibp_check_evals_over_catalog(counts):
     for scenario in load_catalog():
         calculus.ibp_check(scenario.f, scenario.partner)
     assert counts == {"points": 660, "calls": 44, "sampled": 48, "evaluate": 0}
+
+
+def test_square_integral_points_on_s09(monkeypatch):
+    # every kernel call, counted by its number of points: the cross pair's
+    # 3 qag panels of 15 and the 64 Gauss-Legendre nodes of the direct
+    # route, one evaluate call each.  The zero class is read from the
+    # integral; the 2,048-point grid it once took made 2,157 points in 68
+    # calls, and any grid read past qag and sample shows here
+    kernel, calls = ex.kernel, []
+
+    def counting_kernel(*roots):
+        compiled = kernel(*roots)
+
+        def counted(ts, eps=None):
+            calls.append(len(ts))
+            return compiled(ts, eps)
+        return counted
+
+    monkeypatch.setattr(ex, "kernel", counting_kernel)
+    calculus.square_integral(catalog_scenario("s09_dbr_pair").f)
+    assert sorted(collections.Counter(calls).items()) == [(1, 64), (15, 3)]
 
 
 PROBE_FRACTIONS = (0.25, 0.5, 0.3)  # the checker-sweep benchmark's F(t) probes
@@ -157,7 +179,9 @@ def test_repeated_checks_compile_no_kernel(monkeypatch):
     """Checkers rebuild their trees on every call; interned nodes make the
     rebuilt trees the very roots the kernel cache holds, so a second pass
     over the same checks compiles nothing (per-object kernels compiled 25,
-    then 22)."""
+    then 22).  The first pass compiles 23: ``square_integral`` reads the
+    zero class from its integral, with no grid kernel of ``center_expr()``
+    (24 with the grid)."""
     compiled = []
     compile_roots = ex._compile
 
@@ -180,4 +204,4 @@ def test_repeated_checks_compile_no_kernel(monkeypatch):
     one_pass()
     first = len(compiled)
     one_pass()
-    assert (first, len(compiled) - first) == (24, 0)
+    assert (first, len(compiled) - first) == (23, 0)

@@ -18,7 +18,7 @@ from lcfn.errors import (
     ExprSyntaxError,
     UnknownFunction,
 )
-from oracles import walk
+from oracles import walk, walk_at
 
 
 def ev(src, t, eps=None):
@@ -245,7 +245,7 @@ def test_compiled_evaluation_matches_walk_bit_for_bit():
         for tree in trees:
             for t in ts:
                 got = _outcome(ex.evaluate, tree, t, eps)
-                want = _outcome(walk, tree, t, eps)
+                want = _outcome(walk_at, tree, t, eps)
                 # repr tells -0.0 from 0.0 and prints every NaN as 'nan'
                 assert repr(got) == repr(want), (name, ex.to_source(tree), t)
                 checked += 1
@@ -258,7 +258,7 @@ def _walk_batch(trees, ts, eps):
     columns = [[] for _ in trees]
     for t in ts:
         for column, tree in zip(columns, trees):
-            value = _outcome(walk, tree, t, eps)
+            value = _outcome(walk_at, tree, t, eps)
             if isinstance(value, tuple):
                 return value
             column.append(value)
@@ -301,7 +301,7 @@ _SIN, _LOGT = ex.parse("sin(t)"), ex.parse("log(t)")
 
 @pytest.mark.parametrize("roots, ts, eps, cls, message", [
     ((ex.parse("t + 1"), _LOGT), [1.0, 2.0, -2.0, -3.0], None,
-     EvalDomainError, "log of nonpositive value -2.0"),
+     EvalDomainError, "log of nonpositive value -2.0 at t=-2.0"),
     # sin(inf) is the ValueError of math.sin, retyped naming its root and t
     ((ex.parse("t*t"), ex.Bin("*", ex.parse("t*t"), _SIN)),
      [0.5, math.inf, 1.0], None, EvalDomainError,
@@ -312,11 +312,11 @@ _SIN, _LOGT = ex.parse("sin(t)"), ex.parse("log(t)")
     ((_SIN, ex.parse("2*cos(t)")), [1.0, math.inf], None, EvalDomainError,
      "sin or cos of an infinite value in sin(t) at t=inf"),
     ((ex.parse("t"), ex.parse("t*eps", ("t", "eps"))), [0.5, 1.0], None,
-     EvalError, "variable 'eps' is not bound"),
+     EvalError, "variable 'eps' is not bound at t=0.5"),
     # a non-finite r next to a raising q: the kernel checks no finiteness,
     # so q's error is the first
     ((ex.parse("t*1e308*10"), ex.parse("log(t - 2)")), [3.0, 1.0], None,
-     EvalDomainError, "log of nonpositive value -1.0"),
+     EvalDomainError, "log of nonpositive value -1.0 at t=1.0"),
 ], ids=["log", "sin-inf-shared", "sin-minus-inf", "sin-and-cos-inf",
         "eps-unbound", "inf-r-raising-q"])
 def test_batch_errors_match_point_by_point(roots, ts, eps, cls, message):
@@ -379,7 +379,7 @@ def test_compiled_errors_match_walk(src, cls):
     with pytest.raises(cls) as compiled:
         ex.evaluate(tree, 0.5)
     with pytest.raises(cls) as walked:
-        walk(tree, 0.5)
+        walk_at(tree, 0.5)
     assert type(compiled.value) is type(walked.value) is cls
     assert str(compiled.value) == str(walked.value)
 
@@ -436,7 +436,7 @@ _EPS = ex.Var("eps")
 ], ids=lambda v: ex.to_source(v) if isinstance(v, ex.Bin) else repr(v))
 def test_shared_subtree_errors_match_walk(tree, t):
     got = _outcome(ex.evaluate, tree, t, None)
-    want = _outcome(walk, tree, t, None)
+    want = _outcome(walk_at, tree, t, None)
     assert isinstance(want, tuple)  # every case raises
     assert got == want
 
