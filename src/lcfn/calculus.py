@@ -1,11 +1,13 @@
 """Calculus for functions t -> r(t) + q(t)*A and its theorem checkers.
 
 Derivatives and Riemann integrals act componentwise on the coordinate
-functions; a function reads r and q through one compiled kernel per batch
-of points (a quadrature panel, a grid, the point of ``at``), and its
-integral bounds the error in the norm |q| + |r + a_m*q|.  Components are
-interned expressions, so the kernel (``expr.kernel``) and the derivative
-of a function rebuilt from the same trees are found again, not redone.
+functions; a function reads r and q through one compiled kernel call per
+batch of points (a grid, the point of ``at``), and its integral makes one
+call of their panel kernel per quadrature panel, which returns the
+panel's sums, and bounds the error in the norm |q| + |r + a_m*q|.
+Components are interned expressions, so the kernels (``expr.kernel``)
+and the derivative of a function rebuilt from the same trees are found
+again, not redone.
 The checkers turn the calculus theorems (linearity, fundamental theorem,
 product rule, integration by parts, positivity of the squared integral,
 whose center also decides the zero class, derivative / integral
@@ -22,7 +24,8 @@ from .core import LCFN
 from .errors import EvalError, GeneratorMismatch, OutsideDomain
 from .generator import Generator, same_generator
 # Not called here: perfbench hooks integrate_scalar.
-from .quadrature import QuadratureSpec, gauss_legendre, integrate_scalar, qag
+from .quadrature import (RULE, QuadratureSpec, gauss_legendre,
+                         integrate_scalar, qag)
 from .value import Value
 
 FTC_TOL = 1e-8
@@ -31,6 +34,7 @@ PRODUCT_RULE_TOL = 1e-8
 DERIV_FD_TOL = 1e-6
 INTERCHANGE_TOL = 1e-6
 SPOT_FRACTIONS = (0.21, 0.5, 0.79)  # FTC spot checks, as domain fractions
+MAX_GRID_NODES = 2 ** 16  # the largest grid: 64 times the default scan
 
 
 class CheckReport(Value):
@@ -162,18 +166,25 @@ def finite(value: float, name: str, t: float) -> float:
 def sample(kernel, roots: tuple, names: tuple, ts,
            eps: float | None = None) -> tuple[list, ...]:
     """``roots`` at ``ts`` by one call of their compiled ``kernel``, checked
-    finite; a failed batch raises the first error of reading each point,
-    root by root, as ``finite(ex.evaluate(root, t, eps), name, t)``."""
+    finite: the first error of reading each point, root by root, as
+    ``finite(ex.evaluate(root, t, eps), name, t)``.  Returned columns are
+    scanned in that order; only a kernel that raised is read again, point
+    by point."""
     try:
         columns = kernel(ts, eps)
-        if all(map(math.isfinite, chain(*columns))):
-            return columns
     except EvalError:
-        pass
-    for t in ts:
-        for root, name in zip(roots, names):
-            finite(ex.evaluate(root, t, eps), name, t)
-    raise AssertionError("a batch failed where its points one by one did not")
+        columns = None
+    if columns is None:
+        for t in ts:
+            for root, name in zip(roots, names):
+                finite(ex.evaluate(root, t, eps), name, t)
+        raise AssertionError(
+            "a batch failed where its points one by one did not")
+    if not all(map(math.isfinite, chain(*columns))):
+        for t, *row in zip(ts, *columns):
+            for value, name in zip(row, names):
+                finite(value, name, t)
+    return columns
 
 
 def integrate(f: FuzzyFunction, spec: QuadratureSpec = QuadratureSpec(),
@@ -189,15 +200,19 @@ def integrate(f: FuzzyFunction, spec: QuadratureSpec = QuadratureSpec(),
     hi = b if hi is None else hi
     if not (a <= lo <= hi <= b):
         raise OutsideDomain(f"[{lo!r}, {hi!r}] not inside [{a!r}, {b!r}]")
-    r_val, q_val = qag(partial(ex.kernel(f.r, f.q), eps=eps), lo, hi,
-                       spec, (1.0, 1.0 + abs(f.gen.a_m)))
+    r_val, q_val = qag(partial(ex.kernel(f.r, f.q, rule=RULE), eps=eps),
+                       lo, hi, spec, (1.0, 1.0 + abs(f.gen.a_m)))
     return LCFN(r_val, q_val, f.gen)
 
 
 def node_grid(a: float, b: float, nodes: int) -> list[float]:
-    """``nodes`` equally spaced points from a to b, both ends exact."""
+    """``nodes`` equally spaced points from a to b, both ends exact; at
+    most ``MAX_GRID_NODES``, checked before anything is built."""
     if nodes < 2:
         raise ValueError(f"need at least 2 grid nodes, got {nodes!r}")
+    if nodes > MAX_GRID_NODES:
+        raise ValueError(f"need at most MAX_GRID_NODES={MAX_GRID_NODES} "
+                         f"grid nodes, got {nodes!r}")
     span, last = b - a, nodes - 1
     ts = [a + span * i / last for i in range(nodes)]
     ts[-1] = b

@@ -15,9 +15,10 @@ nesting level; more than MAX_NESTING levels is a syntax error.
 Nodes are hash-consed: equal trees are one object, so ``parse(s) is
 parse(s)`` and ``==`` is identity.  Evaluation is compiled: :func:`_compile`
 turns a tuple of trees into one straight-line function over a batch of
-points that computes each shared subtree once per point, and
-:func:`kernel` keeps the function of each recent tuple of roots;
-:func:`evaluate` is its one-tree, one-point case.
+points that computes each shared subtree once per point, returning the
+values or, given a quadrature rule, only their two weighted sums per
+tree; :func:`kernel` keeps the function of each recent tuple of roots
+and rule; :func:`evaluate` is its one-tree, one-point case.
 
 Differentiation is symbolic so downstream optimality checks see exact
 derivative expressions, and each node keeps its derivative; finite
@@ -329,24 +330,32 @@ def evaluate(e: Expr, t: float, eps: float | None = None) -> float:
 
 
 #: Kernels kept by :func:`kernel`, above the measured working set: 240
-#: cycles of perfbench's checker-sweep compile 604 root tuples, and 960
-#: cycles the same 604 (seeds 1, 101 and 1501).
+#: cycles of perfbench's checker-sweep compile 611 (root tuple, rule)
+#: keys, 232 column and 379 panel kernels, and 960 cycles the same 611
+#: (seeds 1, 101 and 1501).
 KERNELS = 1024
 
 
 @lru_cache(maxsize=KERNELS)
-def kernel(*roots):
-    """The batch function :func:`_compile` makes of ``roots``, compiled
-    once per tuple of nodes.  Nodes are interned, so the key hashes in
-    O(1) and a checker that builds the same trees again gets this kernel
-    back; holding the roots keeps their nodes, and so that reuse, alive."""
-    return _compile(roots)
+def kernel(*roots, rule=None):
+    """The function :func:`_compile` makes of ``roots`` and ``rule``,
+    compiled once per tuple of nodes and rule.  Nodes are interned, so the
+    key hashes in O(1) and a checker that builds the same trees again gets
+    this kernel back; holding the roots keeps their nodes, and so that
+    reuse, alive."""
+    return _compile(roots, rule)
 
 
-def _compile(roots: tuple):
-    """One straight-line function ``(ts, eps) -> (values of root 0, values
-    of root 1, ...)`` doing, point after point, the float operations of
-    the tree walk :func:`_walk` of each root in turn.
+def _compile(roots: tuple, rule: tuple | None = None):
+    """One straight-line function doing, point after point, the float
+    operations of the tree walk :func:`_walk` of each root in turn.
+    Without a ``rule`` it maps ``(ts, eps)`` to the columns ``(values of
+    root 0, values of root 1, ...)``.  A quadrature ``rule``, a tuple of
+    ``(node, weight, second weight)`` triples, makes it a panel
+    ``(center, half, eps) -> ((sum 0, second sum 0), (sum 1, ...), ...)``:
+    at ``t = center + half*node``, node after node, each root's value
+    times each weight is added to its two sums, left to right from
+    ``0.0``, and no value is kept.
 
     A post-order walk (left before right, root after root) emits one
     ``vN = ...`` line per operation into the loop of a factory
@@ -363,9 +372,9 @@ def _compile(roots: tuple):
     variables ``_var``; ``_pow`` and ``_var`` raise their ``EvalError``.
     On any of these errors :func:`_replay` walks the point the batch
     stopped at, to raise the walk's error naming t.  Constants, variable
-    names, those functions, the caught classes and ``_replay`` enter as
-    the arguments ``kN``, never as text, so trees of one shape share one
-    source and :func:`_factory` compiles each shape once.
+    names, those functions, the rule, the caught classes and ``_replay``
+    enter as the arguments ``kN``, never as text, so trees of one shape
+    share one source and :func:`_factory` compiles each shape once.
     """
     lines, args, names = [], [], {}
 
@@ -403,17 +412,28 @@ def _compile(roots: tuple):
         return name
 
     results = [emit(root) for root in roots]
-    lines += [f"    a{i}({name})\n" for i, name in enumerate(results)]
+    outs = range(len(roots))
+    if rule is None:
+        head = "(ts, eps=None)"
+        init = "".join(f"  o{i} = []; a{i} = o{i}.append\n" for i in outs)
+        loop = "   for t in ts:\n"
+        lines += [f"    a{i}({name})\n" for i, name in enumerate(results)]
+        out = ", ".join(f"o{i}" for i in outs)
+    else:
+        head = "(center, half, eps=None)"
+        init = "".join(f"  K{i} = G{i} = 0.0\n" for i in outs)
+        loop = (f"   for x, wk, wg in {arg(rule)}:\n"
+                "    t = center + half * x\n")
+        lines += [f"    K{i} = K{i} + wk * {name}; G{i} = G{i} + wg * {name}\n"
+                  for i, name in enumerate(results)]
+        out = ", ".join(f"(K{i}, G{i})" for i in outs)
     replay = arg(partial(_replay, roots))
     caught = arg((ArithmeticError, ValueError, EvalError))
-    outs = range(len(roots))
     src = (f"def _make({', '.join(f'k{i}' for i in range(len(args)))}):\n"
-           " def _f(ts, eps=None):\n"
-           + "".join(f"  o{i} = []; a{i} = o{i}.append\n" for i in outs)
-           + "  try:\n   for t in ts:\n" + "".join(lines)
+           f" def _f{head}:\n" + init + "  try:\n" + loop + "".join(lines)
            + f"  except {caught}:\n"
            + f"   {replay}(t, eps)\n   raise\n"
-           + f"  return {', '.join(f'o{i}' for i in outs)},\n return _f\n")
+           + f"  return {out},\n return _f\n")
     return _factory(src)(*args)
 
 
@@ -448,10 +468,11 @@ def _walk(e: Expr, t: float, eps: float | None) -> float:
 
 @lru_cache(maxsize=1024)
 def _factory(src: str):
-    """The factory defined by ``src``, compiled once per tree shape; the
-    source names nothing but its arguments, so it runs in an empty scope.
+    """The factory defined by ``src``, compiled once per tree shape and
+    kind (column or panel kernel); the source names nothing but its
+    arguments, so it runs in an empty scope.
     1024 is above the measured working set: 240 cycles of perfbench's
-    checker-sweep build 452-476 shapes (seeds 1, 101 and 1501)."""
+    checker-sweep build 453-474 shapes (seeds 1, 101 and 1501)."""
     scope = {}
     exec(compile(src, "<lcfn.expr>", "exec"), scope)
     return scope["_make"]

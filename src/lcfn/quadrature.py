@@ -5,9 +5,16 @@ on k components over one subdivision as DCUHRE runs vector integrands
 (Berntsen, Espelid and Genz 1991): the subinterval with the largest error
 ``sum(w_c * |K15_c - G7_c|)`` is bisected until the summed error is at
 most ``max(abs_tol, REL_TOL * sum(w_c * |I_c|))``, within
-``MAX_INTERVALS`` subintervals; ``integrate_scalar`` is the k = 1 case.
-The panel sums and the Gauss-Legendre sum add left to right, so they
-round alike on every Python.
+``MAX_INTERVALS`` subintervals.  Both schemes need only the two weighted
+sums of a panel, so a panel is one call that returns them per component,
+never its 15 values: ``calculus.integrate`` passes the compiled kernel of
+an (r, q) pair built on :data:`RULE`, and ``integrate_scalar``, the k = 1
+case, a loop over ``RULE`` that calls its integrand once per node.  The
+panel sums and the Gauss-Legendre sum add left to right from ``0.0``, so
+they round alike on every Python.  At a finite value the zero G7
+weights of the Kronrod-only nodes add +-0.0, which leaves such a sum as
+it is; a non-finite value makes the K15 sum non-finite too, and ``qag``
+raises on it.
 ``gauss_legendre`` is the independent fixed-order rule a checker can
 route the same integrand through to guard against silent quadrature
 failure.  ``adaptive_simpson`` is no longer on any library path; tests
@@ -29,8 +36,7 @@ MAX_INTERVALS = 2000  # Gauss-Kronrod subintervals per integral
 REL_TOL = 1e-12  # relative tolerance beside QuadratureSpec.abs_tol
 
 # The positive Kronrod nodes on [-1, 1], descending, and the weights of
-# K15 and G7 (QUADPACK qk15); _X15 lists all 15 nodes ascending, and the
-# 7 Gauss nodes are its odd-indexed ones.
+# K15 and G7 (QUADPACK qk15).
 _XK = (0.991455371120812639206854697526329,
        0.949107912342758524526189684047851,
        0.864864423359769072789712788640926,
@@ -38,7 +44,6 @@ _XK = (0.991455371120812639206854697526329,
        0.586087235467691130294144845693013,
        0.405845151377397166906606412076961,
        0.207784955007898467600689403773245)
-_X15 = tuple(-x for x in _XK) + (0.0,) + _XK[::-1]
 _WK = (0.022935322010529224963732008058970,
        0.063092092629978553290700663189204,
        0.104790010322250183839876322541518,
@@ -46,23 +51,18 @@ _WK = (0.022935322010529224963732008058970,
        0.169004726639267902826583426598550,
        0.190350578064785409913256402421014,
        0.204432940075298892414161999234649)
-_WK15 = _WK + (0.209482141084727828012999174891714,) + _WK[::-1]
 _WG = (0.129484966168869693270611432679082,
        0.279705391489276667901467771423780,
        0.381830050505118944950369775488975)
 _WG7 = _WG + (0.417959183673469387755102040816327,) + _WG[::-1]
 
-
-def _dot(weights: tuple[float, ...], step: int = 1, start: int = 0):
-    """``fx -> sum(w_i * fx[start + step*i])`` unrolled into one expression
-    added left to right from ``0.0``: the rounding of ``sum`` on Python
-    3.10 and 3.11, which 3.12 replaced by compensated summation."""
-    terms = "".join(f" + {w!r}*fx[{start + step * i}]"
-                    for i, w in enumerate(weights))
-    return eval(f"lambda fx: 0.0{terms}")
-
-
-_K15, _G7 = _dot(_WK15), _dot(_WG7, 2, 1)
+#: The G7/K15 rule: one ``(node, K15 weight, G7 weight)`` per node of
+#: [-1, 1], ascending; the G7 weight is 0.0 at the 8 Kronrod-only nodes
+#: (the even-indexed ones).
+RULE = tuple(zip(
+    tuple(-x for x in _XK) + (0.0,) + _XK[::-1],
+    _WK + (0.209482141084727828012999174891714,) + _WK[::-1],
+    tuple(w for g in _WG7 for w in (0.0, g)) + (0.0,)))
 
 
 class QuadratureSpec(Value):
@@ -80,15 +80,26 @@ class QuadratureSpec(Value):
 
 
 def integrate_scalar(fn, a: float, b: float, spec: QuadratureSpec) -> float:
-    """Integral of ``fn`` over [a, b] by :func:`qag` on one component."""
-    return qag(lambda ts: ([fn(t) for t in ts],), a, b, spec, (1.0,))[0]
+    """Integral of ``fn`` over [a, b] by :func:`qag` on one component,
+    ``fn`` called once per node."""
+    def panel(center, half):
+        kronrod = gauss = 0.0
+        for x, wk, wg in RULE:
+            value = fn(center + half * x)
+            kronrod = kronrod + wk * value
+            gauss = gauss + wg * value
+        return ((kronrod, gauss),)
+    return qag(panel, a, b, spec, (1.0,))[0]
 
 
-def qag(kernel, a: float, b: float, spec: QuadratureSpec,
+def qag(panel, a: float, b: float, spec: QuadratureSpec,
         weights: tuple[float, ...]) -> tuple[float, ...]:
-    """Integrals over [a, b] of the components of ``kernel``, which maps a
-    list of points to one list of values per component; each panel is one
-    ``kernel`` call on its 15 nodes, its error weighted by ``weights``.
+    """Integrals over [a, b] of k components, their errors weighted by
+    ``weights``.  ``panel(center, half)`` gives, for the subinterval
+    ``[center - half, center + half]``, one ``(K15 sum, G7 sum)`` pair per
+    component: the sums over :data:`RULE` of the weights times the values
+    at ``center + half*x``, added left to right from ``0.0`` in node
+    order; each subinterval is one ``panel`` call.
 
     Raises ``NonFiniteIntegrand`` as soon as a running sum or the error
     stops being finite (naming the first non-finite component's panel
@@ -103,10 +114,10 @@ def qag(kernel, a: float, b: float, spec: QuadratureSpec,
             center = 0.5 * (lo + hi)
             half = 0.5 * (hi - lo)
             values, panel_err = [], 0.0
-            for c, (w, fx) in enumerate(zip(weights, kernel(
-                    [center + half * x for x in _X15]))):
-                kronrod = half * _K15(fx)
-                gauss = half * _G7(fx)
+            for c, (w, (k15, g7)) in enumerate(zip(weights,
+                                                   panel(center, half))):
+                kronrod = half * k15
+                gauss = half * g7
                 values.append(kronrod)
                 panel_err += w * abs(kronrod - gauss)
                 totals[c] += kronrod
@@ -223,7 +234,7 @@ def gauss_legendre(fn, a: float, b: float, n: int = 64) -> float:
     xs, ws = _leggauss(n)
     mid = 0.5 * (a + b)
     half = 0.5 * (b - a)
-    total = 0.0  # left to right, as in _dot
+    total = 0.0  # left to right, as the panel sums
     for x, w in zip(xs, ws):
         total += w * fn(mid + half * x)
     return half * total

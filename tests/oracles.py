@@ -1,17 +1,20 @@
 """Reference computations the tests hold the library to.
 
 Each one takes a route the library does not: a recursive tree walk for
-the compiled expressions, the kernel's pointwise formula for its
-expression form, one scalar quadrature for the witness's b_k, one
+the compiled expressions, the 15 values of a panel stored and summed
+column by column for the panel sums, the kernel's pointwise formula for
+its expression form, one scalar quadrature for the witness's b_k, one
 ``LCFN`` per row for the reconstruction's residual grid, and branches
 sliced from the knots on every call for a generator's alpha-levels.
 """
 import math
+import operator
+from functools import reduce
 
 from lcfn import LCFN, DiracKernel, expr as ex
 from lcfn.errors import EvalError
 from lcfn.generator import _branch_x_at
-from lcfn.quadrature import integrate_scalar
+from lcfn.quadrature import RULE, integrate_scalar
 from lcfn.variational import SMOOTHNESS
 
 
@@ -35,6 +38,28 @@ def walk_at(e, t, eps=None):
         return walk(e, t, eps)
     except EvalError as err:
         raise type(err)(f"{err} at t={t!r}") from None
+
+
+NODES, K15_WEIGHTS, _ = zip(*RULE)
+G7_WEIGHTS = tuple(wg for _, _, wg in RULE[1::2])  # the 7 Gauss nodes
+
+
+def column_sums(fx):
+    """The K15 and G7 sums of one panel's 15 stored values ``fx``, each
+    added left to right from ``0.0``, the G7 sum over the Gauss nodes
+    alone."""
+    return (reduce(operator.add, map(operator.mul, K15_WEIGHTS, fx), 0.0),
+            reduce(operator.add, map(operator.mul, G7_WEIGHTS, fx[1::2]), 0.0))
+
+
+def panel_of(columns):
+    """A ``qag`` panel from ``columns``, which maps a list of points to
+    one list of values per component: one call on the 15 nodes of the
+    subinterval, then the column sums of each list."""
+    def panel(center, half):
+        return tuple(map(column_sums,
+                         columns([center + half * x for x in NODES])))
+    return panel
 
 
 def kernel_value(kernel, x):

@@ -379,6 +379,30 @@ def test_dbr_reconstruct_grid_one_exits_2(tmp_path):
     assert "Traceback" not in result.stderr
 
 
+@pytest.mark.parametrize("verb, name", [
+    (("critical-points",), "s01_sine_poly.json"),
+    (("verify", "lagrange"), "s06_recovery_window.json"),
+    (("verify", "dbr-reconstruct"), "s12_reconstruction_gap.json"),
+], ids=["critical-points", "lagrange", "dbr-reconstruct"])
+def test_grid_above_the_maximum_exits_2_before_building(tmp_path, verb, name):
+    # the child gets 1 GiB of address space and 60 s: a grid of 1e20
+    # nodes that is built in spite of its size fails with a MemoryError
+    # instead of filling the machine's memory
+    resource = pytest.importorskip("resource")
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (2 ** 30, 2 ** 30))
+
+    result = subprocess.run(
+        [sys.executable, "-m", "lcfn.cli", *verb, "--scenario",
+         scenario_path(tmp_path, name), "--grid", str(10 ** 20)],
+        capture_output=True, text=True, timeout=60, preexec_fn=limit)
+    assert result.returncode == 2
+    assert result.stderr.startswith(
+        "error: need at most MAX_GRID_NODES=65536 grid nodes, got ")
+    assert "Traceback" not in result.stderr
+
+
 def test_lagrange_grid_zero_exits_2(tmp_path):
     path = scenario_path(tmp_path, "s06_recovery_window.json")
     result = run_cli("verify", "lagrange", "--scenario", path, "--grid", "0")

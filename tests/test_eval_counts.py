@@ -3,10 +3,11 @@
 The counts are deterministic, so a change that moves the amount of
 quadrature or sampling work fails here rather than only showing up as
 wall time.  Every integral of an ``(r, q)`` pair is one ``qag`` run whose
-panels each make one call of the pair kernel on 15 points, so the fixture
-wraps ``qag`` where ``calculus`` imports it and counts both the points
-(one point is one ``(r, q)`` pair) and the kernel calls: points alone are
-not a work proxy, as one call on many points costs less than many calls.
+panels each make one call of the pair's panel kernel on the 15 nodes of
+``RULE``, so the fixture wraps ``qag`` where ``calculus`` imports it and
+counts both the points (one point is one ``(r, q)`` pair, 15 per panel
+call) and the kernel calls: points alone are not a work proxy, as one
+call on many points costs less than many calls.
 It also counts the points read through ``calculus.sample`` (``f.at`` and
 the checkers' grids) and the ``ex.evaluate`` calls left in the checkers,
 wrapping each where ``calculus`` and ``variational`` import it.
@@ -17,6 +18,8 @@ import types
 import pytest
 
 from lcfn import calculus, expr as ex, variational
+from lcfn.errors import EvalError
+from lcfn.quadrature import RULE
 from lcfn.scenarios import catalog_scenario, load_catalog
 
 
@@ -27,11 +30,11 @@ def counts(monkeypatch):
     count = {"points": 0, "calls": 0, "sampled": 0, "evaluate": 0}
     qag, sample = calculus.qag, calculus.sample
 
-    def counting_qag(kernel, *args):
-        def counted(ts, *rest, **kwargs):
-            count["points"] += len(ts)
+    def counting_qag(panel, *args):
+        def counted(center, half):
+            count["points"] += len(RULE)
             count["calls"] += 1
-            return kernel(ts, *rest, **kwargs)
+            return panel(center, half)
         return qag(counted, *args)
 
     def counting_sample(kernel, roots, names, ts, eps=None):
@@ -80,24 +83,43 @@ def test_ibp_check_evals_over_catalog(counts):
 
 
 def test_square_integral_points_on_s09(monkeypatch):
-    # every kernel call, counted by its number of points: the cross pair's
-    # 3 qag panels of 15 and the 64 Gauss-Legendre nodes of the direct
-    # route, one evaluate call each.  The zero class is read from the
-    # integral; the 2,048-point grid it once took made 2,157 points in 68
-    # calls, and any grid read past qag and sample shows here
+    # every kernel call, counted by its number of points (a panel kernel
+    # by the 15 nodes of RULE): the cross pair's 3 qag panels and the 64
+    # Gauss-Legendre nodes of the direct route, one evaluate call each.
+    # The zero class is read from the integral; the 2,048-point grid it
+    # once took made 2,157 points in 68 calls, and any grid read past qag
+    # and sample shows here
     kernel, calls = ex.kernel, []
 
-    def counting_kernel(*roots):
-        compiled = kernel(*roots)
+    def counting_kernel(*roots, rule=None):
+        compiled = kernel(*roots, rule=rule)
 
-        def counted(ts, eps=None):
-            calls.append(len(ts))
-            return compiled(ts, eps)
+        def counted(first, *rest, **kwargs):  # ts, or a panel's center
+            calls.append(len(rule) if rule else len(first))
+            return compiled(first, *rest, **kwargs)
         return counted
 
     monkeypatch.setattr(ex, "kernel", counting_kernel)
     calculus.square_integral(catalog_scenario("s09_dbr_pair").f)
     assert sorted(collections.Counter(calls).items()) == [(1, 64), (15, 3)]
+
+
+@pytest.mark.parametrize("ts, message", [
+    ([3.0, 1.0], "component q is inf at t=3.0"),
+    ([1.0, 3.0], "component r is inf at t=1.0"),
+])
+def test_non_finite_columns_are_scanned_not_evaluated_again(counts, tri_am05,
+                                                            ts, message):
+    # r is inf below t = 2 and q above t = 0, and neither raises: the
+    # kernel returns its columns, which are scanned in point order, r
+    # before q, with no point read again (at the parent every point was
+    # evaluated again, one evaluate call per root)
+    f = calculus.FuzzyFunction.from_strings("1e308*10^(2 - t)", "1e308*10*t",
+                                            tri_am05, (0.0, 4.0))
+    with pytest.raises(EvalError) as err:
+        f.values(ts)
+    assert type(err.value) is EvalError and str(err.value) == message
+    assert counts == {"points": 0, "calls": 0, "sampled": 2, "evaluate": 0}
 
 
 PROBE_FRACTIONS = (0.25, 0.5, 0.3)  # the checker-sweep benchmark's F(t) probes
@@ -179,15 +201,17 @@ def test_repeated_checks_compile_no_kernel(monkeypatch):
     """Checkers rebuild their trees on every call; interned nodes make the
     rebuilt trees the very roots the kernel cache holds, so a second pass
     over the same checks compiles nothing (per-object kernels compiled 25,
-    then 22).  The first pass compiles 23: ``square_integral`` reads the
-    zero class from its integral, with no grid kernel of ``center_expr()``
-    (24 with the grid)."""
+    then 22).  The first pass compiles 24: the column kernel of ``f.at``
+    and the panel kernel of ``integrate`` are two compiles where f is
+    both read at points and integrated (23 when one column kernel served
+    both; 24 with the grid kernel of ``center_expr()`` that
+    ``square_integral`` no longer reads)."""
     compiled = []
     compile_roots = ex._compile
 
-    def counting_compile(roots):
-        compiled.append(roots)
-        return compile_roots(roots)
+    def counting_compile(roots, rule=None):
+        compiled.append((roots, rule))
+        return compile_roots(roots, rule)
 
     monkeypatch.setattr(ex, "_compile", counting_compile)
     ex.kernel.cache_clear()
@@ -204,4 +228,4 @@ def test_repeated_checks_compile_no_kernel(monkeypatch):
     one_pass()
     first = len(compiled)
     one_pass()
-    assert (first, len(compiled) - first) == (23, 0)
+    assert (first, len(compiled) - first) == (24, 0)

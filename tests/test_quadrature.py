@@ -4,19 +4,22 @@ import math
 import operator
 import subprocess
 import sys
-from functools import reduce
+from functools import partial, reduce
 
 import pytest
 
-from lcfn import LCFN, FuzzyFunction, Generator, integrate
-from lcfn.errors import NonFiniteIntegrand, QuadratureNonConvergent
+from lcfn import LCFN, FuzzyFunction, Generator, expr as ex, integrate
+from lcfn.errors import (
+    DivisionByZero,
+    EvalDomainError,
+    EvalError,
+    NonFiniteIntegrand,
+    QuadratureNonConvergent,
+)
 from lcfn.quadrature import (
     MAX_INTERVALS,
+    RULE,
     QuadratureSpec,
-    _G7,
-    _WG7,
-    _WK15,
-    _X15,
     _leggauss,
     gauss_legendre,
     integrate_scalar,
@@ -24,6 +27,7 @@ from lcfn.quadrature import (
 )
 
 from conftest import assert_frozen_value
+from oracles import G7_WEIGHTS, K15_WEIGHTS, NODES, column_sums, panel_of
 
 SPEC = QuadratureSpec()
 
@@ -104,16 +108,19 @@ def test_spec_is_a_frozen_value():
 # -- adaptive Gauss-Kronrod -----------------------------------------------
 
 def test_kronrod_and_gauss_rules_are_exact_to_their_degree():
-    gauss_nodes = _X15[1::2]
-    assert len(_X15) == len(_WK15) == 15 and len(gauss_nodes) == len(_WG7)
+    gauss_nodes = NODES[1::2]
+    assert len(RULE) == 15 and len(gauss_nodes) == len(G7_WEIGHTS) == 7
+    assert list(NODES) == sorted(NODES)
+    assert all(wg == 0.0 for _, _, wg in RULE[::2])
     assert all(abs(x - y) <= 2 * math.ulp(1.0)
                for x, y in zip(gauss_nodes, _leggauss(7)[0]))
     for k in range(12):  # K15 is exact to degree 22, G7 to degree 13
         exact = 2.0 / (2 * k + 1)
-        kronrod = sum(w * x ** (2 * k) for x, w in zip(_X15, _WK15))
+        kronrod = sum(w * x ** (2 * k) for x, w in zip(NODES, K15_WEIGHTS))
         assert kronrod == pytest.approx(exact, rel=1e-14), k
         if k < 7:
-            gauss = sum(w * x ** (2 * k) for x, w in zip(gauss_nodes, _WG7))
+            gauss = sum(w * x ** (2 * k)
+                        for x, w in zip(gauss_nodes, G7_WEIGHTS))
             assert gauss == pytest.approx(exact, rel=1e-14), k
 
 
@@ -139,14 +146,20 @@ def test_panel_sums_run_left_to_right():
 
     fx = [-5.0, 9.0, -7.0, -1.0, -6.0, 6.0, 5.0, 6.0,
           3.0, -3.0, -6.0, 6.0, -9.0, 3.0, 4.0]
-    kronrod = list(map(operator.mul, _WK15, fx))
-    gauss = list(map(operator.mul, _WG7, fx[1::2]))
+    kronrod = list(map(operator.mul, K15_WEIGHTS, fx))
+    gauss = list(map(operator.mul, G7_WEIGHTS, fx[1::2]))
     assert left_to_right(kronrod) != _neumaier(kronrod)
     assert left_to_right(gauss) != _neumaier(gauss)
     # one panel on [-1, 1], so half = 1 and the tolerance is met at once
-    assert qag(lambda ts: (fx,), -1.0, 1.0, QuadratureSpec(10.0), (1.0,)) \
-        == (left_to_right(kronrod),) == (1.1961473046047395,)
-    assert _G7(fx) == left_to_right(gauss) == 6.605591805028993
+    assert qag(panel_of(lambda ts: (fx,)), -1.0, 1.0, QuadratureSpec(10.0),
+               (1.0,)) == (left_to_right(kronrod),) == (1.1961473046047395,)
+    assert column_sums(fx) == (left_to_right(kronrod), left_to_right(gauss)) \
+        == (1.1961473046047395, 6.605591805028993)
+    # the scalar panel, the zero G7 weights at the Kronrod-only nodes
+    # included, gives the same two sums
+    values = dict(zip(NODES, fx))
+    assert integrate_scalar(values.__getitem__, -1.0, 1.0,
+                            QuadratureSpec(10.0)) == 1.1961473046047395
 
     xs, ws = _leggauss(64)
     terms = [w * math.cos(x) for x, w in zip(xs, ws)]
@@ -244,7 +257,7 @@ def test_doubled_error_runs_as_the_scalar_at_half_the_tolerance(fn, copies,
         calls.append(len(ts))
         return ([fn(t) for t in ts],) * copies
 
-    got = qag(kernel, 0.0, 1.0, SPEC, weights)
+    got = qag(panel_of(kernel), 0.0, 1.0, SPEC, weights)
     wrapper, scalar_calls = counted(fn)
     value = integrate_scalar(wrapper, 0.0, 1.0,
                              QuadratureSpec(SPEC.abs_tol / 2.0))
@@ -261,7 +274,7 @@ def test_a_heavier_weight_refines_further():
             calls[0] += 1
             return [1.0 for _ in ts], [math.sqrt(t) for t in ts]
 
-        qag(kernel, 0.0, 1.0, SPEC, (1.0, weight))
+        qag(panel_of(kernel), 0.0, 1.0, SPEC, (1.0, weight))
         panels.append(calls[0])
     assert panels[0] < panels[1]
 
@@ -272,12 +285,73 @@ def test_non_finite_pair_names_the_first_non_finite_component(bad):
         return [1.0 for _ in ts], [bad if t < 0.5 else t for t in ts]
 
     with pytest.raises(NonFiniteIntegrand) as err:
-        qag(kernel, 0.0, 1.0, SPEC, (1.0, 2.0))
+        qag(panel_of(kernel), 0.0, 1.0, SPEC, (1.0, 2.0))
     assert str(err.value) == (
         f"integrand not finite on [0.0, 1.0]: subinterval [0.0, 1.0] "
         f"estimates {bad!r}")
 
 
 def test_empty_interval_gives_a_zero_per_component():
-    assert qag(lambda ts: ([], [], []), 0.5, 0.5, SPEC, (1.0, 1.0, 1.0)) == \
+    calls = []
+    assert qag(calls.append, 0.5, 0.5, SPEC, (1.0, 1.0, 1.0)) == \
         (0.0, 0.0, 0.0)
+    assert calls == []
+
+
+# -- panel kernels against the stored columns ---------------------------------
+
+def _panel_pairs():
+    """Each catalog scenario's (r, q), a cross product, a derivative and
+    an eps-aware pair, with the eps each is integrated at."""
+    from lcfn.scenarios import load_catalog
+    for s in load_catalog():
+        yield s.name, s.f, None
+    s = load_catalog()[8]
+    yield "cross", s.f.cross_with(s.partner), None
+    yield "derivative", s.f.derivative(2), None
+    gen = Generator.triangular(0.0, 0.5, 2.0)
+    yield "eps-aware", FuzzyFunction.from_strings(
+        "t*eps^2 - sin(eps*t)/(1 + eps) + log(1 + t)*exp(-eps)", "eps*t^2",
+        gen, (0.0, 2.0), two_variable=True), 0.7
+
+
+def _weights(f):
+    return (1.0, 1.0 + abs(f.gen.a_m))
+
+
+@pytest.mark.parametrize("f, eps", [pytest.param(f, eps, id=name)
+                                    for name, f, eps in _panel_pairs()])
+def test_panel_kernel_gives_the_column_sums_bit_for_bit(f, eps):
+    """The rule kernel of a pair adds each value into its two sums as it
+    goes; the oracle stores the 15 values and sums the columns.  Both
+    add left to right from 0.0, and the zero G7 weights add only +-0.0,
+    so every panel gives the same bits, and so does ``integrate``."""
+    panel = ex.kernel(f.r, f.q, rule=RULE)
+    oracle = panel_of(partial(ex.kernel(f.r, f.q), eps=eps))
+    a, b = f.domain
+    for lo, hi in [(a, b), (a, 0.5 * (a + b)), (0.5 * (a + b), b),
+                   (a + 0.3 * (b - a), a + 0.31 * (b - a)), (a, a + 1e-9)]:
+        center, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+        assert repr(panel(center, half, eps)) == repr(oracle(center, half)), \
+            (lo, hi)
+    assert integrate(f, SPEC, eps=eps) == LCFN(
+        *qag(oracle, a, b, SPEC, _weights(f)), f.gen)
+
+
+@pytest.mark.parametrize("r, cls", [("1/(t-0.5)", DivisionByZero),
+                                    ("sqrt(t-0.3)", EvalDomainError),
+                                    ("exp(1000*t)", EvalError)])
+@pytest.mark.parametrize("component", ["r", "q"])
+def test_panel_kernel_raises_as_the_column_route(r, cls, component):
+    """An error raised in the middle of a panel is the column kernel's
+    error on the same points: of its class, naming the same t."""
+    gen = Generator.triangular(0.0, 0.5, 2.0)
+    pair = (r, "t") if component == "r" else ("t", r)
+    f = FuzzyFunction.from_strings(*pair, gen, (0.0, 1.0))
+    with pytest.raises(EvalError) as panel:
+        integrate(f)
+    with pytest.raises(EvalError) as columns:
+        qag(panel_of(ex.kernel(f.r, f.q)), 0.0, 1.0, SPEC, _weights(f))
+    assert type(panel.value) is type(columns.value) is cls
+    assert str(panel.value) == str(columns.value)
+    assert " at t=" in str(panel.value)

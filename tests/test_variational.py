@@ -25,7 +25,7 @@ from lcfn.errors import (
     ZeroCenterAtT0,
 )
 from lcfn.quadrature import QuadratureSpec, adaptive_simpson
-from lcfn.calculus import node_grid
+from lcfn.calculus import MAX_GRID_NODES, node_grid
 from lcfn.scenarios import catalog_scenario, load_catalog
 from lcfn.variational import (
     RECONSTRUCT_GRID,
@@ -438,6 +438,14 @@ def test_critical_points_rejects_grid_below_two(tri_am1, grid):
     f = fn("t^2", "t", tri_am1, (-2.0, 1.0))
     with pytest.raises(ValueError, match=f"got {grid}"):
         critical_points(f, grid=grid)
+
+
+def test_node_grid_refuses_more_than_its_maximum():
+    assert len(node_grid(0.0, 1.0, MAX_GRID_NODES)) == MAX_GRID_NODES
+    with pytest.raises(ValueError) as err:
+        node_grid(0.0, 1.0, MAX_GRID_NODES + 1)
+    assert str(err.value) == (f"need at most MAX_GRID_NODES={MAX_GRID_NODES} "
+                              f"grid nodes, got {MAX_GRID_NODES + 1}")
 
 
 @pytest.mark.parametrize("grid", [0, -1])
