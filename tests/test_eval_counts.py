@@ -112,8 +112,8 @@ def test_non_finite_columns_are_scanned_not_evaluated_again(counts, tri_am05,
                                                             ts, message):
     # r is inf below t = 2 and q above t = 0, and neither raises: the
     # kernel returns its columns, which are scanned in point order, r
-    # before q, with no point read again (at the parent every point was
-    # evaluated again, one evaluate call per root)
+    # before q, with no point read again (once every point was evaluated
+    # again, one evaluate call per root)
     f = calculus.FuzzyFunction.from_strings("1e308*10^(2 - t)", "1e308*10*t",
                                             tri_am05, (0.0, 4.0))
     with pytest.raises(EvalError) as err:
