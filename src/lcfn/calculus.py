@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import math
 from functools import partial
-from itertools import chain
 
 from . import expr as ex
 from .core import LCFN
@@ -167,9 +166,11 @@ def sample(kernel, roots: tuple, names: tuple, ts,
            eps: float | None = None) -> tuple[list, ...]:
     """``roots`` at ``ts`` by one call of their compiled ``kernel``, checked
     finite: the first error of reading each point, root by root, as
-    ``finite(ex.evaluate(root, t, eps), name, t)``.  Returned columns are
-    scanned in that order; only a kernel that raised is read again, point
-    by point."""
+    ``finite(ex.evaluate(root, t, eps), name, t)``.  Each returned column
+    is summed (a non-finite value makes its sum non-finite), and only when
+    a sum is not finite are the columns scanned in that order, which finds
+    nothing when finite values merely overflowed the sum; only a kernel
+    that raised is read again, point by point."""
     try:
         columns = kernel(ts, eps)
     except EvalError:
@@ -180,7 +181,7 @@ def sample(kernel, roots: tuple, names: tuple, ts,
                 finite(ex.evaluate(root, t, eps), name, t)
         raise AssertionError(
             "a batch failed where its points one by one did not")
-    if not all(map(math.isfinite, chain(*columns))):
+    if not all(map(math.isfinite, map(sum, columns))):
         for t, *row in zip(ts, *columns):
             for value, name in zip(row, names):
                 finite(value, name, t)
@@ -200,8 +201,9 @@ def integrate(f: FuzzyFunction, spec: QuadratureSpec = QuadratureSpec(),
     hi = b if hi is None else hi
     if not (a <= lo <= hi <= b):
         raise OutsideDomain(f"[{lo!r}, {hi!r}] not inside [{a!r}, {b!r}]")
-    r_val, q_val = qag(partial(ex.kernel(f.r, f.q, rule=RULE), eps=eps),
-                       lo, hi, spec, (1.0, 1.0 + abs(f.gen.a_m)))
+    weights = (1.0, 1.0 + abs(f.gen.a_m))
+    r_val, q_val = qag(partial(ex.kernel(f.r, f.q, rule=RULE), eps, weights),
+                       lo, hi, spec, weights)
     return LCFN(r_val, q_val, f.gen)
 
 

@@ -165,7 +165,16 @@ def _spec(args) -> QuadratureSpec:
 
 def _function(args):
     """One scenario config, read from --scenario or made from
-    --r/--q/--domain; --gen overrides its generator, --eps0 its eps0."""
+    --r/--q/--domain, never both; --gen overrides its generator, --eps0
+    its eps0."""
+    inline = [flag for flag, value in (("--r", args.r_src),
+                                       ("--q", args.q_src),
+                                       ("--domain", args.domain))
+              if value is not None]
+    if args.scenario and inline:
+        raise LcfnError(f"--scenario cannot go with {', '.join(inline)}: the "
+                        "scenario sets r, q and the domain (only --gen and "
+                        "--eps0 override it)")
     override = load_generator(args.gen) if args.gen else None
     if args.scenario:
         with open(args.scenario, "r", encoding="utf-8") as fh:

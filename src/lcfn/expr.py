@@ -16,9 +16,10 @@ Nodes are hash-consed: equal trees are one object, so ``parse(s) is
 parse(s)`` and ``==`` is identity.  Evaluation is compiled: :func:`_compile`
 turns a tuple of trees into one straight-line function over a batch of
 points that computes each shared subtree once per point, returning the
-values or, given a quadrature rule, only their two weighted sums per
-tree; :func:`kernel` keeps the function of each recent tuple of roots
-and rule; :func:`evaluate` is its one-tree, one-point case.
+values or, given a quadrature rule, a panel's estimate per tree and its
+weighted error, from two weighted sums per tree; :func:`kernel` keeps
+the function of each recent tuple of roots and rule; :func:`evaluate` is
+its one-tree, one-point case.
 
 Differentiation is symbolic so downstream optimality checks see exact
 derivative expressions, and each node keeps its derivative; finite
@@ -352,10 +353,13 @@ def _compile(roots: tuple, rule: tuple | None = None):
     Without a ``rule`` it maps ``(ts, eps)`` to the columns ``(values of
     root 0, values of root 1, ...)``.  A quadrature ``rule``, a tuple of
     ``(node, weight, second weight)`` triples, makes it a panel
-    ``(center, half, eps) -> ((sum 0, second sum 0), (sum 1, ...), ...)``:
-    at ``t = center + half*node``, node after node, each root's value
-    times each weight is added to its two sums, left to right from
-    ``0.0``, and no value is kept.
+    ``(eps, weights, center, half) -> ((half*K0, half*K1, ...), error)``,
+    whose first two arguments the caller binds: at ``t = center +
+    half*node``, node after node, each root's value times each weight is
+    added to its two sums ``Ki`` and ``Gi``, left to right from ``0.0``,
+    and no value is kept; then ``error = w0*abs(half*K0 - half*G0) +
+    w1*abs(half*K1 - half*G1) + ...``, added left to right, for
+    ``weights = (w0, w1, ...)``.
 
     A post-order walk (left before right, root after root) emits one
     ``vN = ...`` line per operation into the loop of a factory
@@ -419,21 +423,25 @@ def _compile(roots: tuple, rule: tuple | None = None):
         loop = "   for t in ts:\n"
         lines += [f"    a{i}({name})\n" for i, name in enumerate(results)]
         out = ", ".join(f"o{i}" for i in outs)
+        ret = f"  return {out},\n"
     else:
-        head = "(center, half, eps=None)"
+        head = "(eps, weights, center, half)"
         init = "".join(f"  K{i} = G{i} = 0.0\n" for i in outs)
         loop = (f"   for x, wk, wg in {arg(rule)}:\n"
                 "    t = center + half * x\n")
         lines += [f"    K{i} = K{i} + wk * {name}; G{i} = G{i} + wg * {name}\n"
                   for i, name in enumerate(results)]
-        out = ", ".join(f"(K{i}, G{i})" for i in outs)
+        error = " + ".join(f"w{i} * abs(K{i} - half * G{i})" for i in outs)
+        ret = ("".join(f"  K{i} = half * K{i}\n" for i in outs)
+               + f"  {''.join(f'w{i}, ' for i in outs)}= weights\n"
+               + f"  return ({''.join(f'K{i}, ' for i in outs)}), {error}\n")
     replay = arg(partial(_replay, roots))
     caught = arg((ArithmeticError, ValueError, EvalError))
     src = (f"def _make({', '.join(f'k{i}' for i in range(len(args)))}):\n"
            f" def _f{head}:\n" + init + "  try:\n" + loop + "".join(lines)
            + f"  except {caught}:\n"
            + f"   {replay}(t, eps)\n   raise\n"
-           + f"  return {out},\n return _f\n")
+           + ret + " return _f\n")
     return _factory(src)(*args)
 
 

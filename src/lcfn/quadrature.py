@@ -6,15 +6,16 @@ on k components over one subdivision as DCUHRE runs vector integrands
 ``sum(w_c * |K15_c - G7_c|)`` is bisected until the summed error is at
 most ``max(abs_tol, REL_TOL * sum(w_c * |I_c|))``, within
 ``MAX_INTERVALS`` subintervals.  Both schemes need only the two weighted
-sums of a panel, so a panel is one call that returns them per component,
-never its 15 values: ``calculus.integrate`` passes the compiled kernel of
-an (r, q) pair built on :data:`RULE`, and ``integrate_scalar``, the k = 1
-case, a loop over ``RULE`` that calls its integrand once per node.  The
-panel sums and the Gauss-Legendre sum add left to right from ``0.0``, so
-they round alike on every Python.  At a finite value the zero G7
-weights of the Kronrod-only nodes add +-0.0, which leaves such a sum as
-it is; a non-finite value makes the K15 sum non-finite too, and ``qag``
-raises on it.
+sums of a panel, never its 15 values, so a panel is one call that
+returns the K15 estimate of each component and the panel's weighted
+error: ``calculus.integrate`` passes the compiled kernel of an (r, q)
+pair built on :data:`RULE`, its ``eps`` and weights bound, and
+``integrate_scalar``, the k = 1 case, a loop over ``RULE`` that calls its
+integrand once per node.  The panel sums, the weighted error and the
+Gauss-Legendre sum add left to right, so they round alike on every
+Python.  At a finite value the zero G7 weights of the Kronrod-only nodes
+add +-0.0, which leaves such a sum as it is; a non-finite value makes the
+K15 sum non-finite too, and ``qag`` raises on it.
 ``gauss_legendre`` is the independent fixed-order rule a checker can
 route the same integrand through to guard against silent quadrature
 failure.  ``adaptive_simpson`` is no longer on any library path; tests
@@ -56,10 +57,26 @@ _WG = (0.129484966168869693270611432679082,
        0.381830050505118944950369775488975)
 _WG7 = _WG + (0.417959183673469387755102040816327,) + _WG[::-1]
 
+
+class _Rule(tuple):
+    """A tuple that is equal to itself alone and hashes by identity, as the
+    expression nodes do: ``expr.kernel`` keys its cache on the rule at
+    every call, and a plain tuple would hash its 45 floats each time."""
+
+    __slots__ = ()
+    __hash__ = object.__hash__
+
+    def __eq__(self, other):
+        return self is other
+
+    def __ne__(self, other):
+        return self is not other
+
+
 #: The G7/K15 rule: one ``(node, K15 weight, G7 weight)`` per node of
 #: [-1, 1], ascending; the G7 weight is 0.0 at the 8 Kronrod-only nodes
 #: (the even-indexed ones).
-RULE = tuple(zip(
+RULE = _Rule(zip(
     tuple(-x for x in _XK) + (0.0,) + _XK[::-1],
     _WK + (0.209482141084727828012999174891714,) + _WK[::-1],
     tuple(w for g in _WG7 for w in (0.0, g)) + (0.0,)))
@@ -88,18 +105,21 @@ def integrate_scalar(fn, a: float, b: float, spec: QuadratureSpec) -> float:
             value = fn(center + half * x)
             kronrod = kronrod + wk * value
             gauss = gauss + wg * value
-        return ((kronrod, gauss),)
+        kronrod = half * kronrod
+        return (kronrod,), abs(kronrod - half * gauss)
     return qag(panel, a, b, spec, (1.0,))[0]
 
 
 def qag(panel, a: float, b: float, spec: QuadratureSpec,
         weights: tuple[float, ...]) -> tuple[float, ...]:
-    """Integrals over [a, b] of k components, their errors weighted by
-    ``weights``.  ``panel(center, half)`` gives, for the subinterval
-    ``[center - half, center + half]``, one ``(K15 sum, G7 sum)`` pair per
-    component: the sums over :data:`RULE` of the weights times the values
-    at ``center + half*x``, added left to right from ``0.0`` in node
-    order; each subinterval is one ``panel`` call.
+    """Integrals over [a, b] of k components, their errors weighted by the
+    positive ``weights``.  ``panel(center, half)`` gives, for the
+    subinterval ``[center - half, center + half]``, ``(values, error)``:
+    ``values[c] = half*K_c`` and ``error = w_0*abs(half*K_0 - half*G_0) +
+    w_1*abs(...) + ...``, added left to right, where ``K_c`` and ``G_c``
+    are the sums over :data:`RULE` of the K15 and G7 weights times
+    component c at ``center + half*x``, added left to right from ``0.0``
+    in node order; each subinterval is one ``panel`` call.
 
     Raises ``NonFiniteIntegrand`` as soon as a running sum or the error
     stops being finite (naming the first non-finite component's panel
@@ -107,42 +127,43 @@ def qag(panel, a: float, b: float, spec: QuadratureSpec,
     more than ``MAX_INTERVALS`` subintervals."""
     if a == b:
         return (0.0,) * len(weights)
-    heap, totals, err = [], [0.0] * len(weights), 0.0  # (-error, lo, hi, values)
-    panels = ((a, b),)
-    while True:
-        for lo, hi in panels:
-            center = 0.5 * (lo + hi)
-            half = 0.5 * (hi - lo)
-            values, panel_err = [], 0.0
-            for c, (w, (k15, g7)) in enumerate(zip(weights,
-                                                   panel(center, half))):
-                kronrod = half * k15
-                gauss = half * g7
-                values.append(kronrod)
-                panel_err += w * abs(kronrod - gauss)
-                totals[c] += kronrod
-            err += panel_err
-            if not (math.isfinite(err) and all(map(math.isfinite, totals))):
-                value = next((v for v in values if not math.isfinite(v)),
-                             values[0])
-                raise NonFiniteIntegrand(
-                    f"integrand not finite on [{a!r}, {b!r}]: subinterval "
-                    f"[{lo!r}, {hi!r}] estimates {value!r}")
-            heapq.heappush(heap, (-panel_err, lo, hi, values))
-        if err <= max(spec.abs_tol,
-                      REL_TOL * sum(map(operator.mul, weights,
-                                        map(abs, totals)))):
-            return tuple(math.fsum(item[3][c] for item in heap)
-                         for c in range(len(weights)))
-        if len(heap) >= MAX_INTERVALS:
-            raise QuadratureNonConvergent(
-                f"tolerance {spec.abs_tol:g} not met on [{a!r}, {b!r}] "
-                f"within MAX_INTERVALS={MAX_INTERVALS} subintervals")
+    values, err = panel(0.5 * (a + b), 0.5 * (b - a))
+    if not (math.isfinite(err) and all(map(math.isfinite, values))):
+        raise _non_finite(values, a, b, a, b)
+    if err <= _tolerance(spec, weights, values):
+        return tuple(value + 0.0 for value in values)  # fsum of one term
+    heap, totals = [(-err, a, b, values)], values  # (-error, lo, hi, values)
+    while len(heap) < MAX_INTERVALS:
         neg_err, lo, hi, values = heapq.heappop(heap)  # the worst subinterval
-        totals = [total - v for total, v in zip(totals, values)]
+        totals = tuple(map(operator.sub, totals, values))
         err += neg_err
         mid = 0.5 * (lo + hi)
-        panels = ((lo, mid), (mid, hi))
+        for lo, hi in ((lo, mid), (mid, hi)):
+            values, panel_err = panel(0.5 * (lo + hi), 0.5 * (hi - lo))
+            totals = tuple(map(operator.add, totals, values))
+            err += panel_err
+            if not (math.isfinite(err) and all(map(math.isfinite, totals))):
+                raise _non_finite(values, a, b, lo, hi)
+            heapq.heappush(heap, (-panel_err, lo, hi, values))
+        if err <= _tolerance(spec, weights, totals):
+            return tuple(map(math.fsum, zip(*[item[3] for item in heap])))
+    raise QuadratureNonConvergent(
+        f"tolerance {spec.abs_tol:g} not met on [{a!r}, {b!r}] "
+        f"within MAX_INTERVALS={MAX_INTERVALS} subintervals")
+
+
+def _tolerance(spec, weights, totals) -> float:
+    return max(spec.abs_tol,
+               REL_TOL * sum(map(operator.mul, weights, map(abs, totals))))
+
+
+def _non_finite(values, a, b, lo, hi) -> NonFiniteIntegrand:
+    """The error of panel [lo, hi] of [a, b], naming its first non-finite
+    value (its first value if all are finite)."""
+    value = next((v for v in values if not math.isfinite(v)), values[0])
+    return NonFiniteIntegrand(
+        f"integrand not finite on [{a!r}, {b!r}]: subinterval "
+        f"[{lo!r}, {hi!r}] estimates {value!r}")
 
 
 def adaptive_simpson(fn, a: float, b: float,

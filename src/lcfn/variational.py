@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import enum
 import math
+from functools import lru_cache
 
 from . import expr as ex
 from .calculus import (CheckReport, FuzzyFunction, finite, integrate,
@@ -85,7 +86,7 @@ def critical_points(f: FuzzyFunction, grid: int = SCAN_GRID
     ts = node_grid(a, b, grid)
     (vals,) = sample(ex.kernel(g1), (g1,), ("center derivative g'",), ts)
     spacing = (b - a) / (grid - 1)
-    scale = max(1.0, max(map(abs, vals)))
+    scale = max(1.0, max(vals), -min(vals))  # sample checked vals finite
 
     roots: list[float] = []
 
@@ -211,8 +212,7 @@ class DiracKernel(Value):
         if index < 1 or smoothness < 0:
             raise ValueError("need index >= 1 and smoothness >= 0")
         n = (smoothness + 1) * index
-        mass = 2.0 * epsilon * (math.comb(2 * n, n) / 4 ** n)
-        return cls(epsilon, smoothness, index, mass)
+        return cls(epsilon, smoothness, index, 2.0 * epsilon * _wallis(n))
 
     def expression(self, center: float) -> ex.Expr:
         """The kernel as an expression in t, centered at ``center``.
@@ -228,6 +228,14 @@ class DiracKernel(Value):
                       ex.Num(2.0))
         return ex.mul(ex.num(1.0 / self.mass_norm),
                       ex.pow_(bump, ex.num(float(self.power))))
+
+
+@lru_cache(maxsize=64)
+def _wallis(n: int) -> float:
+    """C(2n, n)/4^n, the float of the exact integer quotient, kept per n:
+    a scan builds the kernel of one index at every point, and the big
+    integers take seconds at n = 200,000."""
+    return math.comb(2 * n, n) / 4 ** n
 
 
 # -- Lagrange-lemma harness ----------------------------------------------------
@@ -246,11 +254,17 @@ class WitnessResult(Value):
 
 
 def _window(f: FuzzyFunction, t0: float, epsilon: float) -> float:
-    """Half-width of the mollifier window at t0, clamped into the domain."""
+    """Half-width of the mollifier window at t0, clamped into the domain;
+    a positive one too small to part t0 - eps from t0 + eps raises."""
     a, b = f.domain
     if not a < t0 < b:
         raise WindowOutsideDomain(f"t0={t0!r} not interior to [{a!r}, {b!r}]")
-    return min(epsilon, EPS_CLAMP * min(t0 - a, b - t0))
+    eps = min(epsilon, EPS_CLAMP * min(t0 - a, b - t0))
+    if eps > 0.0 and not t0 - eps < t0 + eps:
+        raise WindowOutsideDomain(
+            f"mollifier window of epsilon={eps!r} at t0={t0!r} is a single "
+            "point: t0 - epsilon is not below t0 + epsilon")
+    return eps
 
 
 def _eta(f: FuzzyFunction, t0: float, kernel: DiracKernel) -> FuzzyFunction:
@@ -444,8 +458,12 @@ def dbr_reconstruct(f: FuzzyFunction, spec: QuadratureSpec = QuadratureSpec(),
     ur, uq, a_m = u.r, u.q, f.gen.a_m
     er, eq = [r - ur for r in rs], [q - uq for q in qs]
     center = [x + y * a_m for x, y in zip(er, eq)]  # as LCFN.center()
-    coord = [max(abs(x), abs(y)) for x, y in zip(er, eq)]
+    coord = [ay if ay > ax else ax  # max(ax, ay), NaN included
+             for ax, ay in zip(map(abs, er), map(abs, eq))]
+    if math.isfinite(sum(coord)):  # er, eq finite, so no NaN in center
+        max_center = max(0.0, max(center), -min(center))
+    else:  # a fold from 0.0 skips every NaN; max(center) stops at a first
+        max_center = max(0.0, *map(abs, center))
     return ReconstructionResult(
         u=u, f=f, spec=spec, residual_grid=tuple(zip(ts, center, coord)),
-        max_center_residual=max(0.0, *map(abs, center)),
-        max_coord_residual=max(0.0, *coord))
+        max_center_residual=max_center, max_coord_residual=max(0.0, *coord))

@@ -32,7 +32,7 @@ from lcfn.quadrature import (
     gauss_legendre,
     integrate_scalar,
 )
-from lcfn.calculus import CheckReport
+from lcfn.calculus import CheckReport, sample
 from lcfn.scenarios import (
     catalog_names,
     catalog_scenario,
@@ -107,6 +107,43 @@ def test_scenario_is_a_frozen_value():
         "eps_aware=False), eps0=None)",
         (s.name, s.gen, s.domain, s.f, s.partner, s.eps0),
         parse_scenario({**cfg, "partner": None}))
+
+
+NAMES = ("component r", "component q")
+INF, NAN = math.inf, math.nan
+
+
+def returning(columns):
+    """A kernel that returns ``columns`` at any points."""
+    return lambda ts, eps=None: columns
+
+
+def test_sample_returns_finite_columns_whose_sums_overflow(tri_am0):
+    # each column sums past the largest float, which sends sample to scan
+    # its columns point by point; the scan finds no non-finite value
+    f = fn("1e308", "-1e308", tri_am0)
+    ts = [0.0, 0.5, 1.0]
+    columns = ([1e308] * 3, [-1e308] * 3)
+    assert f.values(ts) == columns
+    assert sample(returning(columns), (f.r, f.q), NAMES, ts) is columns
+
+
+@pytest.mark.parametrize("r, q, message", [
+    ([1.0, INF, 1.0], [1.0, 1.0, NAN], "component r is inf at t=0.5"),
+    ([1.0, 1.0, -INF], [1.0, NAN, 1.0], "component q is nan at t=0.5"),
+    ([1.0, 1.0, NAN], [1.0, 1.0, INF], "component r is nan at t=1.0"),
+    ([INF, -INF, 1.0], [1.0, 1.0, 1.0], "component r is inf at t=0.0"),
+    ([1e308, 1e308, 1e308], [1e308, 1e308, -INF],
+     "component q is -inf at t=1.0"),
+], ids=["r-first-point", "point-order", "r-before-q", "inf-minus-inf",
+        "overflow-then-inf"])
+def test_sample_names_the_first_non_finite_value(tri_am0, r, q, message):
+    # in point order, r before q; the roots are read again only when the
+    # kernel raised, which this one does not
+    f = fn("t", "t", tri_am0)
+    with pytest.raises(EvalError) as err:
+        sample(returning((r, q)), (f.r, f.q), NAMES, [0.0, 0.5, 1.0])
+    assert type(err.value) is EvalError and str(err.value) == message
 
 
 # -- deriv -----------------------------------------------------------------

@@ -352,6 +352,24 @@ def test_eps0_option_applies_to_scenario_files(tmp_path):
                              "'eps0' key or --eps0\n")
 
 
+@pytest.mark.parametrize("verb, inline, flags", [
+    (("integrate",), ("--domain", "0", "1e308"), "--domain"),
+    (("verify", "ftc"), ("--r", "t", "--q", "t"), "--r, --q"),
+    (("differentiate", "--at", "0.5"), ("--q", "t", "--domain", "0", "2"),
+     "--q, --domain"),
+], ids=["integrate", "verify", "differentiate"])
+def test_scenario_with_inline_flags_exits_2(tmp_path, verb, inline, flags):
+    # the scenario's r, q and domain once won silently: integrate printed
+    # s01's integral over [0, 1] and exited 0
+    path = scenario_path(tmp_path, "s01_sine_poly.json")
+    result = run_cli(*verb, "--scenario", path, *inline)
+    assert result.returncode == 2
+    assert result.stderr == (
+        f"error: --scenario cannot go with {flags}: the scenario sets r, q "
+        "and the domain (only --gen and --eps0 override it)\n")
+    assert result.stdout == ""
+
+
 def test_eps0_option_keeps_the_json_object_check(tmp_path):
     path = tmp_path / "list.json"
     path.write_text("[1, 2]")

@@ -27,7 +27,15 @@ from lcfn.quadrature import (
 )
 
 from conftest import assert_frozen_value
-from oracles import G7_WEIGHTS, K15_WEIGHTS, NODES, column_sums, panel_of
+from oracles import (
+    G7_WEIGHTS,
+    K15_WEIGHTS,
+    NODES,
+    column_sums,
+    panel_of,
+    panel_sums,
+    qag_reference,
+)
 
 SPEC = QuadratureSpec()
 
@@ -151,8 +159,9 @@ def test_panel_sums_run_left_to_right():
     assert left_to_right(kronrod) != _neumaier(kronrod)
     assert left_to_right(gauss) != _neumaier(gauss)
     # one panel on [-1, 1], so half = 1 and the tolerance is met at once
-    assert qag(panel_of(lambda ts: (fx,)), -1.0, 1.0, QuadratureSpec(10.0),
-               (1.0,)) == (left_to_right(kronrod),) == (1.1961473046047395,)
+    assert qag(panel_of(lambda ts: (fx,), (1.0,)), -1.0, 1.0,
+               QuadratureSpec(10.0), (1.0,)) \
+        == (left_to_right(kronrod),) == (1.1961473046047395,)
     assert column_sums(fx) == (left_to_right(kronrod), left_to_right(gauss)) \
         == (1.1961473046047395, 6.605591805028993)
     # the scalar panel, the zero G7 weights at the Kronrod-only nodes
@@ -257,7 +266,7 @@ def test_doubled_error_runs_as_the_scalar_at_half_the_tolerance(fn, copies,
         calls.append(len(ts))
         return ([fn(t) for t in ts],) * copies
 
-    got = qag(panel_of(kernel), 0.0, 1.0, SPEC, weights)
+    got = qag(panel_of(kernel, weights), 0.0, 1.0, SPEC, weights)
     wrapper, scalar_calls = counted(fn)
     value = integrate_scalar(wrapper, 0.0, 1.0,
                              QuadratureSpec(SPEC.abs_tol / 2.0))
@@ -274,7 +283,7 @@ def test_a_heavier_weight_refines_further():
             calls[0] += 1
             return [1.0 for _ in ts], [math.sqrt(t) for t in ts]
 
-        qag(panel_of(kernel), 0.0, 1.0, SPEC, (1.0, weight))
+        qag(panel_of(kernel, (1.0, weight)), 0.0, 1.0, SPEC, (1.0, weight))
         panels.append(calls[0])
     assert panels[0] < panels[1]
 
@@ -285,7 +294,7 @@ def test_non_finite_pair_names_the_first_non_finite_component(bad):
         return [1.0 for _ in ts], [bad if t < 0.5 else t for t in ts]
 
     with pytest.raises(NonFiniteIntegrand) as err:
-        qag(panel_of(kernel), 0.0, 1.0, SPEC, (1.0, 2.0))
+        qag(panel_of(kernel, (1.0, 2.0)), 0.0, 1.0, SPEC, (1.0, 2.0))
     assert str(err.value) == (
         f"integrand not finite on [0.0, 1.0]: subinterval [0.0, 1.0] "
         f"estimates {bad!r}")
@@ -323,16 +332,17 @@ def _weights(f):
                                     for name, f, eps in _panel_pairs()])
 def test_panel_kernel_gives_the_column_sums_bit_for_bit(f, eps):
     """The rule kernel of a pair adds each value into its two sums as it
-    goes; the oracle stores the 15 values and sums the columns.  Both
-    add left to right from 0.0, and the zero G7 weights add only +-0.0,
-    so every panel gives the same bits, and so does ``integrate``."""
-    panel = ex.kernel(f.r, f.q, rule=RULE)
-    oracle = panel_of(partial(ex.kernel(f.r, f.q), eps=eps))
+    goes and returns the scaled K15 sums and their weighted error; the
+    oracle stores the 15 values and sums the columns.  Both add left to
+    right from 0.0, and the zero G7 weights add only +-0.0, so every panel
+    gives the same bits, and so does ``integrate``."""
+    panel = partial(ex.kernel(f.r, f.q, rule=RULE), eps, _weights(f))
+    oracle = panel_of(partial(ex.kernel(f.r, f.q), eps=eps), _weights(f))
     a, b = f.domain
     for lo, hi in [(a, b), (a, 0.5 * (a + b)), (0.5 * (a + b), b),
                    (a + 0.3 * (b - a), a + 0.31 * (b - a)), (a, a + 1e-9)]:
         center, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-        assert repr(panel(center, half, eps)) == repr(oracle(center, half)), \
+        assert repr(panel(center, half)) == repr(oracle(center, half)), \
             (lo, hi)
     assert integrate(f, SPEC, eps=eps) == LCFN(
         *qag(oracle, a, b, SPEC, _weights(f)), f.gen)
@@ -351,7 +361,106 @@ def test_panel_kernel_raises_as_the_column_route(r, cls, component):
     with pytest.raises(EvalError) as panel:
         integrate(f)
     with pytest.raises(EvalError) as columns:
-        qag(panel_of(ex.kernel(f.r, f.q)), 0.0, 1.0, SPEC, _weights(f))
+        qag(panel_of(ex.kernel(f.r, f.q), _weights(f)), 0.0, 1.0, SPEC,
+            _weights(f))
     assert type(panel.value) is type(columns.value) is cls
     assert str(panel.value) == str(columns.value)
     assert " at t=" in str(panel.value)
+
+
+# -- the qag loop against the per-component reference loop --------------------
+
+def _reference_cases():
+    """Each catalog scenario over its domain and two sub-intervals, and
+    pairs whose integrals overflow, raise or do not converge."""
+    from lcfn.scenarios import load_catalog
+    for s in load_catalog():
+        a, b = s.f.domain
+        yield s.name, s.f, a, b
+        yield f"{s.name}-left", s.f, a, a + 0.3 * (b - a)
+        yield f"{s.name}-narrow", s.f, a + 0.6 * (b - a), a + 0.61 * (b - a)
+    gen = Generator.triangular(-1.0, 0.0, 2.0)
+    for name, r, q in [("reciprocal", "1/t", "t"), ("log", "log(t)", "1"),
+                       ("overflow-r", "1e308*10^(2 - t)", "t"),
+                       ("overflow-q", "t", "1e308*10^(2 - t)"),
+                       ("sqrt-domain", "sqrt(t - 0.3)", "t"),
+                       ("oscillating", "sin(1/t)", "t")]:
+        yield name, FuzzyFunction.from_strings(r, q, gen, (0.0, 1.0)), 0.0, 1.0
+
+
+def _outcome(run):
+    """``repr`` of what ``run()`` returns, or the class and message of
+    what it raises."""
+    try:
+        return repr(run())
+    except Exception as err:
+        return f"{type(err).__name__}: {err}"
+
+
+def _counted(panel, calls):
+    def run(center, half):
+        calls.append((center, half))
+        return panel(center, half)
+    return run
+
+
+@pytest.mark.parametrize("f, lo, hi", [pytest.param(f, lo, hi, id=name)
+                                       for name, f, lo, hi
+                                       in _reference_cases()])
+def test_qag_runs_as_the_reference_loop(f, lo, hi):
+    """``qag`` reads each panel's values and weighted error from the
+    kernel and keeps no loop over components; the reference loop computes
+    both one component at a time from the column sums.  Both give the same
+    values or errors from the same panels, and ``integrate`` gives
+    ``qag``'s."""
+    weights, calls, reference_calls = _weights(f), [], []
+    panel = partial(ex.kernel(f.r, f.q, rule=RULE), None, weights)
+    got = _outcome(lambda: qag(_counted(panel, calls), lo, hi, SPEC, weights))
+    assert got == _outcome(lambda: qag_reference(
+        _counted(panel_sums(ex.kernel(f.r, f.q)), reference_calls), lo, hi,
+        SPEC, weights))
+    assert calls == reference_calls
+    assert got == _outcome(lambda: _components(integrate(f, SPEC, lo, hi)))
+
+
+def _components(value):
+    return value.r, value.q
+
+
+@pytest.mark.parametrize("fn", [lambda t: 0.0, math.exp], ids=["zero", "exp"])
+def test_reversed_interval_runs_as_the_reference_loop(fn):
+    # half is negative, so a zero panel estimates -0.0, which the sum of
+    # the subintervals turns into 0.0
+    def columns(ts):
+        return [fn(t) for t in ts], [-fn(t) for t in ts]
+
+    got = qag(panel_of(columns, (1.0, 2.0)), 1.0, 0.0, SPEC, (1.0, 2.0))
+    assert repr(got) == repr(qag_reference(panel_sums(columns), 1.0, 0.0,
+                                           SPEC, (1.0, 2.0)))
+
+
+def test_overflowing_running_sum_names_the_panels_first_value():
+    # every value of the two halves of [0, 4] is finite, but their sum
+    # passes the largest float; no value is non-finite, so the message
+    # names the second half's first value
+    def columns(ts):
+        if ts[7] == 2.0:  # the middle node of the first panel, [0, 4]
+            return ([math.sqrt(t) for t in ts],)
+        return ([0.6e308] * len(ts),)
+
+    message = ("integrand not finite on [0.0, 4.0]: subinterval [2.0, 4.0] "
+               "estimates 1.1999999999999995e+308")
+    with pytest.raises(NonFiniteIntegrand) as err:
+        qag(panel_of(columns, (1.0,)), 0.0, 4.0, SPEC, (1.0,))
+    assert str(err.value) == message
+    with pytest.raises(NonFiniteIntegrand) as err:
+        qag_reference(panel_sums(columns), 0.0, 4.0, SPEC, (1.0,))
+    assert str(err.value) == message
+
+
+def test_rule_hashes_by_identity():
+    # expr.kernel keys its cache on the rule at every integral; a plain
+    # tuple would hash its 45 floats each time
+    assert hash(RULE) == object.__hash__(RULE)
+    assert RULE == RULE and RULE != tuple(RULE) and tuple(RULE) != RULE
+    assert list(RULE) == list(tuple(RULE)) and RULE[::2] == tuple(RULE)[::2]

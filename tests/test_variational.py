@@ -34,7 +34,7 @@ from lcfn.variational import (
     ReconstructionResult,
     WitnessResult,
 )
-from lcfn import LCFN, expr as ex
+from lcfn import LCFN, expr as ex, variational
 from conftest import assert_frozen_value
 from oracles import b_direct, kernel_value, reconstruction_rows
 
@@ -249,6 +249,39 @@ def test_witness_outside_domain_rejected(tri_am0):
         lagrange_witness(f, 1.2)
 
 
+@pytest.mark.parametrize("t0, epsilon", [(0.5, 1e-300),
+                                         (1.0 / 6.0, 1e-17)])
+def test_collapsed_window_names_epsilon_and_t0(tri_am0, t0, epsilon):
+    # an epsilon below half an ulp of t0 leaves t0 - eps == t0 + eps; the
+    # window was once reported as an empty domain, naming neither
+    f = fn("1", "0", tri_am0)
+    message = (f"mollifier window of epsilon={epsilon!r} at t0={t0!r} is a "
+               "single point: t0 - epsilon is not below t0 + epsilon")
+    for run in (lagrange_witness, mollifier_recovery):
+        with pytest.raises(WindowOutsideDomain) as err:
+            run(f, t0, epsilon=epsilon)
+        assert str(err.value) == message
+
+
+def test_scan_computes_the_kernel_mass_once(monkeypatch):
+    # the recovery and each admissible witness build the kernel of the one
+    # index at every point; C(2n, n) is a big-integer product, computed
+    # once per n (it took 2.4 s at n = 200,000)
+    comb, calls = math.comb, []
+
+    def counting_comb(n, k):
+        calls.append((n, k))
+        return comb(n, k)
+
+    monkeypatch.setattr(math, "comb", counting_comb)
+    variational._wallis.cache_clear()
+    report = lagrange_scan(catalog_scenario("s06_recovery_window").f,
+                           grid=3, indices=(7,))
+    assert all(r["admissible"] for r in report.records)
+    assert calls == [(28, 14)]  # n = (l + 1) * k with l = 1
+    assert DiracKernel.build(0.2, 1, 7).mass_norm == wallis_mass(0.2, 14)
+
+
 def test_mollifier_recovery(tri_am0):
     scenario = catalog_scenario("s06_recovery_window")
     recovered, exact = mollifier_recovery(scenario.f, 1.5, epsilon=0.2,
@@ -351,16 +384,23 @@ def test_dbr_reconstruct_gap_scenario():
 
 
 _SIGNED_ZERO = "signed zero"
+_NAN_CENTER = "nan center"
 
 
 @pytest.mark.parametrize("name", [s.name for s in load_catalog()]
-                         + [_SIGNED_ZERO])
+                         + [_SIGNED_ZERO, _NAN_CENTER])
 def test_dbr_reconstruct_columns_match_rows(name):
     if name == _SIGNED_ZERO:
         # r - u.r is -0.0 - 0.0 = -0.0 for t < 0, and so is q - u.q, so
         # the center -0.0 + -0.0*a_m is -0.0, a sign that another way of
         # summing (math.fsum of the two terms, say) loses
         f = fn("0*t", "0*t", Generator.triangular(0.0, 0.5, 2.0), (-1.0, 0.0))
+    elif name == _NAN_CENTER:
+        # the spike at t = 0 falls between the quadrature nodes, and q - u.q
+        # overflows there, so the first center is -0.5 + inf*0.0 = nan: the
+        # maxima skip it, as a NaN the fold does not start with
+        f = fn("t", "0.85e308*cos(4*t) + 0.9e308*exp(-1e12*t^2)",
+               Generator.triangular(-1.0, 0.0, 2.0))
     else:
         f = catalog_scenario(name).f
     result = dbr_reconstruct(f)
@@ -372,6 +412,9 @@ def test_dbr_reconstruct_columns_match_rows(name):
     assert repr(got) == repr(want)
     if name == _SIGNED_ZERO:
         assert repr(result.residual_grid[0]) == "(-1.0, -0.0, 0.0)"
+    if name == _NAN_CENTER:
+        assert repr(result.residual_grid[0]) == "(0.0, nan, inf)"
+        assert repr(got[1:]) == "(0.5, inf)"
 
 
 def test_dbr_reconstruct_g_tilde(tri_am0):
