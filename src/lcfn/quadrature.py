@@ -1,21 +1,26 @@
 """Quadrature: adaptive Gauss-Kronrod plus a Gauss-Legendre cross-check.
 
 ``qag`` is QUADPACK's adaptive QAG on G7/K15 (Piessens et al. 1983), run
-on k components over one subdivision as DCUHRE runs vector integrands
-(Berntsen, Espelid and Genz 1991): the subinterval with the largest error
-``sum(w_c * |K15_c - G7_c|)`` is bisected until the summed error is at
-most ``max(abs_tol, REL_TOL * sum(w_c * |I_c|))``, within
-``MAX_INTERVALS`` subintervals.  Both schemes need only the two weighted
-sums of a panel, never its 15 values, so a panel is one call that
-returns the K15 estimate of each component and the panel's weighted
-error: ``calculus.integrate`` passes the compiled kernel of an (r, q)
-pair built on :data:`RULE`, its ``eps`` and weights bound, and
-``integrate_scalar``, the k = 1 case, a loop over ``RULE`` that calls its
-integrand once per node.  The panel sums, the weighted error and the
-Gauss-Legendre sum add left to right, so they round alike on every
-Python.  At a finite value the zero G7 weights of the Kronrod-only nodes
-add +-0.0, which leaves such a sum as it is; a non-finite value makes the
-K15 sum non-finite too, and ``qag`` raises on it.
+on the components of one or more functions over one subdivision as
+DCUHRE runs vector integrands (Berntsen, Espelid and Genz 1991): the
+subinterval with the largest error ``sum(w_c * |K15_c - G7_c|)`` over
+every component of every function is bisected until the summed error is
+at most ``max(abs_tol, REL_TOL * min_i sum_c(w_c * |I_i,c|))``, each
+function i weighing its components alike, within ``MAX_INTERVALS``
+subintervals.  The smallest function's own relative term governs, so
+each function's error is within the tolerance it would have alone.
+Both schemes need only the two weighted sums of a panel, never its 15
+values, so a panel is one call that returns the K15 estimate of each
+component and the panel's weighted error: ``calculus.integrate_many``
+and ``integrate`` pass the compiled kernel of the (r, q) pairs of their
+functions built on :data:`RULE`, its ``eps`` and weights bound, and
+``integrate_scalar``, one function of one component, a loop over
+``RULE`` that calls its integrand once per node.  The panel sums, the
+weighted error and the Gauss-Legendre sum add left to right, so they
+round alike on every Python.  At a finite value the zero G7 weights of
+the Kronrod-only nodes add +-0.0, which leaves such a sum as it is; a
+non-finite value makes the K15 sum non-finite too, and ``qag`` raises on
+it.
 ``gauss_legendre`` is the independent fixed-order rule a checker can
 route the same integrand through to guard against silent quadrature
 failure.  ``adaptive_simpson`` is no longer on any library path; tests
@@ -24,6 +29,7 @@ use it as a third, independent method.
 from __future__ import annotations
 
 import heapq
+import itertools
 import math
 import operator
 from functools import lru_cache
@@ -111,26 +117,32 @@ def integrate_scalar(fn, a: float, b: float, spec: QuadratureSpec) -> float:
 
 
 def qag(panel, a: float, b: float, spec: QuadratureSpec,
-        weights: tuple[float, ...]) -> tuple[float, ...]:
-    """Integrals over [a, b] of k components, their errors weighted by the
-    positive ``weights``.  ``panel(center, half)`` gives, for the
-    subinterval ``[center - half, center + half]``, ``(values, error)``:
-    ``values[c] = half*K_c`` and ``error = w_0*abs(half*K_0 - half*G_0) +
-    w_1*abs(...) + ...``, added left to right, where ``K_c`` and ``G_c``
-    are the sums over :data:`RULE` of the K15 and G7 weights times
-    component c at ``center + half*x``, added left to right from ``0.0``
-    in node order; each subinterval is one ``panel`` call.
+        weights: tuple[float, ...], functions: int = 1) -> tuple[float, ...]:
+    """Integrals over [a, b] of ``functions`` functions of ``m =
+    len(weights)`` components each, their errors weighted by the positive
+    ``weights``: ``k = functions * m`` values, function after function.
+    ``panel(center, half)`` gives, for the subinterval ``[center - half,
+    center + half]``, ``(values, error)``: ``values[c] = half*K_c`` for
+    each of the k components and ``error = w_0*abs(half*K_0 - half*G_0) +
+    w_1*abs(...) + ...``, added left to right with ``weights`` repeated
+    once per function, where ``K_c`` and ``G_c`` are the sums over
+    :data:`RULE` of the K15 and G7 weights times component c at
+    ``center + half*x``, added left to right from ``0.0`` in node order;
+    each subinterval is one ``panel`` call.  The summed error must reach
+    ``max(abs_tol, REL_TOL * min_i(w_0*|I_i,0| + w_1*|I_i,1| + ...))``,
+    the smallest function's own relative term, so for one function the
+    stop is that function's alone.
 
     Raises ``NonFiniteIntegrand`` as soon as a running sum or the error
     stops being finite (naming the first non-finite component's panel
     estimate), and ``QuadratureNonConvergent`` when the tolerance needs
     more than ``MAX_INTERVALS`` subintervals."""
     if a == b:
-        return (0.0,) * len(weights)
+        return (0.0,) * (functions * len(weights))
     values, err = panel(0.5 * (a + b), 0.5 * (b - a))
     if not (math.isfinite(err) and all(map(math.isfinite, values))):
         raise _non_finite(values, a, b, a, b)
-    if err <= _tolerance(spec, weights, values):
+    if _converged(err, spec, weights, values):
         return tuple(value + 0.0 for value in values)  # fsum of one term
     heap, totals = [(-err, a, b, values)], values  # (-error, lo, hi, values)
     while len(heap) < MAX_INTERVALS:
@@ -145,16 +157,27 @@ def qag(panel, a: float, b: float, spec: QuadratureSpec,
             if not (math.isfinite(err) and all(map(math.isfinite, totals))):
                 raise _non_finite(values, a, b, lo, hi)
             heapq.heappush(heap, (-panel_err, lo, hi, values))
-        if err <= _tolerance(spec, weights, totals):
+        if _converged(err, spec, weights, totals):
             return tuple(map(math.fsum, zip(*[item[3] for item in heap])))
     raise QuadratureNonConvergent(
         f"tolerance {spec.abs_tol:g} not met on [{a!r}, {b!r}] "
         f"within MAX_INTERVALS={MAX_INTERVALS} subintervals")
 
 
-def _tolerance(spec, weights, totals) -> float:
-    return max(spec.abs_tol,
-               REL_TOL * sum(map(operator.mul, weights, map(abs, totals))))
+def _converged(err, spec, weights, totals) -> bool:
+    """``err <= max(abs_tol, REL_TOL * min_i norm_i)``, where norm_i, the
+    weighted sum of function i's ``len(weights)`` totals, adds left to
+    right from 0.  The norms are formed only when ``err`` is above
+    ``abs_tol`` and at most ``REL_TOL`` times the weighted sum of all the
+    totals, which is at least each norm and, for one function, its norm:
+    most bisections are rejected on that sum alone."""
+    if err <= spec.abs_tol:
+        return True
+    if err > REL_TOL * sum(map(operator.mul, itertools.cycle(weights),
+                               map(abs, totals))):
+        return False
+    scaled = map(operator.mul, itertools.cycle(weights), map(abs, totals))
+    return err <= REL_TOL * min(map(sum, zip(*[scaled] * len(weights))))
 
 
 def _non_finite(values, a, b, lo, hi) -> NonFiniteIntegrand:

@@ -20,7 +20,7 @@ from functools import lru_cache
 
 from . import expr as ex
 from .calculus import (CheckReport, FuzzyFunction, finite, integrate,
-                       node_grid, sample)
+                       integrate_many, node_grid, sample)
 from .core import LCFN, Ordering, compare
 from .errors import (
     CatalogBoundaryViolation,
@@ -46,6 +46,7 @@ LAGRANGE_GRID = 17        # interior points of the Lagrange scan
 RECONSTRUCT_GRID = 257    # residual grid nodes of dbr_reconstruct
 ADMISSIBLE_CENTER = 1e-9  # |center| below this is treated as zero-class
 EPS_CLAMP = 0.45          # window half-width <= EPS_CLAMP * distance to edge
+MAX_KERNEL_POWER = 2 ** 18  # largest n = (l+1)*k; C(2n, n)/4^n: 1-3 s
 
 
 class Verdict(enum.Enum):
@@ -101,9 +102,11 @@ def critical_points(f: FuzzyFunction, grid: int = SCAN_GRID
         elif v0 * v1 < 0.0:
             add(_bisect(g1, ts[i - 1], ts[i], v0))
 
-    for i in range(1, grid - 1):
+    touch = TOUCH_FACTOR * scale
+    # with every |g'| above the threshold no node can be a touching zero
+    for i in range(1, grid - 1) if min(map(abs, vals)) <= touch else ():
         v = abs(vals[i])
-        if v == 0.0 or v > TOUCH_FACTOR * scale:
+        if v == 0.0 or v > touch:
             continue
         if v > abs(vals[i - 1]) or v > abs(vals[i + 1]):
             continue
@@ -205,13 +208,19 @@ class DiracKernel(Value):
     def build(cls, epsilon: float, smoothness: int = SMOOTHNESS,
               index: int = 1) -> "DiracKernel":
         """The mass of ((cos(pi*x/eps) + 1)/2)^n is 2*eps*C(2n, n)/4^n
-        (Wallis); dividing the integers first keeps large n finite."""
+        (Wallis); dividing the integers first keeps large n finite.  An
+        n above ``MAX_KERNEL_POWER`` is refused before any big-integer
+        work."""
         if not (math.isfinite(epsilon) and epsilon > 0.0):
             raise ValueError(
                 f"epsilon must be finite and positive, got {epsilon!r}")
         if index < 1 or smoothness < 0:
             raise ValueError("need index >= 1 and smoothness >= 0")
         n = (smoothness + 1) * index
+        if n > MAX_KERNEL_POWER:
+            raise ValueError(
+                f"kernel power n = (l+1)*k = {n} is above "
+                f"MAX_KERNEL_POWER={MAX_KERNEL_POWER}")
         return cls(epsilon, smoothness, index, 2.0 * epsilon * _wallis(n))
 
     def expression(self, center: float) -> ex.Expr:
@@ -276,6 +285,11 @@ def _eta(f: FuzzyFunction, t0: float, kernel: DiracKernel) -> FuzzyFunction:
                          (t0 - kernel.epsilon, t0 + kernel.epsilon))
 
 
+def _witness_integrand(f: FuzzyFunction, eta: FuzzyFunction) -> FuzzyFunction:
+    """f (*) eta on eta's window: the center of its integral is b_k."""
+    return FuzzyFunction(f.r, f.q, f.gen, eta.domain).cross_with(eta)
+
+
 def lagrange_witness(f: FuzzyFunction, t0: float, epsilon: float = EPSILON,
                      smoothness: int = SMOOTHNESS, index: int = 1,
                      spec: QuadratureSpec = QuadratureSpec()) -> WitnessResult:
@@ -294,18 +308,18 @@ def witness_sequence(f: FuzzyFunction, t0: float, epsilon: float = EPSILON,
                      spec: QuadratureSpec = QuadratureSpec()
                      ) -> tuple[WitnessResult, ...]:
     """The witness of :func:`lagrange_witness` for each index of the
-    ladder, on one clamped window and one reading of f(t0)."""
+    ladder, on one clamped window and one reading of f(t0), its integrals
+    on one subdivision (:func:`integrate_many`)."""
     eps_eff = _window(f, t0, epsilon)
     center0 = f.at(t0).center()
     if center0 == 0.0:
         raise ZeroCenterAtT0(f"center of f({t0!r}) is zero; no witness exists")
-    out = []
-    for k in indices:
-        eta = _eta(f, t0, DiracKernel.build(eps_eff, smoothness, k))
-        f_win = FuzzyFunction(f.r, f.q, f.gen, eta.domain)
-        b_k = integrate(f_win.cross_with(eta), spec).center()
-        out.append(WitnessResult(t0, k, eps_eff, eta, b_k, center0 * center0))
-    return tuple(out)
+    etas = [_eta(f, t0, DiracKernel.build(eps_eff, smoothness, k))
+            for k in indices]
+    values = integrate_many([_witness_integrand(f, eta) for eta in etas], spec)
+    return tuple(WitnessResult(t0, k, eps_eff, eta, value.center(),
+                               center0 * center0)
+                 for k, eta, value in zip(indices, etas, values))
 
 
 def mollifier_recovery(f: FuzzyFunction, t0: float, epsilon: float = EPSILON,
@@ -325,7 +339,11 @@ def lagrange_scan(f: FuzzyFunction, epsilon: float = EPSILON,
                   spec: QuadratureSpec = QuadratureSpec()) -> CheckReport:
     """Scan interior points: wherever the center of f is materially
     nonzero the witness sequence must end positive and near its target;
-    everywhere the crisp mollifier must recover the components."""
+    everywhere the crisp mollifier must recover the components.  Each
+    point clamps its window and reads f(t0) once, and integrates the
+    recovery integrand of :func:`mollifier_recovery` and, where admissible,
+    the witness integrands of :func:`witness_sequence` in one
+    :func:`integrate_many` call."""
     if grid < 1:
         raise ValueError(f"Lagrange scan needs grid >= 1, got {grid!r}")
     if not indices:
@@ -333,14 +351,19 @@ def lagrange_scan(f: FuzzyFunction, epsilon: float = EPSILON,
             f"Lagrange scan needs a non-empty index ladder, got {indices!r}")
 
     def scan_one(t0: float) -> dict:
-        recovered, exact = mollifier_recovery(f, t0, epsilon, smoothness,
-                                              indices[-1], spec)
+        eps_eff = _window(f, t0, epsilon)
+        exact = f.at(t0)
         center0 = exact.center()
         admissible = abs(center0) > ADMISSIBLE_CENTER
+        etas = [_eta(f, t0, DiracKernel.build(eps_eff, smoothness, k))
+                for k in (indices if admissible else indices[-1:])]
+        integrands = [etas[-1]]  # the recovery's: the last index's window
+        if admissible:
+            integrands += [_witness_integrand(f, eta) for eta in etas]
+        recovered, *witnesses = integrate_many(integrands, spec)
         record: dict = {"t0": t0, "center": center0, "admissible": admissible}
         if admissible:
-            bs = [w.b_k for w in witness_sequence(f, t0, epsilon, smoothness,
-                                                  indices, spec)]
+            bs = [w.center() for w in witnesses]
             limit = center0 * center0
             record.update(b=bs, limit=limit, witness_ok=(
                 bs[-1] > 0.0
@@ -399,11 +422,9 @@ def dbr_forward_check(f: FuzzyFunction, g: FuzzyFunction,
                     f"test function {i} is {value.r!r}+{value.q!r}A "
                     f"at t={endpoint!r}")
 
-    def residual_for(eta: FuzzyFunction) -> float:
-        integrand = f.cross_with(eta).plus(g.cross_with(eta.derivative()))
-        return integrate(integrand, spec).norm()
-
-    residuals = [residual_for(eta) for eta in catalog]
+    integrands = [f.cross_with(eta).plus(g.cross_with(eta.derivative()))
+                  for eta in catalog]
+    residuals = [value.norm() for value in integrate_many(integrands, spec)]
     records = tuple(
         {"eta": i, "r": ex.to_source(eta.r), "q": ex.to_source(eta.q),
          "residual": res, "passed": res < DBR_TOL}
@@ -452,7 +473,11 @@ def dbr_reconstruct(f: FuzzyFunction, spec: QuadratureSpec = QuadratureSpec(),
     how far f - u is from the zero class (center residuals) and from zero
     itself (coordinate residuals)."""
     a, b = f.domain
-    u = integrate(f, spec).scaled(1.0 / (b - a))
+    scale = 1.0 / (b - a)
+    if not math.isfinite(scale):
+        raise ValueError(f"domain [{a!r}, {b!r}] is too narrow for a mean "
+                         "value: 1/(b - a) is not finite")
+    u = integrate(f, spec).scaled(scale)
     ts = node_grid(a, b, grid)
     rs, qs = f.values(ts)
     ur, uq, a_m = u.r, u.q, f.gen.a_m

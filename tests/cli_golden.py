@@ -9,13 +9,15 @@ one build.  Regenerate them only on purpose, and explain the diff:
     PYTHONPATH=src python tests/cli_golden.py
 
 ``--check`` compares every invocation with its file instead, writes
-nothing, and exits 1 naming each mismatch (no pytest needed, so it runs
-under any interpreter):
+nothing, and exits 1 naming each mismatch and printing a unified diff of
+the recorded file against this build's output to stderr (no pytest
+needed, so it runs under any interpreter):
 
     PYTHONPATH=src python tests/cli_golden.py --check
 """
 from __future__ import annotations
 
+import difflib
 import json
 import subprocess
 import sys
@@ -98,10 +100,17 @@ def main(argv: list[str]) -> int:
             out = render(run(args))
             if not check:
                 (GOLDEN_DIR / f"{name}.out").write_text(out, encoding="utf-8")
-            elif not (GOLDEN_DIR / f"{name}.out").exists() or out != golden(name):
-                mismatches.append(name)
-    for name in mismatches:
+                continue
+            path = GOLDEN_DIR / f"{name}.out"
+            recorded = golden(name) if path.exists() else ""
+            if out != recorded:
+                mismatches.append((name, difflib.unified_diff(
+                    recorded.splitlines(keepends=True),
+                    out.splitlines(keepends=True), f"{path} (recorded)",
+                    f"{name} (this build)")))
+    for name, diff in mismatches:
         print(f"mismatch: {name}", file=sys.stderr)
+        sys.stderr.writelines(diff)
     if check:
         print(f"{len(INVOCATIONS) - len(mismatches)} of {len(INVOCATIONS)} "
               "invocations match tests/golden/")

@@ -79,22 +79,25 @@ def panel_of(columns, weights):
     return panel
 
 
-def qag_reference(panel, a, b, spec, weights):
+def qag_reference(panel, a, b, spec, weights, functions=1):
     """``quadrature.qag`` as one loop over components per panel, its
     running sums updated one component at a time; ``panel`` gives one
-    ``(K15 sum, G7 sum)`` pair per component (:func:`panel_sums`).  The
-    library's loop must give the same values, the same errors and the
-    same panels."""
+    ``(K15 sum, G7 sum)`` pair per component (:func:`panel_sums`), the
+    components of ``functions`` functions weighted by ``weights`` each.
+    The stop takes each function's weighted norm in turn and compares the
+    error with the smallest.  The library's loop must give the same
+    values, the same errors and the same panels."""
+    size = functions * len(weights)
     if a == b:
-        return (0.0,) * len(weights)
-    heap, totals, err = [], [0.0] * len(weights), 0.0  # (-error, lo, hi, values)
+        return (0.0,) * size
+    heap, totals, err = [], [0.0] * size, 0.0  # (-error, lo, hi, values)
     panels = ((a, b),)
     while True:
         for lo, hi in panels:
             center = 0.5 * (lo + hi)
             half = 0.5 * (hi - lo)
             values, panel_err = [], 0.0
-            for c, (w, (k15, g7)) in enumerate(zip(weights,
+            for c, (w, (k15, g7)) in enumerate(zip(weights * functions,
                                                    panel(center, half))):
                 kronrod = half * k15
                 gauss = half * g7
@@ -109,11 +112,12 @@ def qag_reference(panel, a, b, spec, weights):
                     f"integrand not finite on [{a!r}, {b!r}]: subinterval "
                     f"[{lo!r}, {hi!r}] estimates {value!r}")
             heapq.heappush(heap, (-panel_err, lo, hi, values))
-        if err <= max(spec.abs_tol,
-                      REL_TOL * sum(map(operator.mul, weights,
-                                        map(abs, totals)))):
+        norms = [sum(map(operator.mul, weights,
+                         map(abs, totals[i:i + len(weights)])))
+                 for i in range(0, size, len(weights))]
+        if err <= max(spec.abs_tol, REL_TOL * min(norms)):
             return tuple(math.fsum(item[3][c] for item in heap)
-                         for c in range(len(weights)))
+                         for c in range(size))
         if len(heap) >= MAX_INTERVALS:
             raise QuadratureNonConvergent(
                 f"tolerance {spec.abs_tol:g} not met on [{a!r}, {b!r}] "

@@ -4,6 +4,7 @@ import dataclasses
 import math
 import pickle
 import random
+from functools import partial
 
 import pytest
 
@@ -22,17 +23,22 @@ from lcfn import (
 )
 from lcfn.errors import (
     EvalError,
+    GeneratorMismatch,
     NonFiniteIntegrand,
     OutsideDomain,
     QuadratureNonConvergent,
 )
+from lcfn import calculus, expr as ex
 from lcfn.quadrature import (
     MAX_EVALS,
+    REL_TOL,
+    RULE,
     adaptive_simpson,
     gauss_legendre,
     integrate_scalar,
+    qag,
 )
-from lcfn.calculus import CheckReport, sample
+from lcfn.calculus import CheckReport, integrate_many, sample
 from lcfn.scenarios import (
     catalog_names,
     catalog_scenario,
@@ -41,6 +47,9 @@ from lcfn.scenarios import (
 )
 
 from conftest import assert_frozen_value
+
+
+SPEC = QuadratureSpec()
 
 
 def fn(r, q, gen, domain=(0.0, 1.0)):
@@ -243,6 +252,109 @@ def test_integrate_is_linear(tri_am0):
         lhs = integrate(f.plus(g, lam), spec)
         rhs = integrate(f, spec) + integrate(g, spec) * lam
         assert (lhs - rhs).norm() < 2 * spec.abs_tol * max(1.0, abs(lam))
+
+
+# -- integrate_many ----------------------------------------------------------
+
+def _sub_intervals(f):
+    a, b = f.domain
+    return [(a, b), (a, a + 0.3 * (b - a)), (a + 0.6 * (b - a), b),
+            (a + 0.6 * (b - a), a + 0.61 * (b - a))]
+
+
+@pytest.mark.parametrize("name", [s.name for s in load_catalog()])
+def test_integrate_many_of_one_function_is_the_pair_run(name):
+    # one function: its own (r, q) panel kernel, weights (1, 1 + |a_m|),
+    # one qag run, as integrate ran before it became this case
+    f = catalog_scenario(name).f
+    weights = (1.0, 1.0 + abs(f.gen.a_m))
+    panel = partial(ex.kernel(f.r, f.q, rule=RULE), None, weights)
+    for lo, hi in _sub_intervals(f):
+        want = LCFN(*qag(panel, lo, hi, SPEC, weights), f.gen)
+        (got,) = integrate_many([f], SPEC, lo, hi)
+        assert repr(got) == repr(want) == repr(integrate(f, SPEC, lo, hi))
+
+
+def _leaf_errors(fs, lo, hi, monkeypatch):
+    """The values of ``integrate_many(fs)`` and, for each function, the
+    weighted K15 - G7 error of its own panels summed over the leaves of
+    the one subdivision (the subintervals that were not bisected)."""
+    calls, qag_ = [], calculus.qag
+
+    def recording_qag(panel, *args):
+        def run(center, half):
+            calls.append((center, half))
+            return panel(center, half)
+        return qag_(run, *args)
+
+    monkeypatch.setattr(calculus, "qag", recording_qag)
+    values = integrate_many(fs, SPEC, lo, hi)
+    # dyadic subintervals of [0, 1]: center -+ half gives their ends exactly
+    intervals = {(center - half, center + half) for center, half in calls}
+    leaves = [(a, b) for a, b in intervals
+              if (a, 0.5 * (a + b)) not in intervals]
+    weights = (1.0, 1.0 + abs(fs[0].gen.a_m))
+    errors = []
+    for f in fs:
+        panel = partial(ex.kernel(f.r, f.q, rule=RULE), None, weights)
+        errors.append(sum(panel(0.5 * (a + b), 0.5 * (b - a))[1]
+                          for a, b in leaves))
+    return values, errors
+
+
+def test_integrate_many_keeps_each_functions_own_tolerance(tri_am0,
+                                                           monkeypatch):
+    # a huge integral, whose own relative tolerance 1e-12*|I| is near
+    # 2e-8, beside a small one held to abs_tol = 1e-10: the stop takes the
+    # smaller norm, so the small one stays within 1e-10 (the sum of the
+    # norms would stop at an error of about 2e-10 on it)
+    huge = fn("1e4*exp(t)", "1e4*t^3", tri_am0)
+    small = fn("sin(20*t)", "cos(7*t)", tri_am0)
+    exact = [(1e4 * math.expm1(1.0), 2500.0),
+             ((1.0 - math.cos(20.0)) / 20.0, math.sin(7.0) / 7.0)]
+    values, errors = _leaf_errors([huge, small], 0.0, 1.0, monkeypatch)
+    for value, (r, q), error in zip(values, exact, errors):
+        tolerance = max(SPEC.abs_tol, REL_TOL * (abs(r) + abs(q)))
+        assert abs(value.r - r) + abs(value.q - q) <= tolerance
+        assert error <= tolerance
+    assert errors[1] <= SPEC.abs_tol < REL_TOL * (abs(values[0].r)
+                                                  + abs(values[0].q))
+
+
+def test_integrate_many_closed_forms_meet_their_tolerance(tri_am05):
+    fs = [fn("t", "t^2", tri_am05), fn("exp(t)", "0", tri_am05),
+          fn("cos(t)", "sin(3*t)", tri_am05), fn("1/(1 + t^2)", "1", tri_am05)]
+    exact = [(0.5, 1.0 / 3.0), (math.expm1(1.0), 0.0),
+             (math.sin(1.0), (1.0 - math.cos(3.0)) / 3.0),
+             (math.pi / 4.0, 1.0)]
+    for value, (r, q) in zip(integrate_many(fs), exact):
+        assert (value - LCFN(r, q, tri_am05)).norm() <= SPEC.abs_tol
+
+
+def test_integrate_many_names_the_first_non_finite_component(tri_am0):
+    # the second function's r overflows to -inf and the third's q to
+    # inf on [0, 1]: the message names the estimate met first
+    fs = [fn("t", "t", tri_am0), fn("-1e308*10^(2 - t)", "t", tri_am0),
+          fn("t", "1e308*10^(2 - t)", tri_am0)]
+    with pytest.raises(NonFiniteIntegrand) as err:
+        integrate_many(fs)
+    assert str(err.value) == ("integrand not finite on [0.0, 1.0]: "
+                              "subinterval [0.0, 1.0] estimates -inf")
+
+
+def test_integrate_many_needs_one_generator_and_one_domain(tri_am0, tri_am05):
+    f = fn("t", "t", tri_am0)
+    with pytest.raises(GeneratorMismatch):
+        integrate_many([f, fn("t", "t", tri_am05)])
+    with pytest.raises(ValueError, match="share a domain"):
+        integrate_many([f, fn("t", "t", tri_am0, (0.0, 2.0))])
+
+
+def test_integrate_many_of_an_empty_interval_is_zero_per_function(tri_am0):
+    # 1/t would raise at t = 0: no panel is read
+    fs = [fn("t", "t", tri_am0), fn("1/t", "1", tri_am0)]
+    assert integrate_many(fs, lo=0.0, hi=0.0) == [LCFN.zero(tri_am0)] * 2
+    assert integrate_many([]) == []
 
 
 def test_adaptive_and_gauss_legendre_agree():

@@ -421,6 +421,28 @@ def test_grid_above_the_maximum_exits_2_before_building(tmp_path, verb, name):
     assert "Traceback" not in result.stderr
 
 
+def test_lagrange_index_above_the_kernel_bound_exits_2_at_once(tmp_path):
+    # n = 2,000,000 once spent minutes in C(2n, n) before its first integral
+    path = scenario_path(tmp_path, "s06_recovery_window.json")
+    result = subprocess.run(
+        [sys.executable, "-m", "lcfn.cli", "verify", "lagrange", "--scenario",
+         path, "--grid", "1", "--k", "1,1000000"],
+        capture_output=True, text=True, timeout=60)
+    assert result.returncode == 2
+    assert result.stderr == ("error: kernel power n = (l+1)*k = 2000000 is "
+                             "above MAX_KERNEL_POWER=262144\n")
+    assert result.stdout == ""
+
+
+def test_dbr_reconstruct_domain_too_narrow_exits_2(tri):
+    result = run_cli("verify", "dbr-reconstruct", "--gen", tri, "--r", "t",
+                     "--q", "0", "--domain", "0", "5e-324", "--grid", "3")
+    assert result.returncode == 2
+    assert result.stderr == ("error: domain [0.0, 5e-324] is too narrow for "
+                             "a mean value: 1/(b - a) is not finite\n")
+    assert result.stdout == ""
+
+
 def test_lagrange_grid_zero_exits_2(tmp_path):
     path = scenario_path(tmp_path, "s06_recovery_window.json")
     result = run_cli("verify", "lagrange", "--scenario", path, "--grid", "0")
@@ -556,7 +578,10 @@ def test_golden_check_reports_mismatch_without_writing(tmp_path, monkeypatch,
     stale = tmp_path / f"{name}.out"
     stale.write_text("exit: 0\nstale\n", encoding="utf-8")
     assert cli_golden.main(["--check"]) == 1
-    assert f"mismatch: {name}" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith(f"mismatch: {name}\n--- {stale} (recorded)\n"
+                          f"+++ {name} (this build)\n")
+    assert "\n-stale\n" in err and f"\n+{recorded.splitlines()[1]}\n" in err
     assert stale.read_text(encoding="utf-8") == "exit: 0\nstale\n"
     stale.write_text(recorded, encoding="utf-8")
     assert cli_golden.main(["--check"]) == 0

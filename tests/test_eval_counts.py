@@ -2,12 +2,13 @@
 
 The counts are deterministic, so a change that moves the amount of
 quadrature or sampling work fails here rather than only showing up as
-wall time.  Every integral of an ``(r, q)`` pair is one ``qag`` run whose
-panels each make one call of the pair's panel kernel on the 15 nodes of
-``RULE``, so the fixture wraps ``qag`` where ``calculus`` imports it and
-counts both the points (one point is one ``(r, q)`` pair, 15 per panel
-call) and the kernel calls: points alone are not a work proxy, as one
-call on many points costs less than many calls.
+wall time.  Every integral of ``(r, q)`` pairs, one pair or the pairs of
+an ``integrate_many`` call, is one ``qag`` run whose panels each make one
+call of the pairs' panel kernel on the 15 nodes of ``RULE``, so the
+fixture wraps ``qag`` where ``calculus`` imports it and counts both the
+points (one point is one node, where every pair of the run is read; 15
+per panel call) and the kernel calls: points alone are not a work proxy,
+as one call on many points costs less than many calls.
 It also counts the points read through ``calculus.sample`` (``f.at`` and
 the checkers' grids) and the ``ex.evaluate`` calls left in the checkers,
 wrapping each where ``calculus`` and ``variational`` import it.
@@ -19,7 +20,7 @@ import pytest
 
 from lcfn import calculus, expr as ex, variational
 from lcfn.errors import EvalError
-from lcfn.quadrature import RULE
+from lcfn.quadrature import RULE, QuadratureSpec
 from lcfn.scenarios import catalog_scenario, load_catalog
 
 
@@ -140,23 +141,27 @@ def test_cumulative_integral_evals_over_catalog(counts):
 
 
 def test_lagrange_scan_evals(counts):
-    # The scan is built from mollifier_recovery and witness_sequence, and
-    # each reads f(t0) for itself: 6 sampled points, once 12 evaluate
-    # calls.  The kernel mass is closed form, so it has no quadrature.
-    # Integrand points: 83,391 with adaptive Simpson and the kernel mass
-    # quadrature, 48,048 without it, 7,920 with scalar Gauss-Kronrod.
+    # Each point reads f(t0) once (3 sampled points; 6 when the recovery
+    # and the witnesses read it each, once 12 evaluate calls) and makes one
+    # integrate_many call over the recovery and the 5 witness integrands
+    # (4,140 points in 276 calls as 6 integrals).  The kernel mass is
+    # closed form, so it has no quadrature.  Integrand points: 83,391 with
+    # adaptive Simpson and the kernel mass quadrature, 48,048 without it,
+    # 7,920 with scalar Gauss-Kronrod.
     variational.lagrange_scan(catalog_scenario("s06_recovery_window").f, grid=3)
-    assert counts == {"points": 4140, "calls": 276, "sampled": 6,
+    assert counts == {"points": 1035, "calls": 69, "sampled": 3,
                       "evaluate": 0}
 
 
 def test_witness_sequence_evals(counts):
-    # one b_k integral per index of the default ladder; the one-quadrature
-    # oracle the witness used to compute as well took 18,867 -> 11,778
-    # points, adaptive Simpson 11,778 -> scalar Gauss-Kronrod 1,980
+    # the b_k integrals of the default ladder on one subdivision (one
+    # integral per index took 1,095 points in 73 calls); the
+    # one-quadrature oracle the witness used to compute as well took
+    # 18,867 -> 11,778 points, adaptive Simpson 11,778 -> scalar
+    # Gauss-Kronrod 1,980
     variational.witness_sequence(catalog_scenario("s06_recovery_window").f,
                                  1.5)
-    assert counts == {"points": 1095, "calls": 73, "sampled": 1, "evaluate": 0}
+    assert counts == {"points": 345, "calls": 23, "sampled": 1, "evaluate": 0}
 
 
 def test_dbr_reconstruct_evals_over_catalog(counts):
@@ -180,19 +185,35 @@ def test_critical_points_evals_over_catalog(counts):
 
 @pytest.mark.parametrize("name", ["s06_recovery_window", "s03_center_zero_line"])
 def test_lagrange_scan_matches_witness_and_recovery(name):
-    """The scan is built from the public harnesses: its witness ladder
-    and its recovery must be theirs, bit for bit."""
+    """Each scan point integrates the recovery integrand of
+    ``mollifier_recovery`` and, where admissible, the witness integrands
+    of ``witness_sequence`` on one subdivision: its records are one
+    ``integrate_many`` of those functions, bit for bit, and agree with the
+    two harnesses, which integrate on subdivisions of their own, within
+    the quadrature tolerance."""
     f = catalog_scenario(name).f
-    indices = (1, 2, 4)
+    indices, spec = (1, 2, 4), QuadratureSpec()
     report = variational.lagrange_scan(f, indices=indices, grid=3)
     assert len(report.records) == 3
     for record in report.records:
         t0 = record["t0"]
+        eps = variational._window(f, t0, variational.EPSILON)
+        etas = [variational._eta(f, t0, variational.DiracKernel.build(
+            eps, variational.SMOOTHNESS, k)) for k in indices]
+        fs = [etas[-1]]
         if record["admissible"]:
-            ws = variational.witness_sequence(f, t0, indices=indices)
-            assert record["b"] == [w.b_k for w in ws]
-        recovered, _ = variational.mollifier_recovery(f, t0, index=indices[-1])
+            fs += [calculus.FuzzyFunction(f.r, f.q, f.gen, eta.domain)
+                   .cross_with(eta) for eta in etas]
+        recovered, *witnesses = calculus.integrate_many(fs, spec)
         assert record["recovered"] == [recovered.r, recovered.q]
+        alone, _ = variational.mollifier_recovery(f, t0, index=indices[-1])
+        assert abs(recovered.r - alone.r) <= spec.abs_tol
+        assert abs(recovered.q - alone.q) <= spec.abs_tol
+        if record["admissible"]:
+            assert record["b"] == [w.center() for w in witnesses]
+            ws = variational.witness_sequence(f, t0, indices=indices)
+            assert all(abs(b - w.b_k) <= spec.abs_tol
+                       for b, w in zip(record["b"], ws))
     admissible = [r["admissible"] for r in report.records]
     assert admissible == ([True] * 3 if name.startswith("s06") else [False] * 3)
 
@@ -201,11 +222,13 @@ def test_repeated_checks_compile_no_kernel(monkeypatch):
     """Checkers rebuild their trees on every call; interned nodes make the
     rebuilt trees the very roots the kernel cache holds, so a second pass
     over the same checks compiles nothing (per-object kernels compiled 25,
-    then 22).  The first pass compiles 24: the column kernel of ``f.at``
+    then 22).  The first pass compiles 17: the column kernel of ``f.at``
     and the panel kernel of ``integrate`` are two compiles where f is
-    both read at points and integrated (23 when one column kernel served
-    both; 24 with the grid kernel of ``center_expr()`` that
-    ``square_integral`` no longer reads)."""
+    both read at points and integrated, and ``dbr_forward_check`` and
+    each Lagrange scan point compile one panel kernel over all their
+    integrands (24 with one kernel per integrand; 23 when one column
+    kernel served both reads of f, 24 with the grid kernel of
+    ``center_expr()`` that ``square_integral`` no longer reads)."""
     compiled = []
     compile_roots = ex._compile
 
@@ -228,4 +251,4 @@ def test_repeated_checks_compile_no_kernel(monkeypatch):
     one_pass()
     first = len(compiled)
     one_pass()
-    assert (first, len(compiled) - first) == (24, 0)
+    assert (first, len(compiled) - first) == (17, 0)

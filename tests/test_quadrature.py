@@ -9,6 +9,7 @@ from functools import partial, reduce
 import pytest
 
 from lcfn import LCFN, FuzzyFunction, Generator, expr as ex, integrate
+from lcfn.calculus import integrate_many
 from lcfn.errors import (
     DivisionByZero,
     EvalDomainError,
@@ -425,6 +426,41 @@ def test_qag_runs_as_the_reference_loop(f, lo, hi):
 
 def _components(value):
     return value.r, value.q
+
+
+def _joint_cases():
+    """Each catalog scenario with its derivative and its square over its
+    domain and a sub-interval, and a catalog of sine test functions."""
+    from lcfn.scenarios import load_catalog
+    from lcfn.variational import default_eta_catalog
+    for s in load_catalog():
+        fs = (s.f, s.f.derivative(), s.f.cross_with(s.f))
+        a, b = s.f.domain
+        yield s.name, fs, a, b
+        yield f"{s.name}-left", fs, a, a + 0.3 * (b - a)
+    s = load_catalog()[8]
+    yield "sines", default_eta_catalog(s.f.gen, s.f.domain), *s.f.domain
+
+
+@pytest.mark.parametrize("fs, lo, hi", [pytest.param(fs, lo, hi, id=name)
+                                        for name, fs, lo, hi
+                                        in _joint_cases()])
+def test_joint_qag_runs_as_the_reference_loop(fs, lo, hi):
+    """Several functions on one subdivision: one panel kernel over all
+    their roots, its error summed over every component, and the stop on
+    the smallest function's norm give the reference loop's values from
+    its panels, and ``integrate_many`` gives them as one element per
+    function."""
+    weights, calls, reference_calls = _weights(fs[0]), [], []
+    roots = [root for f in fs for root in (f.r, f.q)]
+    panel = partial(ex.kernel(*roots, rule=RULE), None, weights * len(fs))
+    got = qag(_counted(panel, calls), lo, hi, SPEC, weights, len(fs))
+    assert repr(got) == repr(qag_reference(
+        _counted(panel_sums(ex.kernel(*roots)), reference_calls), lo, hi,
+        SPEC, weights, len(fs)))
+    assert calls == reference_calls
+    values = integrate_many(fs, SPEC, lo, hi)
+    assert repr(got) == repr(tuple(x for v in values for x in _components(v)))
 
 
 @pytest.mark.parametrize("fn", [lambda t: 0.0, math.exp], ids=["zero", "exp"])

@@ -189,6 +189,24 @@ def test_kernel_rejects_epsilon_that_is_not_finite_positive(epsilon):
         DiracKernel.build(epsilon, 1, 1)
 
 
+def test_kernel_power_is_bounded_before_the_big_integers(monkeypatch):
+    # C(2n, n)/4^n costs about 4x per doubling of n (28 s at n = 800,000),
+    # so an n above MAX_KERNEL_POWER is refused before any of it
+    powers = []
+    monkeypatch.setattr(variational, "_wallis",
+                        lambda n: powers.append(n) or 0.5)
+    limit = variational.MAX_KERNEL_POWER
+    assert DiracKernel.build(0.2, 1, limit // 2).power == limit
+    for smoothness, index in ((1, limit // 2 + 1), (0, limit + 1),
+                              (1, 10 ** 6)):
+        n = (smoothness + 1) * index
+        with pytest.raises(ValueError) as err:
+            DiracKernel.build(0.2, smoothness, index)
+        assert str(err.value) == (f"kernel power n = (l+1)*k = {n} is above "
+                                  f"MAX_KERNEL_POWER={limit}")
+    assert powers == [limit]
+
+
 def test_lagrange_harnesses_reject_nan_epsilon():
     f = catalog_scenario("s06_recovery_window").f
     for run in (lambda: lagrange_witness(f, 1.5, epsilon=math.nan),
@@ -374,6 +392,18 @@ def test_dbr_reconstruct_linear(tri_am0):
     assert t0 == 0.0 and center0 == pytest.approx(-0.5, abs=1e-10)
 
 
+def test_dbr_reconstruct_refuses_a_domain_too_narrow_for_its_mean(tri_am0):
+    # 1/(b - a) overflows below b - a = 1/max-float; the mean value was
+    # 0*inf = nan, and every residual with it
+    with pytest.raises(ValueError) as err:
+        dbr_reconstruct(fn("t", "0", tri_am0, (0.0, 5e-324)), grid=3)
+    assert str(err.value) == ("domain [0.0, 5e-324] is too narrow for a "
+                              "mean value: 1/(b - a) is not finite")
+    # one ulp at 1.0 is narrow too, but its reciprocal is finite
+    narrow = fn("t", "0", tri_am0, (1.0, 1.0 + 2.0 ** -52))
+    assert dbr_reconstruct(narrow, grid=3).u.r == pytest.approx(1.0)
+
+
 def test_dbr_reconstruct_gap_scenario():
     # center-zero but nonconstant: in the zero class everywhere, far from
     # constant in coordinates; the two residuals must separate
@@ -481,6 +511,19 @@ def test_critical_points_rejects_grid_below_two(tri_am1, grid):
     f = fn("t^2", "t", tri_am1, (-2.0, 1.0))
     with pytest.raises(ValueError, match=f"got {grid}"):
         critical_points(f, grid=grid)
+
+
+@pytest.mark.parametrize("a, b, nodes", [(0.0, 1.0, 2), (-1.0, 2.0, 19),
+                                         (0.1, 2.0 * math.pi, 257),
+                                         (0.5, 2.5, 1024), (1e-300, 3e-300, 7),
+                                         (-3.0, -1.0, MAX_GRID_NODES)])
+def test_node_grid_keeps_the_bits_of_the_integer_formula(a, b, nodes):
+    # the grid divides by float(nodes - 1) and multiplies by cached float
+    # indices; both are exact, so every node has the bits of the formula
+    # with integers
+    want = [a + (b - a) * i / (nodes - 1) for i in range(nodes)]
+    want[-1] = b
+    assert repr(node_grid(a, b, nodes)) == repr(want)
 
 
 def test_node_grid_refuses_more_than_its_maximum():
