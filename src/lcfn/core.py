@@ -186,12 +186,17 @@ def scalar_ge(lam: float, b: LCFN) -> bool:
 
 def cross_oracle(b: LCFN, c: LCFN) -> LCFN:
     """The product via its defining form center(C)*B + center(B)*C - b*c,
-    built from scaling and addition only.  Kept separate from cross() so
-    tests can hold the two routes against each other.  The addition checks
-    that b and c share a generator.
+    from the two centers by scaling and addition only, not from the
+    coordinate formula of cross(), so tests can hold the two routes
+    against each other.  It does the float operations of the composed
+    ``b.scaled(cc) + c.scaled(cb) - LCFN.from_scalar(cb*cc, gen)`` into
+    one element, with its bits and its ``GeneratorMismatch``.
     """
+    if b.gen is not c.gen:
+        _require_same_gen(b, c)
     cb, cc = b.center(), c.center()
-    return b.scaled(cc) + c.scaled(cb) - LCFN.from_scalar(cb * cc, b.gen)
+    # q - 0.0 is q, even for q = -0.0, so the scalar's q drops out
+    return LCFN(cc * b.r + cb * c.r - cb * cc, cc * b.q + cb * c.q, b.gen)
 
 
 def annihilator_witness(b: LCFN) -> LCFN:
@@ -217,25 +222,31 @@ _ELEMENT = re.compile(rf"\s*([+-]?)\s*(?:{_TERM})\s*(?:([+-])\s*(?:{_TERM})\s*)?
 
 def parse_element(src: str, gen: Generator) -> LCFN:
     """Parse an ``r+q*A`` literal such as ``3+2A``, ``-1.5A``, or ``4``:
-    an optional sign, a term, and at most one more signed term."""
+    an optional sign, a term, and at most one more signed term.  The
+    match's groups are read once; each term's signed value goes to q when
+    it carries ``A``, else to r."""
     m = _ELEMENT.fullmatch(src)
     if m is None:
         prefix = _ELEMENT.match(src)
         at = prefix.end() if prefix else 0
         raise ExprSyntaxError(
             f"element literal {src!r} is not r + q*A from {src[at:]!r}", at)
-    r, q = _signed_term(*m.group(1, 2, 3, 4))
-    if m[5]:
-        r2, q2 = _signed_term(*m.group(5, 6, 7, 8))
-        r, q = r + r2, q + q2
+    sign, number, a, lone_a, sign2, number2, a2, lone_a2 = m.groups()
+    value = 1.0 if lone_a else float(number)
+    if sign == "-":
+        value = -value
+    r, q = (0.0, value) if a or lone_a else (value, 0.0)
+    if sign2:  # the second term, added to its coordinate
+        value = 1.0 if lone_a2 else float(number2)
+        if sign2 == "-":
+            value = -value
+        if a2 or lone_a2:
+            q += value
+        else:
+            r += value
     if not (math.isfinite(r) and math.isfinite(q)):
         raise ExprSyntaxError(f"element literal {src!r} is not finite", 0)
     return LCFN(r + 0.0, q + 0.0, gen)  # + 0.0 turns a signed -0.0 into 0.0
-
-
-def _signed_term(sign, number, a, lone_a) -> tuple[float, float]:
-    value = (-1.0 if sign == "-" else 1.0) * (1.0 if lone_a else float(number))
-    return (0.0, value) if a or lone_a else (value, 0.0)
 
 
 def format_element(b: LCFN) -> str:

@@ -10,7 +10,8 @@ than unary minus, so ``-t^2`` means ``-(t^2)``):
 
 NUMBER, shared with element literals (``core``), must read as a finite float.
 Each '(', function argument, unary minus and '^' exponent opens one
-nesting level; more than MAX_NESTING levels is a syntax error.
+nesting level; more than MAX_NESTING levels is a syntax error, and so is a
+tree more than MAX_HEIGHT operations high.
 
 Nodes are hash-consed: equal trees are one object, so ``parse(s) is
 parse(s)`` and ``==`` is identity.  Evaluation is compiled: :func:`_compile`
@@ -198,10 +199,18 @@ _TOKEN = re.compile(
 )
 
 
-#: Deepest nesting parse() accepts (the catalog's deepest tree has 4 levels):
-#: the parse, compile and print recursions stay far from Python's limit, and
-#: the third derivative of 32 nested sin calls evaluates in about 1 s.
+#: Deepest nesting parse() accepts (the catalog's deepest tree has 4
+#: levels); it bounds the parser's own recursion, and the third derivative
+#: of 32 nested sin calls evaluates in about 1 s.
 MAX_NESTING = 32
+#: Most operation nodes parse() accepts on a path from the root to a leaf.
+#: A flat chain such as t+t+...+t opens no nesting level, but the compile,
+#: print, walk and derivative recursions take one or two frames per level
+#: of the tree or of its derivatives, which grow taller.  At this bound the
+#: deepest verb, critical-points on a '/' chain, takes about 450 of
+#: Python's default 1000 frames, and the deepest library call measured,
+#: the third derivative of that chain evaluated, about 860.
+MAX_HEIGHT = 72
 
 
 def parse(src: str, variables: tuple[str, ...] = ("t",)) -> Expr:
@@ -209,7 +218,7 @@ def parse(src: str, variables: tuple[str, ...] = ("t",)) -> Expr:
     if not src or src.isspace():
         raise ExprSyntaxError("empty expression", 0)
     state = _Parser(_tokenize(src), variables)
-    tree = state.binary()
+    tree, _ = state.binary()
     kind, value, offset = state.peek()
     if kind != "end":
         raise ExprSyntaxError(f"unexpected {value!r}", offset)
@@ -233,6 +242,10 @@ def _tokenize(src: str):
 
 
 class _Parser:
+    """Recursive descent over the tokens.  Each method returns the tree it
+    read and its height: the most operation nodes on a path from its root
+    to a leaf."""
+
     def __init__(self, tokens, variables):
         self.tokens = tokens
         self.index = 0
@@ -259,66 +272,80 @@ class _Parser:
             raise ExprSyntaxError(
                 f"nesting deeper than {MAX_NESTING} levels", offset)
         self.depth += 1
-        node = parse()
+        read = parse()
         self.depth -= 1
-        return node
+        return read
 
-    def binary(self, min_prec: int = 1) -> Expr:
+    def binary(self, min_prec: int = 1) -> tuple[Expr, int]:
         """Factors joined by the operators of _PREC at or above
         ``min_prec``, left-associative; '^' never follows a factor, as
         power() has taken it."""
-        node = self.factor()
+        node, height = self.factor()
         while True:
-            kind, value, _ = self.peek()
+            kind, value, offset = self.peek()
             prec = _PREC.get(value, 0) if kind == "op" else 0
             if prec < min_prec:
-                return node
+                return node, height
             self.advance()
-            node = Bin(value, node, self.binary(prec + 1))
+            right, right_height = self.binary(prec + 1)
+            node = Bin(value, node, right)
+            height = _above(max(height, right_height), offset)
 
-    def factor(self) -> Expr:
+    def factor(self) -> tuple[Expr, int]:
         kind, value, offset = self.peek()
         if kind == "op" and value == "-":
             self.advance()
-            return Neg(self.nested(offset, self.factor))
+            arg, height = self.nested(offset, self.factor)
+            return Neg(arg), _above(height, offset)
         return self.power()
 
-    def power(self) -> Expr:
-        base = self.atom()
+    def power(self) -> tuple[Expr, int]:
+        base, height = self.atom()
         kind, value, offset = self.peek()
         if kind == "op" and value == "^":
             self.advance()
-            return Bin("^", base, self.nested(offset, self.factor))
-        return base
+            exponent, exponent_height = self.nested(offset, self.factor)
+            return (Bin("^", base, exponent),
+                    _above(max(height, exponent_height), offset))
+        return base, height
 
-    def atom(self) -> Expr:
+    def atom(self) -> tuple[Expr, int]:
         kind, value, offset = self.advance()
         if kind == "num":
             if math.isfinite(number := float(value)):
-                return Num(number)
+                return Num(number), 0
             raise ExprSyntaxError(f"number {value!r} is not finite", offset)
         if kind == "ident":
             if value in self.variables:
-                return Var(value)
+                return Var(value), 0
             nk, nv, noffset = self.peek()
             if nk == "op" and nv == "(":
                 if value not in _FN:
                     raise UnknownFunction(f"unknown function {value!r}", offset)
                 self.advance()
-                arg = self.nested(noffset, self.binary)
+                arg, height = self.nested(noffset, self.binary)
                 self.expect_op(")")
-                return Call(value, arg)
+                return Call(value, arg), _above(height, offset)
             if value in _FN:
                 raise ExprSyntaxError(
                     f"function {value!r} needs parentheses", noffset)
             raise ExprSyntaxError(f"unknown variable {value!r}", offset)
         if kind == "op" and value == "(":
-            node = self.nested(offset, self.binary)
+            read = self.nested(offset, self.binary)
             self.expect_op(")")
-            return node
+            return read
         raise ExprSyntaxError(
             "expected a number, variable, or '('" if kind != "end"
             else "unexpected end of input", offset)
+
+
+def _above(height: int, offset: int) -> int:
+    """The height of an operation over a child ``height`` high, its
+    operator at ``offset``; more than MAX_HEIGHT is a syntax error."""
+    if height == MAX_HEIGHT:
+        raise ExprSyntaxError(
+            f"expression more than {MAX_HEIGHT} operations deep", offset)
+    return height + 1
 
 
 # -- evaluation ---------------------------------------------------------------

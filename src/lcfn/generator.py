@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import json
 import math
+from bisect import bisect_left
+from operator import itemgetter
 
 from .errors import (
     AlphaOutOfRange,
@@ -29,6 +31,7 @@ PIECEWISE_LINEAR = "piecewise-linear"
 MIRROR_TOL = 1e-12
 
 Knot = tuple[float, float]
+_MU = itemgetter(1)  # a knot's membership
 
 
 class ValidationReport(Value):
@@ -212,12 +215,13 @@ def load_generator(path) -> Generator:
 
 
 def _branch_x_at(branch, mu: float) -> float:
-    """x with membership mu on a strictly monotone branch (mu ascending)."""
+    """x with membership mu on a strictly monotone branch (mu ascending):
+    the first knot i >= 1 with mu <= mu_i, found by bisection, and linear
+    interpolation from knot i - 1 to it."""
     if mu <= branch[0][1]:
         return branch[0][0]
-    for i in range(1, len(branch)):
-        x0, m0 = branch[i - 1]
-        x1, m1 = branch[i]
-        if mu <= m1:
-            return x0 + (mu - m0) * (x1 - x0) / (m1 - m0)
-    return branch[-1][0]
+    i = bisect_left(branch, mu, 1, key=_MU)
+    if i == len(branch):
+        return branch[-1][0]
+    (x0, m0), (x1, m1) = branch[i - 1], branch[i]
+    return x0 + (mu - m0) * (x1 - x0) / (m1 - m0)

@@ -310,6 +310,9 @@ def witness_sequence(f: FuzzyFunction, t0: float, epsilon: float = EPSILON,
     """The witness of :func:`lagrange_witness` for each index of the
     ladder, on one clamped window and one reading of f(t0), its integrals
     on one subdivision (:func:`integrate_many`)."""
+    if not indices:
+        raise ValueError(
+            f"witness sequence needs a non-empty index ladder, got {indices!r}")
     eps_eff = _window(f, t0, epsilon)
     center0 = f.at(t0).center()
     if center0 == 0.0:
@@ -414,6 +417,9 @@ def dbr_forward_check(f: FuzzyFunction, g: FuzzyFunction,
     a, b = f.domain
     if catalog is None:
         catalog = default_eta_catalog(f.gen, f.domain)
+    if not catalog:
+        raise ValueError("du Bois-Reymond check needs a non-empty "
+                         f"test-function catalog, got {catalog!r}")
     for i, eta in enumerate(catalog):
         for endpoint in (a, b):
             value = eta.at(endpoint)

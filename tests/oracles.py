@@ -5,8 +5,10 @@ the compiled expressions, the 15 values of a panel stored and summed
 column by column for the panel sums, one loop over the components of
 each panel for ``qag``, the kernel's pointwise formula for its
 expression form, one scalar quadrature for the witness's b_k, one
-``LCFN`` per row for the reconstruction's residual grid, and branches
-sliced from the knots on every call for a generator's alpha-levels.
+``LCFN`` per row for the reconstruction's residual grid, branches
+sliced from the knots on every call and walked knot by knot for a
+generator's alpha-levels, three intermediate elements for the product's
+defining form, and one helper per signed term for element literals.
 """
 import heapq
 import math
@@ -14,8 +16,9 @@ import operator
 from functools import reduce
 
 from lcfn import LCFN, DiracKernel, expr as ex
-from lcfn.errors import EvalError, NonFiniteIntegrand, QuadratureNonConvergent
-from lcfn.generator import _branch_x_at
+from lcfn.core import _ELEMENT
+from lcfn.errors import (EvalError, ExprSyntaxError, NonFiniteIntegrand,
+                         QuadratureNonConvergent)
 from lcfn.quadrature import MAX_INTERVALS, REL_TOL, RULE, integrate_scalar
 from lcfn.variational import SMOOTHNESS
 
@@ -163,6 +166,19 @@ def reconstruction_rows(f, u, ts):
     return tuple(rows), max_center, max_coord
 
 
+def branch_x_at(branch, mu):
+    """x with membership mu on a branch ascending in mu, by a walk over its
+    segments; ``generator._branch_x_at`` must match it bit for bit."""
+    if mu <= branch[0][1]:
+        return branch[0][0]
+    for i in range(1, len(branch)):
+        x0, m0 = branch[i - 1]
+        x1, m1 = branch[i]
+        if mu <= m1:
+            return x0 + (mu - m0) * (x1 - x0) / (m1 - m0)
+    return branch[-1][0]
+
+
 def alpha_level(gen, alpha):
     """``gen.alpha_level(alpha)`` for alpha in [0, 1], finding the peak and
     slicing both branches from ``gen.knots`` on every call."""
@@ -171,6 +187,38 @@ def alpha_level(gen, alpha):
     peak = next(i for i, (_, mu) in enumerate(gen.knots) if mu == 1.0)
     if alpha == 1.0:
         return (gen.a_m, gen.a_m)
-    lo = _branch_x_at(gen.knots[: peak + 1], alpha)
-    hi = _branch_x_at(tuple(reversed(gen.knots[peak:])), alpha)
+    lo = branch_x_at(gen.knots[: peak + 1], alpha)
+    hi = branch_x_at(tuple(reversed(gen.knots[peak:])), alpha)
     return (lo, hi)
+
+
+def cross_composed(b, c):
+    """The product's defining form center(C)*B + center(B)*C - b*c
+    composed of three elements and the vector-space operations, which
+    check the generators; ``core.cross_oracle`` must match it bit for
+    bit."""
+    cb, cc = b.center(), c.center()
+    return b.scaled(cc) + c.scaled(cb) - LCFN.from_scalar(cb * cc, b.gen)
+
+
+def parse_element(src, gen):
+    """``core.parse_element`` reading the match one signed term at a time,
+    each term a pair added to the first."""
+    m = _ELEMENT.fullmatch(src)
+    if m is None:
+        prefix = _ELEMENT.match(src)
+        at = prefix.end() if prefix else 0
+        raise ExprSyntaxError(
+            f"element literal {src!r} is not r + q*A from {src[at:]!r}", at)
+    r, q = _signed_term(*m.group(1, 2, 3, 4))
+    if m[5]:
+        r2, q2 = _signed_term(*m.group(5, 6, 7, 8))
+        r, q = r + r2, q + q2
+    if not (math.isfinite(r) and math.isfinite(q)):
+        raise ExprSyntaxError(f"element literal {src!r} is not finite", 0)
+    return LCFN(r + 0.0, q + 0.0, gen)
+
+
+def _signed_term(sign, number, a, lone_a):
+    value = (-1.0 if sign == "-" else 1.0) * (1.0 if lone_a else float(number))
+    return (0.0, value) if a or lone_a else (value, 0.0)

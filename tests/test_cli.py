@@ -7,6 +7,7 @@ import pytest
 
 from importlib import resources
 
+from lcfn import expr as ex
 from lcfn.cli import main
 
 
@@ -529,6 +530,52 @@ def test_tol_only_on_quadrature_verbs(argv, capsys):
         main([*argv, "--tol", "1e-3"])
     assert exit_.value.code == 2
     assert "unrecognized arguments: --tol" in capsys.readouterr().err
+
+
+# -- tree height ----------------------------------------------------------------
+
+EXPRESSION_VERBS = [
+    ("integrate",), ("differentiate", "--at", "1.05"),
+    ("critical-points", "--grid", "64"), ("verify", "ftc"),
+    ("verify", "ibp"), ("verify", "dbr-forward"), ("verify", "dbr-reconstruct"),
+    ("verify", "lagrange", "--grid", "2", "--k", "1,2"),
+    ("verify", "interchange"),
+]
+
+
+def chain_scenario(tmp_path, op, n):
+    """A scenario whose r, q and partner are all ``t`` joined by ``n``
+    operators ``op``, plus its two-variable twin for interchange."""
+    src = "t" + f"{op}t" * n
+    doc = {"gen": {"kind": "triangular", "left": -1.0, "peak": 0.0,
+                   "right": 2.0},
+           "domain": [0.9, 1.1], "r": src, "q": src,
+           "partner": {"r": src, "q": src}}
+    plain, twin = tmp_path / "chain.json", tmp_path / "chain_eps.json"
+    plain.write_text(json.dumps(doc))
+    twin.write_text(json.dumps({**doc, "r": "eps" + src[1:], "eps0": 1.0}))
+    return str(plain), str(twin)
+
+
+@pytest.mark.parametrize("op", ["+", "*", "/"])
+def test_every_verb_ends_on_a_chain_at_the_height_bound(op, tmp_path, capsys):
+    # in-process, so the recursions run below pytest's own frames
+    plain, twin = chain_scenario(tmp_path, op, ex.MAX_HEIGHT)
+    for verb in EXPRESSION_VERBS:
+        path = twin if verb[-1] == "interchange" else plain
+        assert main([*verb, "--scenario", path]) in (0, 1), verb
+    assert "error" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("op", ["+", "*", "/"])
+def test_a_chain_past_the_height_bound_exits_2(op, tmp_path, capsys):
+    plain, _ = chain_scenario(tmp_path, op, ex.MAX_HEIGHT + 1)
+    for verb in (("integrate",), ("differentiate", "--at", "1.05")):
+        assert main([*verb, "--scenario", plain]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert (f"more than {ex.MAX_HEIGHT} operations deep"
+                in captured.err)
 
 
 def test_output_file(tri, tmp_path):

@@ -27,6 +27,7 @@ from lcfn import (
 from lcfn.errors import ExprSyntaxError, GeneratorMismatch
 from lcfn.generator import same_generator
 
+import oracles
 from conftest import (
     continuous_element,
     lattice_element,
@@ -291,6 +292,41 @@ def test_cross_matches_oracle_scale_aware_ulps():
             max(abs(direct.q), abs(oracle.q), scale_q))
 
 
+EDGE_COORDS = (0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+               -1.5e-310, 1.0, -3.25, 1e300, -1e300, 1.7e308, 1e-300,
+               -7e-301)
+
+
+def test_cross_oracle_matches_the_composed_form_bit_for_bit(tri_am0):
+    gens = (tri_am0, Generator.piecewise_linear(PINNED_GEN),
+            Generator.piecewise_linear(PINNED_PL))
+    rng = random.Random(4242)
+    pairs = [(LCFN(r1, q1, g), LCFN(r2, q2, g))
+             for g in gens
+             for r1, q1, r2, q2 in (rng.choices(EDGE_COORDS, k=4)
+                                    for _ in range(400))]
+    pairs += [(continuous_element(rng, g), continuous_element(rng, g))
+              for g in gens for _ in range(300)]
+    # an equal twin generator: both forms keep b's generator object
+    twin = Generator.piecewise_linear(PINNED_GEN)
+    pairs.append((LCFN(1.5, -2.0, gens[1]), LCFN(0.25, 3.0, twin)))
+    for b, c in pairs:
+        got, want = cross_oracle(b, c), oracles.cross_composed(b, c)
+        assert repr(got) == repr(want), (b, c)
+        assert got.gen is want.gen is b.gen
+
+
+def test_cross_oracle_mismatch_raises_as_the_composed_form(tri_am0,
+                                                           tri_am05):
+    for b, c in ((LCFN(1.0, 2.0, tri_am0), LCFN(-0.0, 1e300, tri_am05)),
+                 (LCFN(5e-324, 0.0, tri_am05), LCFN(3.0, -1.0, tri_am0))):
+        with pytest.raises(GeneratorMismatch) as want:
+            oracles.cross_composed(b, c)
+        with pytest.raises(GeneratorMismatch) as got:
+            cross_oracle(b, c)
+        assert str(got.value) == str(want.value)
+
+
 def test_cross_bilinear_on_lattice():
     rng = random.Random(2024)
     for _ in range(500):
@@ -426,6 +462,53 @@ def test_parse_element_rejects(bad, tri_am0):
     with pytest.raises(ExprSyntaxError) as err:
         parse_element(bad, tri_am0)
     assert err.value.offset >= 0
+
+
+def random_literal(rng: random.Random) -> str:
+    """An element literal in any of the accepted spellings, or a near miss."""
+    def number():
+        mantissa = rng.choice(["0", "7", "12", "3.", "0.5", ".25", "1.125"])
+        return mantissa + rng.choice(["", "", "e3", "E-2", "e+0", "e999"])
+
+    def term():
+        return rng.choice(["A", number(),
+                           number() + rng.choice(["A", "*A", " * A", " A"])])
+
+    space = lambda: rng.choice(["", " ", "  "])
+    text = space() + rng.choice(["", "+", "-"]) + space() + term() + space()
+    if rng.random() < 0.6:
+        text += rng.choice(["+", "-"]) + space() + term() + space()
+    if rng.random() < 0.1:
+        text += rng.choice(["+", "A", "2", "x"])  # junk: refused
+    return text
+
+
+@pytest.mark.parametrize("text", [
+    "3", "-3", "+3", "2A", "-2A", "2*A", "A", "-A", "+A", "-0", "0", "-0A",
+    "-0 - 0A", "0 - 0", "-0A + 0", "3+2A", "3 - 2A", "2A+3", "-A-1",
+    "-1.5A + 7e-1", " .5 A - .25 ", "5e-324 - 5e-324A", "1e308+1e308",
+    "1e999", "1e999 - 1e999", "A+A", "-A-A", "3+", "A A", "",
+])
+def test_parse_element_matches_the_term_by_term_parse(text, tri_am0):
+    assert_parses_alike(text, tri_am0)
+
+
+def test_parse_element_matches_the_term_by_term_parse_on_random_literals(
+        tri_am0):
+    rng = random.Random(2718)
+    for _ in range(2000):
+        assert_parses_alike(random_literal(rng), tri_am0)
+
+
+def assert_parses_alike(text: str, gen: Generator) -> None:
+    try:
+        want = oracles.parse_element(text, gen)
+    except ExprSyntaxError as err:
+        with pytest.raises(ExprSyntaxError) as got:
+            parse_element(text, gen)
+        assert (str(got.value), got.value.offset) == (str(err), err.offset)
+    else:
+        assert repr(parse_element(text, gen)) == repr(want), text
 
 
 def test_format_parse_round_trip(tri_am0):

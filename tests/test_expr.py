@@ -94,6 +94,37 @@ def test_nesting_past_the_limit_is_a_syntax_error():
     assert ev("+".join(["(-t)^2"] * (2 * n)), 1.0) == 2 * n
 
 
+def chain(op: str, n: int) -> str:
+    """``t`` joined by ``n`` operators ``op``: a left-deep tree n high."""
+    return "t" + f"{op}t" * n
+
+
+@pytest.mark.parametrize("op", ["+", "-", "*", "/"])
+def test_chain_past_the_height_bound_is_a_syntax_error(op):
+    n = ex.MAX_HEIGHT
+    ex.parse(chain(op, n))  # at the bound: accepted
+    with pytest.raises(ExprSyntaxError, match=f"more than {n} operations "
+                       "deep") as err:
+        ex.parse(chain(op, n + 1))
+    assert err.value.offset == 2 * n + 1  # at the operator one too many
+    # the height counts every operation on the path, unary minus included
+    with pytest.raises(ExprSyntaxError, match="operations deep"):
+        ex.parse("-" + chain(op, n))  # (-t) op t op ... op t
+
+
+@pytest.mark.parametrize("op, third", [
+    ("+", lambda n, t: 0.0),
+    ("*", lambda n, t: (n + 1) * n * (n - 1) * t ** (n - 2)),
+    ("/", lambda n, t: (1 - n) * -n * (-n - 1) * t ** (-n - 2)),
+])
+def test_chain_at_the_height_bound_has_a_third_derivative(op, third):
+    # the deepest recursions: the derivative's walk and its compiled kernel
+    n, t = ex.MAX_HEIGHT, 0.9
+    tree = ex.parse(chain(op, n))
+    value = ex.evaluate(ex.differentiate(tree, "t", 3), t)
+    assert value == pytest.approx(third(n, t), rel=1e-9, abs=1e-9)
+
+
 def test_sin_chain_at_the_nesting_limit_differentiates():
     n = ex.MAX_NESTING
     tree = ex.parse("sin(" * n + "t" + ")" * n)

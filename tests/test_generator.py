@@ -17,6 +17,7 @@ from lcfn.errors import (
     Symmetric,
     UnsortedKnots,
 )
+from lcfn.generator import _branch_x_at
 
 import oracles
 from conftest import assert_frozen_value, random_generator
@@ -262,6 +263,32 @@ def test_alpha_level_matches_sliced_branches(case):
     got = g.alpha_level(alpha)
     want = oracles.alpha_level(g, alpha)
     assert [x.hex() for x in got] == [x.hex() for x in want]
+
+
+@pytest.mark.parametrize("knots", [
+    ((-1.0, 0.0), (0.0, 1.0), (2.0, 0.0)),
+    ((0.1, 0.0), (0.7, 1.0), (0.9, 0.0)),
+    ((-2.0, 0.0), (-1.0, 0.4), (0.5, 1.0), (1.0, 0.7), (3.0, 0.0)),
+    # interpolated to mu = 1 on its last segment, each branch gives
+    # 0.30000000000000004, not the peak's 0.3: the segment choice shows
+    ((-3.1, 0.0), (-2.3, 0.13), (-0.7, 0.61), (0.3, 1.0), (1.9, 0.0)),
+    ((0.0, 0.0), (1.0, 1.0), (1.5, 0.8), (2.0, 0.3), (7.0, 0.0)),
+], ids=["triangular", "triangular-offset", "five-knot", "five-knot-rounding",
+        "five-knot-right"])
+def test_bisected_branches_match_the_segment_walk(knots):
+    g = Generator.piecewise_linear(knots)
+    mus = sorted({mu for _, mu in knots})
+    alphas = [0.0, 1.0, *mus, 5e-324, 0.05, 0.2, 0.5, 0.6, 0.75, 0.999,
+              *(math.nextafter(mu, 2.0) for mu in mus[:-1]),
+              *(math.nextafter(mu, -1.0) for mu in mus[1:])]
+    for alpha in alphas:
+        got, want = g.alpha_level(alpha), oracles.alpha_level(g, alpha)
+        assert [x.hex() for x in got] == [x.hex() for x in want], alpha
+    peak = [mu for _, mu in knots].index(1.0)
+    for branch in (knots[: peak + 1], tuple(reversed(knots[peak:]))):
+        for mu in (-0.5, *alphas, 1.5):  # past both ends too
+            assert (_branch_x_at(branch, mu).hex()
+                    == oracles.branch_x_at(branch, mu).hex()), (branch, mu)
 
 
 def test_unknown_kind_rejected():

@@ -547,6 +547,22 @@ def test_lagrange_scan_rejects_empty_index_ladder():
         lagrange_scan(f, indices=(), grid=1)
 
 
+def test_witness_sequence_rejects_empty_index_ladder():
+    f = catalog_scenario("s06_recovery_window").f
+    for indices in ((), []):
+        with pytest.raises(ValueError, match="witness sequence needs a "
+                           "non-empty index ladder, got"):
+            witness_sequence(f, 0.5, indices=indices)
+
+
+def test_dbr_forward_rejects_empty_catalog():
+    scenario = catalog_scenario("s09_dbr_pair")
+    for catalog in ((), []):
+        with pytest.raises(ValueError, match="non-empty test-function "
+                           "catalog, got"):
+            dbr_forward_check(scenario.f, scenario.partner, catalog=catalog)
+
+
 # -- result values -------------------------------------------------------------
 
 _GEN = Generator.triangular(-1.0, 0.0, 2.0)
