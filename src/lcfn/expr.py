@@ -205,11 +205,12 @@ _TOKEN = re.compile(
 MAX_NESTING = 32
 #: Most operation nodes parse() accepts on a path from the root to a leaf.
 #: A flat chain such as t+t+...+t opens no nesting level, but the compile,
-#: print, walk and derivative recursions take one or two frames per level
-#: of the tree or of its derivatives, which grow taller.  At this bound the
-#: deepest verb, critical-points on a '/' chain, takes about 450 of
-#: Python's default 1000 frames, and the deepest library call measured,
-#: the third derivative of that chain evaluated, about 860.
+#: print, walk and derivative recursions take one frame per level of the
+#: tree or of its derivatives, which grow taller.  At this bound the
+#: deepest verb, on a '/' chain, takes about 230 frames from ``main`` and
+#: the deepest library call, the third derivative of that chain compiled,
+#: about 725, leaving its caller about 270 of Python's default 1000; the
+#: tests hold them to 250 and 750.
 MAX_HEIGHT = 72
 
 
@@ -603,55 +604,55 @@ def differentiate(e: Expr, var: str = "t", order: int = 1) -> Expr:
 def _d(e: Expr, var: str) -> Expr:
     """The derivative of ``e`` in ``var``, kept on the node: each node is
     differentiated once per variable, and so is a subtree shared by many
-    trees."""
+    trees.  One frame per level of ``e``: the rules are inline, not in a
+    helper this calls."""
     memo = getattr(e, "_derivatives", None)  # unset until the first call
     if memo is None:
         memo = {}
         object.__setattr__(e, "_derivatives", memo)
     out = memo.get(var)
-    if out is None:
-        out = memo[var] = _d_node(e, var)
-    return out
-
-
-def _d_node(e: Expr, var: str) -> Expr:
+    if out is not None:
+        return out
     if isinstance(e, Num):
-        return _ZERO
-    if isinstance(e, Var):
-        return _ONE if e.name == var else _ZERO
-    if isinstance(e, Neg):
-        return neg(_d(e.arg, var))
-    if isinstance(e, Bin):
+        out = _ZERO
+    elif isinstance(e, Var):
+        out = _ONE if e.name == var else _ZERO
+    elif isinstance(e, Neg):
+        out = neg(_d(e.arg, var))
+    elif isinstance(e, Bin):
         u, v = e.left, e.right
         du, dv = _d(u, var), _d(v, var)
         if e.op == "+":
-            return add(du, dv)
-        if e.op == "-":
-            return sub(du, dv)
-        if e.op == "*":
-            return add(mul(du, v), mul(u, dv))
-        if e.op == "/":
-            return div(sub(mul(du, v), mul(u, dv)), pow_(v, Num(2.0)))
-        if isinstance(v, Num):  # '^': power rule for constant exponents
-            return mul(mul(v, pow_(u, num(v.value - 1.0))), du)
-        # general u^v via exp-log: u^v * (dv*log u + v*du/u)
-        return mul(pow_(u, v),
-                   add(mul(dv, Call("log", u)), mul(v, div(du, u))))
-    u, du = e.arg, _d(e.arg, var)
-    if e.fn == "sin":
-        return mul(Call("cos", u), du)
-    if e.fn == "cos":
-        return neg(mul(Call("sin", u), du))
-    if e.fn == "exp":
-        return mul(Call("exp", u), du)
-    if e.fn == "log":
-        return div(du, u)
-    if e.fn == "sqrt":
-        return div(du, mul(Num(2.0), Call("sqrt", u)))
-    if e.fn == "abs":
-        return mul(Call("sign", u), du)
-    # 'sign': d(sign) = 0 almost everywhere; the kink is flagged separately
-    return _ZERO
+            out = add(du, dv)
+        elif e.op == "-":
+            out = sub(du, dv)
+        elif e.op == "*":
+            out = add(mul(du, v), mul(u, dv))
+        elif e.op == "/":
+            out = div(sub(mul(du, v), mul(u, dv)), pow_(v, Num(2.0)))
+        elif isinstance(v, Num):  # '^': power rule for constant exponents
+            out = mul(mul(v, pow_(u, num(v.value - 1.0))), du)
+        else:  # general u^v via exp-log: u^v * (dv*log u + v*du/u)
+            out = mul(pow_(u, v),
+                      add(mul(dv, Call("log", u)), mul(v, div(du, u))))
+    else:
+        u, du = e.arg, _d(e.arg, var)
+        if e.fn == "sin":
+            out = mul(Call("cos", u), du)
+        elif e.fn == "cos":
+            out = neg(mul(Call("sin", u), du))
+        elif e.fn == "exp":
+            out = mul(Call("exp", u), du)
+        elif e.fn == "log":
+            out = div(du, u)
+        elif e.fn == "sqrt":
+            out = div(du, mul(Num(2.0), Call("sqrt", u)))
+        elif e.fn == "abs":
+            out = mul(Call("sign", u), du)
+        else:  # 'sign': 0 almost everywhere; the kink is flagged separately
+            out = _ZERO
+    memo[var] = out
+    return out
 
 
 def kink_hits(e: Expr, t: float, eps: float | None = None) -> bool:

@@ -15,6 +15,7 @@ import copy
 import dataclasses
 import pickle
 import random
+import sys
 
 import pytest
 
@@ -22,6 +23,25 @@ from lcfn import Generator, LCFN
 
 LATTICE_STEP = 2.0 ** -12
 LATTICE_MAX = 8.0
+
+
+@pytest.fixture
+def within_frames():
+    """``within_frames(n, fn, *args)`` calls ``fn(*args)`` with only ``n``
+    Python frames left above the caller, whatever depth pytest runs the
+    test at, so a recursion that outgrows ``n`` raises RecursionError
+    every time rather than only under a deeper caller."""
+    def run(frames, fn, *args):
+        depth, frame = 0, sys._getframe()
+        while frame is not None:
+            depth, frame = depth + 1, frame.f_back
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(depth + frames)
+        try:
+            return fn(*args)
+        finally:
+            sys.setrecursionlimit(limit)
+    return run
 
 
 @pytest.fixture

@@ -1,4 +1,5 @@
 """End-to-end CLI tests: verbs, formats, exit codes, determinism."""
+import gc
 import json
 import subprocess
 import sys
@@ -558,12 +559,19 @@ def chain_scenario(tmp_path, op, n):
 
 
 @pytest.mark.parametrize("op", ["+", "*", "/"])
-def test_every_verb_ends_on_a_chain_at_the_height_bound(op, tmp_path, capsys):
-    # in-process, so the recursions run below pytest's own frames
+def test_every_verb_ends_on_a_chain_at_the_height_bound(op, tmp_path, capsys,
+                                                        within_frames):
+    # the deepest verb, on a '/' chain, takes about 230 frames from main();
+    # MAX_HEIGHT promises each verb 250
     plain, twin = chain_scenario(tmp_path, op, ex.MAX_HEIGHT)
+    ex.kernel.cache_clear()  # kernels hold their trees, and the trees hold
+    gc.collect()             # their derivatives: take them all afresh
+    assert not hasattr(ex.parse("t" + f"{op}t" * ex.MAX_HEIGHT),
+                       "_derivatives")
     for verb in EXPRESSION_VERBS:
         path = twin if verb[-1] == "interchange" else plain
-        assert main([*verb, "--scenario", path]) in (0, 1), verb
+        code = within_frames(250, main, [*verb, "--scenario", path])
+        assert code in (0, 1), verb
     assert "error" not in capsys.readouterr().err
 
 

@@ -117,11 +117,17 @@ def test_chain_past_the_height_bound_is_a_syntax_error(op):
     ("*", lambda n, t: (n + 1) * n * (n - 1) * t ** (n - 2)),
     ("/", lambda n, t: (1 - n) * -n * (-n - 1) * t ** (-n - 2)),
 ])
-def test_chain_at_the_height_bound_has_a_third_derivative(op, third):
-    # the deepest recursions: the derivative's walk and its compiled kernel
+def test_chain_at_the_height_bound_has_a_third_derivative(op, third,
+                                                         within_frames):
+    # the deepest recursion, the compile of the third derivative of a '/'
+    # chain, takes about 725 frames; MAX_HEIGHT promises it 750
     n, t = ex.MAX_HEIGHT, 0.9
+    ex.kernel.cache_clear()  # kernels hold their trees, and the trees hold
+    gc.collect()             # their derivatives: take them all afresh
     tree = ex.parse(chain(op, n))
-    value = ex.evaluate(ex.differentiate(tree, "t", 3), t)
+    assert not hasattr(tree, "_derivatives")
+    value = within_frames(
+        750, lambda: ex.evaluate(ex.differentiate(tree, "t", 3), t))
     assert value == pytest.approx(third(n, t), rel=1e-9, abs=1e-9)
 
 
@@ -499,10 +505,11 @@ def test_derivatives_are_kept_on_the_node(tri_am05, monkeypatch):
     f = FuzzyFunction.from_strings("t^3*sin(t)", "exp(2*t)", tri_am05,
                                    (0.0, 1.0))
     first = f.derivative()
-    calls = []
-    d_node = ex._d_node
-    monkeypatch.setattr(ex, "_d_node",
-                        lambda e, var: calls.append(e) or d_node(e, var))
+    calls = []  # every rule builds its result through these
+    for name in ("neg", "add", "sub", "mul", "div", "pow_"):
+        build = getattr(ex, name)
+        monkeypatch.setattr(ex, name, lambda *a, build=build:
+                            calls.append(a) or build(*a))
     second = f.derivative()
     assert first.r is second.r and first.q is second.q and calls == []
     assert ex.differentiate(f.r, "t", 2) is f.derivative(2).r
