@@ -71,7 +71,7 @@ class FuzzyFunction(Value):
 
     def __init__(self, r: ex.Expr, q: ex.Expr, gen: Generator,
                  domain: tuple[float, float], eps_aware: bool = False):
-        # the slot setters skip the frozen __setattr__, as in core.LCFN
+        # the slot setters skip the frozen __setattr__
         a, b = domain
         if not (math.isfinite(a) and math.isfinite(b)):
             raise ValueError(f"domain ends must be finite, got [{a}, {b}]")

@@ -43,42 +43,49 @@ class LCFN(Value):
 
     __slots__ = ("r", "q", "gen")
 
-    def __init__(self, r: float, q: float, gen: Generator):
-        # the slot setters skip the frozen __setattr__
-        _set_r(self, r)
-        _set_q(self, q)
-        _set_gen(self, gen)
+    def __new__(cls, r: float, q: float, gen: Generator) -> "LCFN":
+        # built as an _Open, whose stores are plain slot writes, then
+        # switched to cls, whose __setattr__ is frozen; inside core the
+        # constructors call this directly, as _element(LCFN, r, q, gen)
+        e = _new(_Open)
+        e.r = r
+        e.q = q
+        e.gen = gen
+        e.__class__ = cls
+        return e
 
     @classmethod
     def zero(cls, gen: Generator) -> "LCFN":
-        return cls(0.0, 0.0, gen)
+        return _element(cls, 0.0, 0.0, gen)
 
     @classmethod
     def from_scalar(cls, lam: float, gen: Generator) -> "LCFN":
-        return cls(float(lam), 0.0, gen)
+        return _element(cls, float(lam), 0.0, gen)
 
     def center(self) -> float:
         """Midpoint of the 1-level: r + q*a_m, rounded twice on every
-        Python."""
+        Python.  The order, the sign classes, the norm and cross_oracle
+        compute it inline with the same two float operations."""
         return self.r + self.q * self.gen.a_m
 
     def norm(self) -> float:
-        return abs(self.q) + abs(self.center())
+        return abs(self.q) + abs(self.r + self.q * self.gen.a_m)
 
     def sign_class(self) -> SignClass:
-        c = self.center()
+        c = self.r + self.q * self.gen.a_m
         if c > 0.0:
-            return SignClass.POSITIVE
+            return _POSITIVE
         if c < 0.0:
-            return SignClass.NEGATIVE
-        return SignClass.ZERO
+            return _NEGATIVE
+        return _ZERO
 
     def cross(self, other: "LCFN") -> "LCFN":
         if self.gen is not other.gen:
             _require_same_gen(self, other)
         am = self.gen.a_m
         qq = self.q * other.q
-        return LCFN(
+        return _element(
+            LCFN,
             self.r * other.r - (am * am) * qq,
             self.r * other.q + other.r * self.q + 2.0 * am * qq,
             self.gen,
@@ -96,18 +103,18 @@ class LCFN(Value):
         return (self.r + self.q * hi, self.r + self.q * lo)
 
     def scaled(self, lam: float) -> "LCFN":
-        return LCFN(lam * self.r, lam * self.q, self.gen)
+        return _element(LCFN, lam * self.r, lam * self.q, self.gen)
 
     # -- vector-space dunders ------------------------------------------------
     def __add__(self, other: "LCFN") -> "LCFN":
         if self.gen is not other.gen:
             _require_same_gen(self, other)
-        return LCFN(self.r + other.r, self.q + other.q, self.gen)
+        return _element(LCFN, self.r + other.r, self.q + other.q, self.gen)
 
     def __sub__(self, other: "LCFN") -> "LCFN":
         if self.gen is not other.gen:
             _require_same_gen(self, other)
-        return LCFN(self.r - other.r, self.q - other.q, self.gen)
+        return _element(LCFN, self.r - other.r, self.q - other.q, self.gen)
 
     def __neg__(self) -> "LCFN":
         return self.scaled(-1.0)
@@ -121,20 +128,38 @@ class LCFN(Value):
 
     # -- total order ---------------------------------------------------------
     def __lt__(self, other: "LCFN") -> bool:
-        return compare(self, other) is Ordering.LESS
+        return compare_with_tier(self, other)[0] is _LESS
 
     def __le__(self, other: "LCFN") -> bool:
-        return compare(self, other) is not Ordering.GREATER
+        return compare_with_tier(self, other)[0] is not _GREATER
 
     def __gt__(self, other: "LCFN") -> bool:
-        return compare(self, other) is Ordering.GREATER
+        return compare_with_tier(self, other)[0] is _GREATER
 
     def __ge__(self, other: "LCFN") -> bool:
-        return compare(self, other) is not Ordering.LESS
+        return compare_with_tier(self, other)[0] is not _LESS
 
 
-_set_r, _set_q, _set_gen = (LCFN.__dict__[name].__set__
-                            for name in ("r", "q", "gen"))
+class _Open(LCFN):
+    """An LCFN under construction, whose fields set as plain slots.  Only
+    LCFN.__new__ makes one, and it switches the class before it returns,
+    so no _Open is seen outside it."""
+
+    __slots__ = ()
+    __setattr__ = object.__setattr__
+    __delattr__ = object.__delattr__
+
+
+_new = object.__new__
+_element = LCFN.__new__
+
+_LESS, _EQUAL, _GREATER = Ordering.LESS, Ordering.EQUAL, Ordering.GREATER
+_NEGATIVE, _ZERO, _POSITIVE = (SignClass.NEGATIVE, SignClass.ZERO,
+                               SignClass.POSITIVE)
+# the seven verdicts of compare_with_tier, built once
+_LESS_1, _LESS_2, _LESS_3 = ((_LESS, tier) for tier in (1, 2, 3))
+_GREATER_1, _GREATER_2, _GREATER_3 = ((_GREATER, tier) for tier in (1, 2, 3))
+_TIE = (_EQUAL, None)
 
 
 def compare_with_tier(b: LCFN, c: LCFN) -> tuple[Ordering, int | None]:
@@ -142,32 +167,35 @@ def compare_with_tier(b: LCFN, c: LCFN) -> tuple[Ordering, int | None]:
     2 = noise width, 3 = signed noise); Equal carries no tier.
 
     Exact float comparisons throughout; ties are genuine ties, never
-    tolerance artifacts, so the order is antisymmetric.
+    tolerance artifacts, so the order is antisymmetric.  The centers are
+    computed as center() computes them, with b's a_m (equal generators
+    share it up to the sign of a zero, which no comparison sees).
     """
     if b.gen is not c.gen:
         _require_same_gen(b, c)
-    cb, cc = b.center(), c.center()
+    am = b.gen.a_m
+    cb, cc = b.r + b.q * am, c.r + c.q * am
     if cb < cc:
-        return (Ordering.LESS, 1)
+        return _LESS_1
     if cb > cc:
-        return (Ordering.GREATER, 1)
+        return _GREATER_1
     ab, ac = abs(b.q), abs(c.q)
     if ab < ac:
-        return (Ordering.LESS, 2)
+        return _LESS_2
     if ab > ac:
-        return (Ordering.GREATER, 2)
+        return _GREATER_2
     if b.q < c.q:
-        return (Ordering.LESS, 3)
+        return _LESS_3
     if b.q > c.q:
-        return (Ordering.GREATER, 3)
+        return _GREATER_3
     # Equal q and equal computed centers can still hide an r difference
     # below the sum's resolution; r then decides, which matches the
     # tier-1 comparison carried out in exact arithmetic.
     if b.r < c.r:
-        return (Ordering.LESS, 1)
+        return _LESS_1
     if b.r > c.r:
-        return (Ordering.GREATER, 1)
-    return (Ordering.EQUAL, None)
+        return _GREATER_1
+    return _TIE
 
 
 def compare(b: LCFN, c: LCFN) -> Ordering:
@@ -175,13 +203,22 @@ def compare(b: LCFN, c: LCFN) -> Ordering:
 
 
 def scalar_le(lam: float, b: LCFN) -> bool:
-    """lam <= B, with lam embedded as the element lam + 0*A."""
-    return compare(LCFN.from_scalar(lam, b.gen), b) is not Ordering.GREATER
+    """lam <= B, with lam embedded as the element lam + 0*A; a NaN lam
+    has no place in the order and raises ValueError."""
+    return compare(_embedded(lam, b), b) is not _GREATER
 
 
 def scalar_ge(lam: float, b: LCFN) -> bool:
-    """B <= lam, with lam embedded as the element lam + 0*A."""
-    return compare(b, LCFN.from_scalar(lam, b.gen)) is not Ordering.GREATER
+    """B <= lam, with lam embedded as the element lam + 0*A; a NaN lam
+    has no place in the order and raises ValueError."""
+    return compare(b, _embedded(lam, b)) is not _GREATER
+
+
+def _embedded(lam: float, b: LCFN) -> LCFN:
+    lam = float(lam)
+    if lam != lam:
+        raise ValueError(f"lam is {lam!r}, which has no place in the order")
+    return _element(LCFN, lam, 0.0, b.gen)
 
 
 def cross_oracle(b: LCFN, c: LCFN) -> LCFN:
@@ -194,9 +231,10 @@ def cross_oracle(b: LCFN, c: LCFN) -> LCFN:
     """
     if b.gen is not c.gen:
         _require_same_gen(b, c)
-    cb, cc = b.center(), c.center()
+    cb, cc = b.r + b.q * b.gen.a_m, c.r + c.q * c.gen.a_m  # the center()s
     # q - 0.0 is q, even for q = -0.0, so the scalar's q drops out
-    return LCFN(cc * b.r + cb * c.r - cb * cc, cc * b.q + cb * c.q, b.gen)
+    return _element(LCFN, cc * b.r + cb * c.r - cb * cc,
+                    cc * b.q + cb * c.q, b.gen)
 
 
 def annihilator_witness(b: LCFN) -> LCFN:
@@ -208,10 +246,10 @@ def annihilator_witness(b: LCFN) -> LCFN:
     if b.r == 0.0 and b.q == 0.0:
         raise ValueError("the zero element annihilates everything")
     if b.r != 0.0:
-        return LCFN.from_scalar(b.r, b.gen)
+        return _element(LCFN, float(b.r), 0.0, b.gen)
     if b.gen.a_m != 0.0:
-        return LCFN(0.0, b.q, b.gen)
-    return LCFN.from_scalar(b.q, b.gen)
+        return _element(LCFN, 0.0, b.q, b.gen)
+    return _element(LCFN, float(b.q), 0.0, b.gen)
 
 
 # -- textual literals and report payloads ------------------------------------
@@ -246,7 +284,8 @@ def parse_element(src: str, gen: Generator) -> LCFN:
             r += value
     if not (math.isfinite(r) and math.isfinite(q)):
         raise ExprSyntaxError(f"element literal {src!r} is not finite", 0)
-    return LCFN(r + 0.0, q + 0.0, gen)  # + 0.0 turns a signed -0.0 into 0.0
+    # + 0.0 turns a signed -0.0 into 0.0
+    return _element(LCFN, r + 0.0, q + 0.0, gen)
 
 
 def format_element(b: LCFN) -> str:

@@ -6,7 +6,10 @@ class Value:
     whose copies and pickles are rebuilt through its constructor.
 
     A subclass lists its fields in ``__slots__`` and sets them in its own
-    ``__init__`` through ``_set`` or the slots' ``__set__``.  Fields whose
+    ``__init__`` through ``_set`` or the slots' ``__set__``, or builds its
+    instances in ``__new__`` (``LCFN`` fills a subclass whose stores are
+    plain, then switches the class).  A subclass that lists no fields
+    keeps its parent's ``_fields`` and ``_key``.  Fields whose
     names start with ``_`` are caches, kept out of ``repr``, ``==`` and
     ``hash``; the others, in order, are the constructor's arguments.  A
     subclass may define ``_key``, the tuple that ``==`` and ``hash``
@@ -18,6 +21,8 @@ class Value:
     def __init_subclass__(cls):
         fields = "".join(f"self.{name}, " for name in cls.__slots__
                          if name[0] != "_")
+        if not fields:  # no fields of its own: the parent's stay
+            return
         # a generated tuple display reads the fields fastest
         cls._fields = eval(f"lambda self: ({fields})")
         if "_key" not in cls.__dict__:

@@ -8,7 +8,9 @@ expression form, one scalar quadrature for the witness's b_k, one
 ``LCFN`` per row for the reconstruction's residual grid, branches
 sliced from the knots on every call and walked knot by knot for a
 generator's alpha-levels, three intermediate elements for the product's
-defining form, and one helper per signed term for element literals.
+defining form, one helper per signed term for element literals, and
+``center()`` with a verdict built per call for the order, the sign
+classes and the norm.
 """
 import heapq
 import math
@@ -16,7 +18,7 @@ import operator
 from functools import reduce
 
 from lcfn import LCFN, DiracKernel, expr as ex
-from lcfn.core import _ELEMENT
+from lcfn.core import _ELEMENT, Ordering, SignClass, _require_same_gen
 from lcfn.errors import (EvalError, ExprSyntaxError, NonFiniteIntegrand,
                          QuadratureNonConvergent)
 from lcfn.quadrature import MAX_INTERVALS, REL_TOL, RULE, integrate_scalar
@@ -222,3 +224,45 @@ def parse_element(src, gen):
 def _signed_term(sign, number, a, lone_a):
     value = (-1.0 if sign == "-" else 1.0) * (1.0 if lone_a else float(number))
     return (0.0, value) if a or lone_a else (value, 0.0)
+
+
+def compare_with_tier(b, c):
+    """``core.compare_with_tier`` from each element's ``center()``, its
+    verdict tuple built per call; the library must return the same
+    verdict, its members the very ``Ordering`` members."""
+    if b.gen is not c.gen:
+        _require_same_gen(b, c)
+    cb, cc = b.center(), c.center()
+    if cb < cc:
+        return (Ordering.LESS, 1)
+    if cb > cc:
+        return (Ordering.GREATER, 1)
+    ab, ac = abs(b.q), abs(c.q)
+    if ab < ac:
+        return (Ordering.LESS, 2)
+    if ab > ac:
+        return (Ordering.GREATER, 2)
+    if b.q < c.q:
+        return (Ordering.LESS, 3)
+    if b.q > c.q:
+        return (Ordering.GREATER, 3)
+    if b.r < c.r:
+        return (Ordering.LESS, 1)
+    if b.r > c.r:
+        return (Ordering.GREATER, 1)
+    return (Ordering.EQUAL, None)
+
+
+def sign_class(b):
+    """``LCFN.sign_class`` from ``center()``."""
+    c = b.center()
+    if c > 0.0:
+        return SignClass.POSITIVE
+    if c < 0.0:
+        return SignClass.NEGATIVE
+    return SignClass.ZERO
+
+
+def norm(b):
+    """``LCFN.norm`` from ``center()``."""
+    return abs(b.q) + abs(b.center())

@@ -24,8 +24,11 @@ from lcfn import (
     scalar_ge,
     scalar_le,
 )
+from lcfn.calculus import deriv, integrate, integrate_many
+from lcfn.core import _Open
 from lcfn.errors import ExprSyntaxError, GeneratorMismatch
 from lcfn.generator import same_generator
+from lcfn.value import Value
 
 import oracles
 from conftest import (
@@ -119,6 +122,78 @@ def test_every_attribute_name_is_frozen(tri_am0):
     for value in (LCFN(1.0, 2.0, tri_am0), f, tri_am0):
         with pytest.raises(dataclasses.FrozenInstanceError):
             value.x = 1.0
+
+
+def _assert_closed(x):
+    """x is an LCFN, not the open class it is built as: every name, a
+    field or not, refuses assignment and deletion."""
+    assert type(x) is LCFN
+    for name in ("r", "q", "gen", "x"):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(x, name, 1.0)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            delattr(x, name)
+
+
+_B_GEN = Generator.piecewise_linear(PINNED_GEN)
+_AM0_GEN = Generator.triangular(-1.0, 0.0, 2.0)
+_B, _C = LCFN(1.5, -2.0, _B_GEN), LCFN(-0.25, 3.0, _B_GEN)
+_F = FuzzyFunction.from_strings("t^2", "sin(t)", _B_GEN, (0.0, 1.0))
+
+ELEMENT_ROUTES = {
+    "positional": lambda: LCFN(1.5, -2.0, _B_GEN),
+    "keyword": lambda: LCFN(r=1.5, q=-2.0, gen=_B_GEN),
+    "zero": lambda: LCFN.zero(_B_GEN),
+    "from_scalar": lambda: LCFN.from_scalar(2, _B_GEN),
+    "+": lambda: _B + _C,
+    "-": lambda: _B - _C,
+    "unary -": lambda: -_B,
+    "*": lambda: _B * 2.0,
+    "__rmul__": lambda: 3 * _B,
+    "scaled": lambda: _B.scaled(0.5),
+    "cross": lambda: _B.cross(_C),
+    "square": lambda: _B.square(),
+    "cross_oracle": lambda: cross_oracle(_B, _C),
+    "annihilator_witness r": lambda: annihilator_witness(_B),
+    "annihilator_witness qA": lambda: annihilator_witness(
+        LCFN(0.0, 2.0, _B_GEN)),
+    "annihilator_witness q": lambda: annihilator_witness(
+        LCFN(0.0, 2.0, _AM0_GEN)),
+    "parse_element": lambda: parse_element("3+2A", _B_GEN),
+    "copy.copy": lambda: copy.copy(_B),
+    "copy.deepcopy": lambda: copy.deepcopy(_B),
+    "pickle": lambda: pickle.loads(pickle.dumps(_B)),
+    "FuzzyFunction.at": lambda: _F.at(0.5),
+    "deriv": lambda: deriv(_F, 0.5),
+    "integrate": lambda: integrate(_F),
+    "integrate_many": lambda: integrate_many([_F, _F])[1],
+}
+
+
+@pytest.mark.parametrize("route", ELEMENT_ROUTES.values(),
+                         ids=ELEMENT_ROUTES.keys())
+def test_no_open_element_escapes(route):
+    _assert_closed(route())
+
+
+def test_a_value_subclass_without_fields_keeps_its_parents():
+    assert _Open._fields is LCFN._fields and _Open._key is LCFN._key
+
+    class Pair(Value):
+        __slots__ = ("a", "_cache", "b")
+
+        def __init__(self, a, b):
+            object.__setattr__(self, "a", a)
+            object.__setattr__(self, "b", b)
+
+    class Tagged(Pair):
+        __slots__ = ("_tag",)
+
+    assert Tagged._fields is Pair._fields and Tagged._key is Pair._key
+    t = Tagged(1.0, 2.0)
+    assert t._fields() == (1.0, 2.0) and hash(t) == hash((1.0, 2.0))
+    assert t == Tagged(1.0, 2.0) and t != Tagged(1.0, 3.0)
+    assert copy.copy(t) == t and type(copy.copy(t)) is Tagged
 
 
 # -- center / norm -------------------------------------------------------------
@@ -234,6 +309,75 @@ def test_compare_scalar_agrees_with_embedding(r, q, lam, seed):
     embedded = LCFN.from_scalar(lam, g)
     assert scalar_le(lam, b) == (compare(embedded, b) is not Ordering.GREATER)
     assert scalar_ge(lam, b) == (compare(b, embedded) is not Ordering.GREATER)
+
+
+@pytest.mark.parametrize("scalar_cmp", [scalar_le, scalar_ge])
+def test_scalar_comparison_refuses_nan(scalar_cmp, tri_am05):
+    # a NaN center used to fall through to tier 2 whenever q != 0
+    for b in (LCFN(0.0, 1.0, tri_am05), LCFN(2.0, 0.0, tri_am05)):
+        with pytest.raises(ValueError, match="lam is nan"):
+            scalar_cmp(math.nan, b)
+
+
+def test_scalar_comparison_orders_infinities(tri_am05):
+    b = LCFN(0.0, 1.0, tri_am05)
+    assert scalar_le(-math.inf, b) and not scalar_ge(-math.inf, b)
+    assert scalar_ge(math.inf, b) and not scalar_le(math.inf, b)
+
+
+def _order_pool(rng):
+    """Pairs over one generator or two equal ones (signed-zero peaks
+    included): edge coordinates, continuous ones, and near ties whose
+    second r is up to three ulps from the tie, by math.nextafter."""
+    twins = [(Generator.piecewise_linear(knots),
+              Generator.piecewise_linear(knots))
+             for knots in (PINNED_GEN, PINNED_PL)]
+    twins.append((Generator.triangular(-1.0, 0.0, 2.0),
+                  Generator.triangular(-1.0, -0.0, 2.0)))
+    coords = EDGE_COORDS + (math.inf, -math.inf, math.nan)
+    pairs = []
+    for g, twin in twins:
+        for _ in range(600):
+            gc = rng.choice((g, twin))
+            kind = rng.random()
+            if kind < 0.3:
+                r1, q1, r2, q2 = rng.choices(coords, k=4)
+            else:
+                r1, q1 = rng.uniform(-10, 10), rng.uniform(-10, 10)
+                q2 = rng.choice((q1, -q1, rng.uniform(-10, 10)))
+                r2 = rng.uniform(-10, 10)
+                if kind < 0.8:  # the tie r1 + q1*a_m = r2 + q2*a_m, nudged
+                    r2 = (r1 + q1 * g.a_m) - q2 * g.a_m
+                    for _ in range(rng.randint(0, 3)):
+                        r2 = math.nextafter(r2, rng.choice((-1, 1)) * math.inf)
+            pairs.append((LCFN(r1, q1, g), LCFN(r2, q2, gc)))
+    return pairs
+
+
+def test_order_sign_and_norm_match_the_center_references():
+    for b, c in _order_pool(random.Random(2611)):
+        want = oracles.compare_with_tier(b, c)
+        got = compare_with_tier(b, c)
+        assert got == want and got[0] is want[0], (b, c)
+        assert compare(b, c) is want[0]
+        assert (b < c, b <= c, b > c, b >= c) == (
+            want[0] is Ordering.LESS, want[0] is not Ordering.GREATER,
+            want[0] is Ordering.GREATER, want[0] is not Ordering.LESS)
+        for e in (b, c):
+            assert e.sign_class() is oracles.sign_class(e)
+            assert repr(e.norm()) == repr(oracles.norm(e))
+
+
+def test_order_mismatch_raises_as_the_reference(tri_am0, tri_am05):
+    for b, c in ((LCFN(1.0, 2.0, tri_am0), LCFN(-0.0, 1e300, tri_am05)),
+                 (LCFN(5e-324, 0.0, tri_am05), LCFN(3.0, -1.0, tri_am0))):
+        with pytest.raises(GeneratorMismatch) as want:
+            oracles.compare_with_tier(b, c)
+        for order in (compare_with_tier, compare, LCFN.__lt__, LCFN.__le__,
+                      LCFN.__gt__, LCFN.__ge__):
+            with pytest.raises(GeneratorMismatch) as got:
+                order(b, c)
+            assert str(got.value) == str(want.value)
 
 
 # -- cross product and sign classes --------------------------------------------
