@@ -26,8 +26,7 @@ from .core import LCFN
 from .errors import EvalError, GeneratorMismatch, OutsideDomain
 from .generator import Generator, same_generator
 # Not called here: perfbench hooks integrate_scalar.
-from .quadrature import (RULE, QuadratureSpec, gauss_legendre,
-                         integrate_scalar, qag)
+from .quadrature import QuadratureSpec, gauss_legendre, integrate_scalar, qag
 from .value import Value
 
 FTC_TOL = 1e-8
@@ -71,17 +70,12 @@ class FuzzyFunction(Value):
 
     def __init__(self, r: ex.Expr, q: ex.Expr, gen: Generator,
                  domain: tuple[float, float], eps_aware: bool = False):
-        # the slot setters skip the frozen __setattr__
         a, b = domain
         if not (math.isfinite(a) and math.isfinite(b)):
             raise ValueError(f"domain ends must be finite, got [{a}, {b}]")
         if not a < b:
             raise ValueError(f"empty domain [{a}, {b}]")
-        _set_r(self, r)
-        _set_q(self, q)
-        _set_gen(self, gen)
-        _set_domain(self, domain)
-        _set_eps_aware(self, eps_aware)
+        self._set(r, q, gen, domain, eps_aware)
 
     def _key(self) -> tuple:  # eps_aware stays out of == and hash
         return (self.r, self.q, self.gen, self.domain)
@@ -141,11 +135,6 @@ class FuzzyFunction(Value):
             raise GeneratorMismatch("functions live over different generators")
         if self.domain != other.domain:
             raise ValueError("functions must share a domain")
-
-
-_set_r, _set_q, _set_gen, _set_domain, _set_eps_aware = (
-    FuzzyFunction.__dict__[name].__set__
-    for name in ("r", "q", "gen", "domain", "eps_aware"))
 
 
 def deriv(f: FuzzyFunction, t: float, eps: float | None = None) -> LCFN:
@@ -236,7 +225,7 @@ def _integrate(f: FuzzyFunction, roots, spec: QuadratureSpec,
     if not (a <= lo <= hi <= b):
         raise OutsideDomain(f"[{lo!r}, {hi!r}] not inside [{a!r}, {b!r}]")
     weights, functions = (1.0, 1.0 + abs(f.gen.a_m)), len(roots) // 2
-    panel = ex.kernel(*roots, rule=RULE)
+    panel = ex.kernel(*roots, panel=True)
     return qag(partial(panel, eps, weights * functions), lo, hi, spec,
                weights, functions)
 

@@ -19,8 +19,8 @@ turns a tuple of trees into one straight-line function over a batch of
 points that computes each shared subtree once per point, returning the
 values or, given a quadrature rule, a panel's estimate per tree and its
 weighted error, from two weighted sums per tree; :func:`kernel` keeps
-the function of each recent tuple of roots and rule; :func:`evaluate` is
-its one-tree, one-point case.
+the function of each recent tuple of roots, as columns or as a panel on
+quadrature's ``RULE``; :func:`evaluate` is its one-tree, one-point case.
 
 Differentiation is symbolic so downstream optimality checks see exact
 derivative expressions, and each node keeps its derivative; finite
@@ -44,6 +44,7 @@ from .errors import (
     ExprSyntaxError,
     UnknownFunction,
 )
+from .quadrature import RULE
 from .value import Value
 
 
@@ -359,20 +360,20 @@ def evaluate(e: Expr, t: float, eps: float | None = None) -> float:
 
 
 #: Kernels kept by :func:`kernel`, above the measured working set: 240
-#: cycles of perfbench's checker-sweep compile 611 (root tuple, rule)
+#: cycles of perfbench's checker-sweep compile 611 (root tuple, panel)
 #: keys, 232 column and 379 panel kernels, and 960 cycles the same 611
 #: (seeds 1, 101 and 1501).
 KERNELS = 1024
 
 
 @lru_cache(maxsize=KERNELS)
-def kernel(*roots, rule=None):
-    """The function :func:`_compile` makes of ``roots`` and ``rule``,
-    compiled once per tuple of nodes and rule.  Nodes are interned, so the
-    key hashes in O(1) and a checker that builds the same trees again gets
-    this kernel back; holding the roots keeps their nodes, and so that
-    reuse, alive."""
-    return _compile(roots, rule)
+def kernel(*roots, panel=False):
+    """The function :func:`_compile` makes of ``roots``, given ``RULE``
+    if ``panel`` is true, compiled once per tuple of nodes and ``panel``.
+    Nodes are interned, so the key hashes in O(1) and a checker that
+    builds the same trees again gets this kernel back; holding the roots
+    keeps their nodes, and so that reuse, alive."""
+    return _compile(roots, RULE if panel else None)
 
 
 def _compile(roots: tuple, rule: tuple | None = None):

@@ -64,25 +64,10 @@ _WG = (0.129484966168869693270611432679082,
 _WG7 = _WG + (0.417959183673469387755102040816327,) + _WG[::-1]
 
 
-class _Rule(tuple):
-    """A tuple that is equal to itself alone and hashes by identity, as the
-    expression nodes do: ``expr.kernel`` keys its cache on the rule at
-    every call, and a plain tuple would hash its 45 floats each time."""
-
-    __slots__ = ()
-    __hash__ = object.__hash__
-
-    def __eq__(self, other):
-        return self is other
-
-    def __ne__(self, other):
-        return self is not other
-
-
 #: The G7/K15 rule: one ``(node, K15 weight, G7 weight)`` per node of
 #: [-1, 1], ascending; the G7 weight is 0.0 at the 8 Kronrod-only nodes
 #: (the even-indexed ones).
-RULE = _Rule(zip(
+RULE = tuple(zip(
     tuple(-x for x in _XK) + (0.0,) + _XK[::-1],
     _WK + (0.209482141084727828012999174891714,) + _WK[::-1],
     tuple(w for g in _WG7 for w in (0.0, g)) + (0.0,)))

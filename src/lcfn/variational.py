@@ -168,6 +168,11 @@ def verify_local_order(f: FuzzyFunction, cp: CriticalPoint,
     """Check the order-based extremum definition around a critical point:
     every sample z in the radius must satisfy f(t*) <= f(z) for a local
     minimum (>= for a maximum)."""
+    if not (math.isfinite(radius) and radius > 0.0):
+        raise ValueError(
+            f"radius must be finite and positive, got {radius!r}")
+    if n < 1:
+        raise ValueError(f"local-order check needs n >= 1, got {n!r}")
     if cp.verdict is Verdict.INCONCLUSIVE:
         return LocalOrderReport(cp.t_star, "none", 0, True)
     a, b = f.domain

@@ -183,8 +183,7 @@ def test_a_value_subclass_without_fields_keeps_its_parents():
         __slots__ = ("a", "_cache", "b")
 
         def __init__(self, a, b):
-            object.__setattr__(self, "a", a)
-            object.__setattr__(self, "b", b)
+            self._set(a, None, b)  # into Pair's slots, though Tagged has its own
 
     class Tagged(Pair):
         __slots__ = ("_tag",)
@@ -194,6 +193,8 @@ def test_a_value_subclass_without_fields_keeps_its_parents():
     assert t._fields() == (1.0, 2.0) and hash(t) == hash((1.0, 2.0))
     assert t == Tagged(1.0, 2.0) and t != Tagged(1.0, 3.0)
     assert copy.copy(t) == t and type(copy.copy(t)) is Tagged
+    assert (t.a, t._cache, t.b) == (1.0, None, 2.0)
+    assert repr(t) == f"{Tagged.__qualname__}(a=1.0, b=2.0)"
 
 
 # -- center / norm -------------------------------------------------------------

@@ -92,11 +92,11 @@ def test_square_integral_points_on_s09(monkeypatch):
     # and sample shows here
     kernel, calls = ex.kernel, []
 
-    def counting_kernel(*roots, rule=None):
-        compiled = kernel(*roots, rule=rule)
+    def counting_kernel(*roots, panel=False):
+        compiled = kernel(*roots, panel=panel)
 
         def counted(first, *rest, **kwargs):  # ts, or a panel's center
-            calls.append(len(rule) if rule else len(first))
+            calls.append(len(RULE) if panel else len(first))
             return compiled(first, *rest, **kwargs)
         return counted
 

@@ -33,6 +33,22 @@ def test_cli_import_leaves_heavy_stdlib_modules_out():
     assert out == "[]"
 
 
+def test_cli_import_compiles_no_code():
+    # source compiled by importlib is not counted: its frames are not lcfn's
+    out = run_python(
+        "import sys\n"
+        "calls = []\n"
+        "def hook(event, args):\n"
+        "    if event == 'compile':\n"
+        "        module = sys._getframe(1).f_globals.get('__name__', '')\n"
+        "        if module.startswith('lcfn'):\n"
+        "            calls.append(module)\n"
+        "sys.addaudithook(hook)\n"
+        "import lcfn.cli\n"
+        "print(calls)", "-S")
+    assert out == "[]"
+
+
 def test_all_names_resolve_and_are_cached():
     assert len(lcfn.__all__) == 41
     assert lcfn.__all__ == sorted(set(lcfn.__all__))

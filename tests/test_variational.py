@@ -111,6 +111,26 @@ def test_verify_local_order_catches_wrong_claim(tri_am0):
     assert not report.passed and report.first_violation is not None
 
 
+@pytest.mark.parametrize("radius, n, message", [
+    (0.0, 50, "radius must be finite and positive, got 0.0"),
+    (-0.1, 50, "radius must be finite and positive, got -0.1"),
+    (math.nan, 50, "radius must be finite and positive, got nan"),
+    (math.inf, 50, "radius must be finite and positive, got inf"),
+    (-math.inf, 50, "radius must be finite and positive, got -inf"),
+    (0.1, 0, "local-order check needs n >= 1, got 0"),
+    (0.1, -3, "local-order check needs n >= 1, got -3"),
+])
+def test_verify_local_order_refuses_a_vacuous_check(tri_am0, radius, n,
+                                                    message):
+    # each of these once passed with checked == 0, sampling nothing
+    f = fn("(t-0.5)^2", "0", tri_am0, (0.0, 1.0))
+    cp = critical_points(f)[0]
+    assert cp.verdict is Verdict.LOCAL_MIN
+    with pytest.raises(ValueError) as err:
+        verify_local_order(f, cp, radius, n)
+    assert str(err.value) == message
+
+
 # -- mollifier kernel --------------------------------------------------------
 
 def wallis_mass(epsilon, power):
