@@ -162,22 +162,24 @@ def sample(kernel, roots: tuple, names: tuple, ts,
     is summed (a non-finite value makes its sum non-finite), and only when
     a sum is not finite are the columns scanned in that order, which finds
     nothing when finite values merely overflowed the sum; only a kernel
-    that raised is read again, point by point."""
+    that raised is read again, point by point.  What a scan kernel
+    returns after its column is passed through unchecked."""
     try:
-        columns = kernel(ts, eps)
+        out = kernel(ts, eps)
     except EvalError:
-        columns = None
-    if columns is None:
+        out = None
+    if out is None:
         for t in ts:
             for root, name in zip(roots, names):
                 finite(ex.evaluate(root, t, eps), name, t)
         raise AssertionError(
             "a batch failed where its points one by one did not")
+    columns = out[:len(roots)]
     if not all(map(math.isfinite, map(sum, columns))):
         for t, *row in zip(ts, *columns):
             for value, name in zip(row, names):
                 finite(value, name, t)
-    return columns
+    return out
 
 
 def integrate(f: FuzzyFunction, spec: QuadratureSpec = QuadratureSpec(),
@@ -231,8 +233,11 @@ def _integrate(f: FuzzyFunction, roots, spec: QuadratureSpec,
 
 
 def node_grid(a: float, b: float, nodes: int) -> list[float]:
-    """``nodes`` equally spaced points from a to b, both ends exact; at
-    most ``MAX_GRID_NODES``, checked before anything is built."""
+    """``nodes`` equally spaced points from a to b, both ends exact; an
+    ``int`` from 2 to ``MAX_GRID_NODES``, checked before anything is
+    built."""
+    if not isinstance(nodes, int):
+        raise TypeError(f"grid node count must be an int, got {nodes!r}")
     if nodes < 2:
         raise ValueError(f"need at least 2 grid nodes, got {nodes!r}")
     if nodes > MAX_GRID_NODES:

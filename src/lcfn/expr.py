@@ -18,9 +18,11 @@ parse(s)`` and ``==`` is identity.  Evaluation is compiled: :func:`_compile`
 turns a tuple of trees into one straight-line function over a batch of
 points that computes each shared subtree once per point, returning the
 values or, given a quadrature rule, a panel's estimate per tree and its
-weighted error, from two weighted sums per tree; :func:`kernel` keeps
-the function of each recent tuple of roots, as columns or as a panel on
-quadrature's ``RULE``; :func:`evaluate` is its one-tree, one-point case.
+weighted error, from two weighted sums per tree, or, for one tree, its
+values with the points where it meets or crosses zero and its extremes;
+:func:`kernel` keeps the function of each recent tuple of roots, as
+columns, as a scan or as a panel on quadrature's ``RULE``;
+:func:`evaluate` is its one-tree, one-point case.
 
 Differentiation is symbolic so downstream optimality checks see exact
 derivative expressions, and each node keeps its derivative; finite
@@ -360,23 +362,23 @@ def evaluate(e: Expr, t: float, eps: float | None = None) -> float:
 
 
 #: Kernels kept by :func:`kernel`, above the measured working set: 240
-#: cycles of perfbench's checker-sweep compile 611 (root tuple, panel)
-#: keys, 232 column and 379 panel kernels, and 960 cycles the same 611
-#: (seeds 1, 101 and 1501).
+#: cycles of perfbench's checker-sweep compile 592 (root tuple, panel,
+#: scan) keys, 229 column, 19 scan and 344 panel kernels, and 960 cycles
+#: the same 592 (seeds 1, 101 and 1501).
 KERNELS = 1024
 
 
 @lru_cache(maxsize=KERNELS)
-def kernel(*roots, panel=False):
+def kernel(*roots, panel=False, scan=False):
     """The function :func:`_compile` makes of ``roots``, given ``RULE``
-    if ``panel`` is true, compiled once per tuple of nodes and ``panel``.
-    Nodes are interned, so the key hashes in O(1) and a checker that
-    builds the same trees again gets this kernel back; holding the roots
-    keeps their nodes, and so that reuse, alive."""
-    return _compile(roots, RULE if panel else None)
+    if ``panel`` is true, and ``scan``, compiled once per tuple of nodes,
+    ``panel`` and ``scan``.  Nodes are interned, so the key hashes in
+    O(1) and a checker that builds the same trees again gets this kernel
+    back; holding the roots keeps their nodes, and so that reuse, alive."""
+    return _compile(roots, RULE if panel else None, scan)
 
 
-def _compile(roots: tuple, rule: tuple | None = None):
+def _compile(roots: tuple, rule: tuple | None = None, scan: bool = False):
     """One straight-line function doing, point after point, the float
     operations of the tree walk :func:`_walk` of each root in turn.
     Without a ``rule`` it maps ``(ts, eps)`` to the columns ``(values of
@@ -388,7 +390,13 @@ def _compile(roots: tuple, rule: tuple | None = None):
     added to its two sums ``Ki`` and ``Gi``, left to right from ``0.0``,
     and no value is kept; then ``error = w0*abs(half*K0 - half*G0) +
     w1*abs(half*K1 - half*G1) + ...``, added left to right, for
-    ``weights = (w0, w1, ...)``.
+    ``weights = (w0, w1, ...)``.  With ``scan`` true, for one root and no
+    rule, it is a column kernel that also keeps, point after point, the
+    index ``i`` of each point whose value times the one before is ``<=
+    0.0``, and the least and greatest of the values ``>= 0.0`` and of the
+    others; from those four it returns ``(ts, eps) -> (values, indices,
+    least, greatest, least absolute value)``, the last three ``inf``,
+    ``-inf`` and ``inf`` for no point.  A NaN value enters none of them.
 
     A post-order walk (left before right, root after root) emits one
     ``vN = ...`` line per operation into the loop of a factory
@@ -453,6 +461,22 @@ def _compile(roots: tuple, rule: tuple | None = None):
         lines += [f"    a{i}({name})\n" for i, name in enumerate(results)]
         out = ", ".join(f"o{i}" for i in outs)
         ret = f"  return {out},\n"
+        if scan:  # the extremes of the values >= 0.0 and of the others
+            (v,) = results
+            init += (f"  s = []; p = {arg(math.nan)}\n"
+                     f"  pmin = nmin = {arg(math.inf)}; pmax = nmax = -pmin\n")
+            lines[-1:-1] = [
+                f"    if p * {v} <= 0.0: s.append(len(o0))\n"
+                f"    if {v} >= 0.0:\n"
+                f"     if {v} < pmin: pmin = {v}\n"
+                f"     if {v} > pmax: pmax = {v}\n"
+                f"    else:\n"
+                f"     if {v} < nmin: nmin = {v}\n"
+                f"     if {v} > nmax: nmax = {v}\n"
+                f"    p = {v}\n"]
+            ret = ("  return (o0, s, nmin if nmin < pmin else pmin,\n"
+                   "          pmax if pmax > nmax else nmax,\n"
+                   "          pmin if pmin < -nmax else -nmax)\n")
     else:
         head = "(eps, weights, center, half)"
         init = "".join(f"  K{i} = G{i} = 0.0\n" for i in outs)
@@ -506,10 +530,11 @@ def _walk(e: Expr, t: float, eps: float | None) -> float:
 @lru_cache(maxsize=1024)
 def _factory(src: str):
     """The factory defined by ``src``, compiled once per tree shape and
-    kind (column or panel kernel); the source names nothing but its
+    kind (column, scan or panel kernel); the source names nothing but its
     arguments, so it runs in an empty scope.
     1024 is above the measured working set: 240 cycles of perfbench's
-    checker-sweep build 453-474 shapes (seeds 1, 101 and 1501)."""
+    checker-sweep build 436-457 shapes (seeds 1, 101 and 1501), and 960
+    cycles the same."""
     scope = {}
     exec(compile(src, "<lcfn.expr>", "exec"), scope)
     return scope["_make"]

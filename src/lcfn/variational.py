@@ -73,10 +73,12 @@ def critical_points(f: FuzzyFunction, grid: int = SCAN_GRID
                     ) -> tuple[CriticalPoint, ...]:
     """Interior zeros of the center derivative, classified by curvature.
 
-    Sign changes of g' are bracketed and bisected (guaranteed
-    convergence); touching zeros (g' grazing zero without a sign change,
-    as for cubic centers) are caught at grid nodes where |g'| is locally
-    minimal and tiny, refined on the sign change of g''.
+    One pass of the scan kernel of g' over the grid gives its values, the
+    nodes where it meets or crosses zero and its extremes.  Sign changes
+    of g' are bracketed and bisected (guaranteed convergence); touching
+    zeros (g' grazing zero without a sign change, as for cubic centers)
+    are caught at grid nodes where |g'| is locally minimal and tiny,
+    refined on the sign change of g''.
     """
     if grid < 2:
         raise ValueError(f"critical-point scan needs grid >= 2, got {grid!r}")
@@ -85,9 +87,11 @@ def critical_points(f: FuzzyFunction, grid: int = SCAN_GRID
     g1 = ex.differentiate(g, "t", 1)
     g2 = ex.differentiate(g1, "t", 1)
     ts = node_grid(a, b, grid)
-    (vals,) = sample(ex.kernel(g1), (g1,), ("center derivative g'",), ts)
+    # sample checked vals finite; least is the smallest |g'|
+    vals, brackets, lo, hi, least = sample(
+        ex.kernel(g1, scan=True), (g1,), ("center derivative g'",), ts)
     spacing = (b - a) / (grid - 1)
-    scale = max(1.0, max(vals), -min(vals))  # sample checked vals finite
+    scale = max(1.0, hi, -lo)
 
     roots: list[float] = []
 
@@ -95,7 +99,7 @@ def critical_points(f: FuzzyFunction, grid: int = SCAN_GRID
         if a < t < b and all(abs(t - seen) > 0.5 * spacing for seen in roots):
             roots.append(t)
 
-    for i in range(1, grid):
+    for i in brackets:  # each i with vals[i - 1] * vals[i] <= 0.0
         v0, v1 = vals[i - 1], vals[i]
         if v0 == 0.0:
             add(ts[i - 1])
@@ -104,7 +108,7 @@ def critical_points(f: FuzzyFunction, grid: int = SCAN_GRID
 
     touch = TOUCH_FACTOR * scale
     # with every |g'| above the threshold no node can be a touching zero
-    for i in range(1, grid - 1) if min(map(abs, vals)) <= touch else ():
+    for i in range(1, grid - 1) if least <= touch else ():
         v = abs(vals[i])
         if v == 0.0 or v > touch:
             continue
@@ -167,7 +171,8 @@ def verify_local_order(f: FuzzyFunction, cp: CriticalPoint,
                        radius: float, n: int) -> LocalOrderReport:
     """Check the order-based extremum definition around a critical point:
     every sample z in the radius must satisfy f(t*) <= f(z) for a local
-    minimum (>= for a maximum)."""
+    minimum (>= for a maximum).  A claim with no sample other than t* in
+    the domain is refused, not passed."""
     if not (math.isfinite(radius) and radius > 0.0):
         raise ValueError(
             f"radius must be finite and positive, got {radius!r}")
@@ -188,6 +193,10 @@ def verify_local_order(f: FuzzyFunction, cp: CriticalPoint,
         if compare(f_star, f.at(z)) is bad:
             return LocalOrderReport(cp.t_star, cp.verdict.value, checked,
                                     False, first_violation=z)
+    if not checked:
+        raise ValueError(
+            f"no sample other than t*={cp.t_star!r} lies in the domain "
+            f"[{a!r}, {b!r}] for radius={radius!r} and n={n!r}")
     return LocalOrderReport(cp.t_star, cp.verdict.value, checked, True)
 
 

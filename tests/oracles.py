@@ -8,9 +8,10 @@ expression form, one scalar quadrature for the witness's b_k, one
 ``LCFN`` per row for the reconstruction's residual grid, branches
 sliced from the knots on every call and walked knot by knot for a
 generator's alpha-levels, three intermediate elements for the product's
-defining form, one helper per signed term for element literals, and
+defining form, one helper per signed term for element literals,
 ``center()`` with a verdict built per call for the order, the sign
-classes and the norm.
+classes and the norm, and Python passes over the g' column for the
+critical-point scan.
 """
 import heapq
 import math
@@ -18,11 +19,14 @@ import operator
 from functools import reduce
 
 from lcfn import LCFN, DiracKernel, expr as ex
+from lcfn.calculus import finite, node_grid, sample
 from lcfn.core import _ELEMENT, Ordering, SignClass, _require_same_gen
 from lcfn.errors import (EvalError, ExprSyntaxError, NonFiniteIntegrand,
                          QuadratureNonConvergent)
 from lcfn.quadrature import MAX_INTERVALS, REL_TOL, RULE, integrate_scalar
-from lcfn.variational import SMOOTHNESS
+from lcfn.variational import (ACCEPT_FACTOR, CLASSIFY_TOL, SCAN_GRID,
+                               SMOOTHNESS, TOUCH_FACTOR, CriticalPoint,
+                               Verdict, _bisect)
 
 
 def walk(e, t, eps=None):
@@ -266,3 +270,59 @@ def sign_class(b):
 def norm(b):
     """``LCFN.norm`` from ``center()``."""
     return abs(b.q) + abs(b.center())
+
+
+def critical_points(f, grid=SCAN_GRID):
+    """``variational.critical_points`` from the column kernel of g', read
+    by a sign loop over every interval, ``max`` and ``min`` of the column
+    and ``min`` of its absolute values; the library must return the same
+    points, bit for bit."""
+    a, b = f.domain
+    g1 = ex.differentiate(f.center_expr(), "t", 1)
+    g2 = ex.differentiate(g1, "t", 1)
+    ts = node_grid(a, b, grid)
+    (vals,) = sample(ex.kernel(g1), (g1,), ("center derivative g'",), ts)
+    spacing = (b - a) / (grid - 1)
+    scale = max(1.0, max(vals), -min(vals))
+
+    roots = []
+
+    def add(t):
+        if a < t < b and all(abs(t - seen) > 0.5 * spacing for seen in roots):
+            roots.append(t)
+
+    for i in range(1, grid):
+        v0, v1 = vals[i - 1], vals[i]
+        if v0 == 0.0:
+            add(ts[i - 1])
+        elif v0 * v1 < 0.0:
+            add(_bisect(g1, ts[i - 1], ts[i], v0))
+
+    touch = TOUCH_FACTOR * scale
+    for i in range(1, grid - 1) if min(map(abs, vals)) <= touch else ():
+        v = abs(vals[i])
+        if v == 0.0 or v > touch:
+            continue
+        if v > abs(vals[i - 1]) or v > abs(vals[i + 1]):
+            continue
+        if vals[i - 1] * vals[i] < 0.0 or vals[i] * vals[i + 1] < 0.0:
+            continue
+        w0 = ex.evaluate(g2, ts[i - 1])
+        w1 = ex.evaluate(g2, ts[i + 1])
+        if w0 * w1 < 0.0:
+            t_hat = _bisect(g2, ts[i - 1], ts[i + 1], w0)
+            if abs(ex.evaluate(g1, t_hat)) <= ACCEPT_FACTOR * scale:
+                add(t_hat)
+
+    points = []
+    for t in sorted(roots):
+        d1 = finite(ex.evaluate(g1, t), "center derivative g'", t)
+        d2 = finite(ex.evaluate(g2, t), "center curvature g''", t)
+        if d2 > CLASSIFY_TOL:
+            verdict = Verdict.LOCAL_MIN
+        elif d2 < -CLASSIFY_TOL:
+            verdict = Verdict.LOCAL_MAX
+        else:
+            verdict = Verdict.INCONCLUSIVE
+        points.append(CriticalPoint(t, d1, d2, verdict))
+    return tuple(points)

@@ -175,8 +175,10 @@ def test_dbr_reconstruct_evals_over_catalog(counts):
 
 
 def test_critical_points_evals_over_catalog(counts):
-    # g' on the 1,024-node scan grid in one kernel call per scenario; the
-    # bisections and the classification still evaluate point by point
+    # g' on the 1,024-node scan grid in one scan-kernel call per scenario,
+    # which also finds the brackets and extremes; the bisections, the
+    # touching-zero refinement and the classification still evaluate
+    # point by point
     for scenario in load_catalog():
         variational.critical_points(scenario.f)
     assert counts == {"points": 0, "calls": 0, "sampled": 12288,
@@ -232,9 +234,9 @@ def test_repeated_checks_compile_no_kernel(monkeypatch):
     compiled = []
     compile_roots = ex._compile
 
-    def counting_compile(roots, rule=None):
-        compiled.append((roots, rule))
-        return compile_roots(roots, rule)
+    def counting_compile(roots, rule=None, scan=False):
+        compiled.append((roots, rule, scan))
+        return compile_roots(roots, rule, scan)
 
     monkeypatch.setattr(ex, "_compile", counting_compile)
     ex.kernel.cache_clear()

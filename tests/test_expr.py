@@ -333,6 +333,40 @@ def test_batch_kernels_match_walk_bit_for_bit():
     assert checked > 15000 and raised > 0
 
 
+def _scan_reference(column):
+    """What the scan kernel records of ``column``, by Python passes: each
+    i with ``column[i - 1] * column[i] <= 0.0``, then the least, the
+    greatest and the least absolute value that is not NaN."""
+    brackets = [i for i in range(1, len(column))
+                if column[i - 1] * column[i] <= 0.0]
+    seen = [v for v in column if v == v]
+    return [brackets, min(seen, default=math.inf),
+            max(seen, default=-math.inf), min(map(abs, seen), default=math.inf)]
+
+
+def test_scan_kernels_match_column_kernels_bit_for_bit():
+    """The scan kernel of each tree returns the bits of the column
+    kernel's column, or its error, and records what Python passes over
+    that column find (extremes compared by value, as 0.0 == -0.0)."""
+    checked, raised = 0, 0
+    for name, trees, ts, eps in _compiled_cases():
+        for tree in trees:
+            scan, column = ex.kernel(tree, scan=True), ex.kernel(tree)
+            good = [t for t in ts
+                    if isinstance(_batch(column, [t], eps)[0], list)]
+            values, *records = scan(good, eps)
+            (want,) = column(good, eps)
+            assert repr(values) == repr(want), (name, ex.to_source(tree))
+            assert records == _scan_reference(want), (name, ex.to_source(tree))
+            if len(good) < len(ts):  # the first error, of its class
+                assert _batch(scan, ts, eps) == _batch(column, ts, eps)
+                raised += 1
+            checked += len(good)
+    assert checked > 5000 and raised > 0
+    assert ex.kernel(ex.Var("t"), scan=True)([]) == \
+        ([], [], math.inf, -math.inf, math.inf)
+
+
 _SIN, _LOGT = ex.parse("sin(t)"), ex.parse("log(t)")
 
 

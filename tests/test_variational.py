@@ -1,5 +1,6 @@
 """Critical points, mollifier kernels, and the variational harnesses."""
 import math
+import random
 
 import pytest
 
@@ -37,6 +38,7 @@ from lcfn.variational import (
 from lcfn import LCFN, expr as ex, variational
 from conftest import assert_frozen_value
 from oracles import b_direct, kernel_value, reconstruction_rows
+import oracles
 
 
 def fn(r, q, gen, domain=(0.0, 1.0)):
@@ -86,6 +88,62 @@ def test_no_critical_points(tri_am0):
     assert critical_points(fn("t", "0", tri_am0)) == ()
 
 
+def _seeded_centers(seed, count=8):
+    """Quadratic and trigonometric (r, q, domain) triples on seeded
+    coefficients, the kinds of center the checkers scan."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        a = rng.uniform(-3.0, 1.0)
+        b = a + rng.uniform(0.5, 4.0)
+        m, c, d = rng.uniform(a, b), rng.uniform(-4.0, 4.0), rng.uniform(-2, 2)
+        out.append((f"{c!r}*(t - {m!r})^2 + {d!r}*t", f"{d!r}*t", (a, b)))
+        w, phi = rng.uniform(0.5, 9.0), rng.uniform(0.0, 6.0)
+        out.append((f"{c!r}*sin({w!r}*t + {phi!r})", f"{d!r}*cos({w!r}*t)",
+                    (a, b)))
+    return out
+
+
+@pytest.mark.parametrize("seed", [3, 11, 2024])
+def test_critical_points_match_the_reference_scan_on_seeded_centers(
+        tri_am05, seed):
+    for r, q, domain in _seeded_centers(seed):
+        f = fn(r, q, tri_am05, domain)
+        assert repr(critical_points(f)) == repr(oracles.critical_points(f)), \
+            (r, q, domain)
+
+
+def test_critical_points_match_the_reference_scan_over_catalog():
+    # s03 and s12 have a zero center derivative: 1,022 inconclusive points
+    inconclusive = 0
+    for scenario in load_catalog():
+        got = critical_points(scenario.f)
+        assert repr(got) == repr(oracles.critical_points(scenario.f)), \
+            scenario.name
+        inconclusive += sum(p.verdict is Verdict.INCONCLUSIVE for p in got)
+    assert inconclusive >= 2 * 1022
+
+
+@pytest.mark.parametrize("r, domain, grid", [
+    # g' = 2*(t - 511) is zero at a node of the grid of integers
+    ("(t - 511)^2", (0.0, 1023.0), 1024),
+    # the root of g' lies between the last two nodes
+    ("(t - 0.9999)^2", (0.0, 1.0), 1024),
+    # g' = 3*t^2 touches zero between nodes, and at a node
+    ("t^3", (-1.0, 1.0), 1024),
+    ("t^3", (-1.0, 1.0), 1025),
+    ("(t - 0.3)^2", (0.0, 1.0), 2),
+    ("sin(40*t)", (0.0, 3.0), MAX_GRID_NODES),
+], ids=["zero-at-node", "last-interval", "touching", "touching-at-node",
+        "grid-2", "largest-grid"])
+def test_critical_points_match_the_reference_scan_on_edges(tri_am0, r,
+                                                           domain, grid):
+    f = fn(r, "0", tri_am0, domain)
+    got = critical_points(f, grid)
+    assert repr(got) == repr(oracles.critical_points(f, grid))
+    assert got  # each edge case has a critical point to find
+
+
 def test_verify_local_order_min(tri_am1):
     f = fn("t^2", "t", tri_am1, (-2.0, 1.0))
     cp = critical_points(f)[0]
@@ -129,6 +187,21 @@ def test_verify_local_order_refuses_a_vacuous_check(tri_am0, radius, n,
     with pytest.raises(ValueError) as err:
         verify_local_order(f, cp, radius, n)
     assert str(err.value) == message
+
+
+@pytest.mark.parametrize("radius, n", [(0.1, 1), (1e-300, 4), (5.0, 2)],
+                         ids=["only-t-star", "below-spacing", "outside"])
+def test_verify_local_order_refuses_a_claim_with_no_sample(tri_am0, radius,
+                                                           n):
+    # one sample at t* itself, samples rounding to t*, samples off [0, 1]:
+    # each once passed with checked == 0
+    f = fn("(t-0.5)^2", "0", tri_am0, (0.0, 1.0))
+    cp = critical_points(f)[0]
+    with pytest.raises(ValueError) as err:
+        verify_local_order(f, cp, radius, n)
+    assert str(err.value) == (
+        f"no sample other than t*=0.5 lies in the domain [0.0, 1.0] "
+        f"for radius={radius!r} and n={n!r}")
 
 
 # -- mollifier kernel --------------------------------------------------------
@@ -552,6 +625,19 @@ def test_node_grid_refuses_more_than_its_maximum():
         node_grid(0.0, 1.0, MAX_GRID_NODES + 1)
     assert str(err.value) == (f"need at most MAX_GRID_NODES={MAX_GRID_NODES} "
                               f"grid nodes, got {MAX_GRID_NODES + 1}")
+
+
+@pytest.mark.parametrize("call, got", [
+    (lambda f: critical_points(f, grid=2.5), "2.5"),
+    (lambda f: critical_points(f, grid=1024.0), "1024.0"),
+    (lambda f: dbr_reconstruct(f, grid=300.0), "300.0"),
+    (lambda f: lagrange_scan(f, grid=2.0), "4.0"),  # grid + 2 nodes
+], ids=["critical-2.5", "critical-1024.0", "reconstruct", "lagrange"])
+def test_a_grid_that_is_not_an_int_is_refused_by_name(call, got):
+    f = catalog_scenario("s06_recovery_window").f
+    with pytest.raises(TypeError) as err:
+        call(f)
+    assert str(err.value) == f"grid node count must be an int, got {got}"
 
 
 @pytest.mark.parametrize("grid", [0, -1])
