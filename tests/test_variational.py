@@ -177,6 +177,14 @@ def test_verify_local_order_catches_wrong_claim(tri_am0):
     (-math.inf, 50, "radius must be finite and positive, got -inf"),
     (0.1, 0, "local-order check needs n >= 1, got 0"),
     (0.1, -3, "local-order check needs n >= 1, got -3"),
+    # valid arguments with no sample but t* in [0, 1]: the one sample is
+    # t*, the samples round to t*, or they lie off the domain
+    (0.1, 1, "no sample other than t*=0.5 lies in the domain [0.0, 1.0] "
+             "for radius=0.1 and n=1"),
+    (1e-300, 4, "no sample other than t*=0.5 lies in the domain [0.0, 1.0] "
+                "for radius=1e-300 and n=4"),
+    (5.0, 2, "no sample other than t*=0.5 lies in the domain [0.0, 1.0] "
+             "for radius=5.0 and n=2"),
 ])
 def test_verify_local_order_refuses_a_vacuous_check(tri_am0, radius, n,
                                                     message):
@@ -187,21 +195,6 @@ def test_verify_local_order_refuses_a_vacuous_check(tri_am0, radius, n,
     with pytest.raises(ValueError) as err:
         verify_local_order(f, cp, radius, n)
     assert str(err.value) == message
-
-
-@pytest.mark.parametrize("radius, n", [(0.1, 1), (1e-300, 4), (5.0, 2)],
-                         ids=["only-t-star", "below-spacing", "outside"])
-def test_verify_local_order_refuses_a_claim_with_no_sample(tri_am0, radius,
-                                                           n):
-    # one sample at t* itself, samples rounding to t*, samples off [0, 1]:
-    # each once passed with checked == 0
-    f = fn("(t-0.5)^2", "0", tri_am0, (0.0, 1.0))
-    cp = critical_points(f)[0]
-    with pytest.raises(ValueError) as err:
-        verify_local_order(f, cp, radius, n)
-    assert str(err.value) == (
-        f"no sample other than t*=0.5 lies in the domain [0.0, 1.0] "
-        f"for radius={radius!r} and n={n!r}")
 
 
 # -- mollifier kernel --------------------------------------------------------
