@@ -2,9 +2,10 @@
 
 Derivatives and Riemann integrals act componentwise on the coordinate
 functions; a function reads r and q through one compiled kernel call per
-batch of points (a grid, the point of ``at``), and its integral makes one
-call of their panel kernel per quadrature panel, which returns the
-panel's sums, and bounds the error in the norm |q| + |r + a_m*q|.
+batch of points (a grid) or per point (``at``, their point kernel), and
+its integral makes one call of their panel kernel per quadrature panel,
+which returns the panel's sums, and bounds the error in the norm
+|q| + |r + a_m*q|.
 Functions of one generator and one domain integrate together
 (``integrate_many``): one panel kernel over all their components, one
 subdivision, and each function held to its own tolerance.
@@ -89,10 +90,18 @@ class FuzzyFunction(Value):
                    eps_aware=two_variable)
 
     def at(self, t: float, eps: float | None = None) -> LCFN:
+        """f(t) by one call of the (r, q) point kernel; on an error or a
+        non-finite value, the checked read of ``values``, so it raises
+        what ``values((t,), eps)`` raises."""
         a, b = self.domain
         if not a <= t <= b:
             raise OutsideDomain(f"t={t!r} outside [{a!r}, {b!r}]")
-        (r,), (q,) = self.values((t,), eps)
+        try:
+            r, q = ex.kernel(self.r, self.q, point=True)(t, eps)
+        except EvalError:
+            r = q = math.nan
+        if not math.isfinite(r + q):  # or finite values whose sum overflows
+            (r,), (q,) = self.values((t,), eps)
         return LCFN(r, q, self.gen)
 
     def values(self, ts, eps: float | None = None) -> tuple[list, list]:
@@ -236,8 +245,7 @@ def node_grid(a: float, b: float, nodes: int) -> list[float]:
     """``nodes`` equally spaced points from a to b, both ends exact; an
     ``int`` from 2 to ``MAX_GRID_NODES``, checked before anything is
     built."""
-    if not isinstance(nodes, int):
-        raise TypeError(f"grid node count must be an int, got {nodes!r}")
+    need_int(nodes, "grid node count")
     if nodes < 2:
         raise ValueError(f"need at least 2 grid nodes, got {nodes!r}")
     if nodes > MAX_GRID_NODES:
@@ -247,6 +255,12 @@ def node_grid(a: float, b: float, nodes: int) -> list[float]:
     ts = [a + span * i / last for i in _steps(nodes)]
     ts[-1] = b
     return ts
+
+
+def need_int(count, name: str) -> None:
+    """A TypeError naming ``name`` and ``count`` unless it is an int."""
+    if not isinstance(count, int):
+        raise TypeError(f"{name} must be an int, got {count!r}")
 
 
 @lru_cache(maxsize=4)

@@ -15,14 +15,15 @@ tree more than MAX_HEIGHT operations high.
 
 Nodes are hash-consed: equal trees are one object, so ``parse(s) is
 parse(s)`` and ``==`` is identity.  Evaluation is compiled: :func:`_compile`
-turns a tuple of trees into one straight-line function over a batch of
-points that computes each shared subtree once per point, returning the
+turns a tuple of trees into one straight-line function that computes each
+shared subtree once per point, over a batch of points, returning the
 values or, given a quadrature rule, a panel's estimate per tree and its
 weighted error, from two weighted sums per tree, or, for one tree, its
 values with the points where it meets or crosses zero and its extremes;
-:func:`kernel` keeps the function of each recent tuple of roots, as
-columns, as a scan or as a panel on quadrature's ``RULE``;
-:func:`evaluate` is its one-tree, one-point case.
+or at one point, with no loop, returning the value of each tree there;
+:func:`kernel` keeps the function of each recent tuple of roots in its
+four forms, as columns, as a scan, as a panel on quadrature's ``RULE``
+and as a point; :func:`evaluate` calls the one-tree point form.
 
 Differentiation is symbolic so downstream optimality checks see exact
 derivative expressions, and each node keeps its derivative; finite
@@ -355,30 +356,33 @@ def _above(height: int, offset: int) -> int:
 # -- evaluation ---------------------------------------------------------------
 
 def evaluate(e: Expr, t: float, eps: float | None = None) -> float:
-    """Evaluate at t (and eps for two-variable expressions): the one-root,
-    one-point call of ``kernel(e)``.  The result is bit-identical to the
+    """Evaluate at t (and eps for two-variable expressions): one call of
+    ``kernel(e, point=True)``.  The result is bit-identical to the
     reference tree walk ``walk`` in ``tests/oracles.py``."""
-    return kernel(e)((t,), eps)[0][0]
+    return kernel(e, point=True)(t, eps)
 
 
 #: Kernels kept by :func:`kernel`, above the measured working set: 240
-#: cycles of perfbench's checker-sweep compile 592 (root tuple, panel,
-#: scan) keys, 229 column, 19 scan and 344 panel kernels, and 960 cycles
-#: the same 592 (seeds 1, 101 and 1501).
+#: cycles of perfbench's checker-sweep compile 652 (root tuple, panel,
+#: scan, point) keys, 60 column, 19 scan, 344 panel and 229 point
+#: kernels, and 960 cycles the same 652 (seeds 1, 101 and 1501).
 KERNELS = 1024
 
 
 @lru_cache(maxsize=KERNELS)
-def kernel(*roots, panel=False, scan=False):
+def kernel(*roots, panel=False, scan=False, point=False):
     """The function :func:`_compile` makes of ``roots``, given ``RULE``
-    if ``panel`` is true, and ``scan``, compiled once per tuple of nodes,
-    ``panel`` and ``scan``.  Nodes are interned, so the key hashes in
-    O(1) and a checker that builds the same trees again gets this kernel
-    back; holding the roots keeps their nodes, and so that reuse, alive."""
-    return _compile(roots, RULE if panel else None, scan)
+    if ``panel`` is true, ``scan`` and ``point``, compiled once per tuple
+    of nodes and flags.  Nodes are interned, so the key hashes in O(1)
+    and a checker that builds the same trees again gets this kernel back;
+    holding the roots keeps their nodes, and so that reuse, alive.  A
+    keyword in the key costs about 110 ns a lookup over a bare tuple of
+    roots; a keyword-free key behind a Python wrapper measured no less."""
+    return _compile(roots, RULE if panel else None, scan, point)
 
 
-def _compile(roots: tuple, rule: tuple | None = None, scan: bool = False):
+def _compile(roots: tuple, rule: tuple | None = None, scan: bool = False,
+             point: bool = False):
     """One straight-line function doing, point after point, the float
     operations of the tree walk :func:`_walk` of each root in turn.
     Without a ``rule`` it maps ``(ts, eps)`` to the columns ``(values of
@@ -397,21 +401,27 @@ def _compile(roots: tuple, rule: tuple | None = None, scan: bool = False):
     others; from those four it returns ``(ts, eps) -> (values, indices,
     least, greatest, least absolute value)``, the last three ``inf``,
     ``-inf`` and ``inf`` for no point.  A NaN value enters none of them.
+    With ``point`` true, and no rule or scan, it is ``(t, eps=None) ->
+    value`` for one root and ``-> (value of root 0, value of root 1,
+    ...)`` for several: the operations of one point, with no loop and
+    no list, and their ``return`` inside the ``try``, so that a root
+    that is a leaf (``t``, a constant) still gives it a body.
 
     A post-order walk (left before right, root after root) emits one
-    ``vN = ...`` line per operation into the loop of a factory
-    ``_make(k0, k1, ...)``; a subtree met again (in any root; equal
-    subtrees are one object) reuses its ``vN``, so it runs once per
-    point.  Constants and ``t`` are read in place.  Each operation runs
-    raw: ``+ - * /`` and unary minus inline, ``^`` as ``**`` on a constant
-    integral exponent, ``exp``, ``log`` and ``sqrt`` as their ``_RAW``
-    functions, ``sin``, ``cos`` and ``abs`` as their (raw) entries.  These
-    give the bits of the ``_BIN``/``_FN`` entries and raise, as an
-    ``ArithmeticError`` or ``ValueError``, exactly where the entries do.
+    ``vN = ...`` line per operation into the loop (for a point kernel,
+    the body) of a factory ``_make(k0, k1, ...)``; a subtree met again
+    (in any root; equal subtrees are one object) reuses its ``vN``, so
+    it runs once per point.  Constants and ``t`` are read in place.
+    Each operation runs raw: ``+ - * /`` and unary minus inline, ``^`` as
+    ``**`` on a constant integral exponent, ``exp``, ``log`` and ``sqrt``
+    as their ``_RAW`` functions, ``sin``, ``cos`` and ``abs`` as their
+    (raw) entries.  These give the bits of the ``_BIN``/``_FN`` entries
+    and raise, as an ``ArithmeticError`` or ``ValueError``, exactly where
+    the entries do.
     Other powers call ``_pow`` (``**`` of a negative base gives a complex
     number at a non-integral exponent), ``sign`` calls ``_sign`` and other
     variables ``_var``; ``_pow`` and ``_var`` raise their ``EvalError``.
-    On any of these errors :func:`_replay` walks the point the batch
+    On any of these errors :func:`_replay` walks the point the kernel
     stopped at, to raise the walk's error naming t.  Constants, variable
     names, those functions, the rule, the caught classes and ``_replay``
     enter as the arguments ``kN``, never as text, so trees of one shape
@@ -454,7 +464,10 @@ def _compile(roots: tuple, rule: tuple | None = None, scan: bool = False):
 
     results = [emit(root) for root in roots]
     outs = range(len(roots))
-    if rule is None:
+    if point:
+        head, init, loop, ret = "(t, eps=None)", "", "", ""
+        lines.append(f"    return {', '.join(results)}\n")
+    elif rule is None:
         head = "(ts, eps=None)"
         init = "".join(f"  o{i} = []; a{i} = o{i}.append\n" for i in outs)
         loop = "   for t in ts:\n"
@@ -530,10 +543,10 @@ def _walk(e: Expr, t: float, eps: float | None) -> float:
 @lru_cache(maxsize=1024)
 def _factory(src: str):
     """The factory defined by ``src``, compiled once per tree shape and
-    kind (column, scan or panel kernel); the source names nothing but its
-    arguments, so it runs in an empty scope.
+    kind (column, scan, panel or point kernel); the source names nothing
+    but its arguments, so it runs in an empty scope.
     1024 is above the measured working set: 240 cycles of perfbench's
-    checker-sweep build 436-457 shapes (seeds 1, 101 and 1501), and 960
+    checker-sweep build 481-503 shapes (seeds 1, 101 and 1501), and 960
     cycles the same."""
     scope = {}
     exec(compile(src, "<lcfn.expr>", "exec"), scope)

@@ -20,7 +20,7 @@ from functools import lru_cache
 
 from . import expr as ex
 from .calculus import (CheckReport, FuzzyFunction, finite, integrate,
-                       integrate_many, node_grid, sample)
+                       integrate_many, need_int, node_grid, sample)
 from .core import LCFN, Ordering, compare
 from .errors import (
     CatalogBoundaryViolation,
@@ -80,6 +80,7 @@ def critical_points(f: FuzzyFunction, grid: int = SCAN_GRID
     are caught at grid nodes where |g'| is locally minimal and tiny,
     refined on the sign change of g''.
     """
+    need_int(grid, "grid node count")
     if grid < 2:
         raise ValueError(f"critical-point scan needs grid >= 2, got {grid!r}")
     a, b = f.domain
@@ -173,6 +174,7 @@ def verify_local_order(f: FuzzyFunction, cp: CriticalPoint,
     every sample z in the radius must satisfy f(t*) <= f(z) for a local
     minimum (>= for a maximum).  A claim with no sample other than t* in
     the domain is refused, not passed."""
+    need_int(n, "local-order sample count n")
     if not (math.isfinite(radius) and radius > 0.0):
         raise ValueError(
             f"radius must be finite and positive, got {radius!r}")
@@ -361,6 +363,7 @@ def lagrange_scan(f: FuzzyFunction, epsilon: float = EPSILON,
     recovery integrand of :func:`mollifier_recovery` and, where admissible,
     the witness integrands of :func:`witness_sequence` in one
     :func:`integrate_many` call."""
+    need_int(grid, "grid node count")  # named before it becomes grid + 2
     if grid < 1:
         raise ValueError(f"Lagrange scan needs grid >= 1, got {grid!r}")
     if not indices:

@@ -9,9 +9,11 @@ fixture wraps ``qag`` where ``calculus`` imports it and counts both the
 points (one point is one node, where every pair of the run is read; 15
 per panel call) and the kernel calls: points alone are not a work proxy,
 as one call on many points costs less than many calls.
-It also counts the points read through ``calculus.sample`` (``f.at`` and
-the checkers' grids) and the ``ex.evaluate`` calls left in the checkers,
-wrapping each where ``calculus`` and ``variational`` import it.
+It also counts the points read through ``calculus.sample`` (the
+checkers' grids) and the ``ex.evaluate`` calls left in the checkers,
+wrapping each where ``calculus`` and ``variational`` import it, and each
+``f.at`` read, one point call of the pair's point kernel, as one sampled
+point (a read that falls back to ``f.values`` is counted there again).
 """
 import collections
 import types
@@ -29,7 +31,7 @@ def counts(monkeypatch):
     """qag points and kernel calls, sampled points and ``ex.evaluate``
     calls so far."""
     count = {"points": 0, "calls": 0, "sampled": 0, "evaluate": 0}
-    qag, sample = calculus.qag, calculus.sample
+    qag, sample, at = calculus.qag, calculus.sample, calculus.FuzzyFunction.at
 
     def counting_qag(panel, *args):
         def counted(center, half):
@@ -42,6 +44,10 @@ def counts(monkeypatch):
         count["sampled"] += len(ts)
         return sample(kernel, roots, names, ts, eps)
 
+    def counting_at(f, t, eps=None):
+        count["sampled"] += 1
+        return at(f, t, eps)
+
     def counting_ex(ex):
         def evaluate(e, t, eps=None):
             count["evaluate"] += 1
@@ -52,6 +58,7 @@ def counts(monkeypatch):
         return proxy
 
     monkeypatch.setattr(calculus, "qag", counting_qag)
+    monkeypatch.setattr(calculus.FuzzyFunction, "at", counting_at)
     for module in (calculus, variational):
         monkeypatch.setattr(module, "sample", counting_sample)
         monkeypatch.setattr(module, "ex", counting_ex(module.ex))
@@ -85,18 +92,19 @@ def test_ibp_check_evals_over_catalog(counts):
 
 def test_square_integral_points_on_s09(monkeypatch):
     # every kernel call, counted by its number of points (a panel kernel
-    # by the 15 nodes of RULE): the cross pair's 3 qag panels and the 64
-    # Gauss-Legendre nodes of the direct route, one evaluate call each.
+    # by the 15 nodes of RULE, a point kernel by one): the cross pair's 3
+    # qag panels and the 64 Gauss-Legendre nodes of the direct route, one
+    # call each of the point kernel of c^2 (once one evaluate call each).
     # The zero class is read from the integral; the 2,048-point grid it
     # once took made 2,157 points in 68 calls, and any grid read past qag
     # and sample shows here
     kernel, calls = ex.kernel, []
 
-    def counting_kernel(*roots, panel=False):
-        compiled = kernel(*roots, panel=panel)
+    def counting_kernel(*roots, panel=False, point=False):
+        compiled = kernel(*roots, panel=panel, point=point)
 
-        def counted(first, *rest, **kwargs):  # ts, or a panel's center
-            calls.append(len(RULE) if panel else len(first))
+        def counted(first, *rest, **kwargs):  # ts, a panel's center, or t
+            calls.append(len(RULE) if panel else 1 if point else len(first))
             return compiled(first, *rest, **kwargs)
         return counted
 
@@ -234,9 +242,9 @@ def test_repeated_checks_compile_no_kernel(monkeypatch):
     compiled = []
     compile_roots = ex._compile
 
-    def counting_compile(roots, rule=None, scan=False):
-        compiled.append((roots, rule, scan))
-        return compile_roots(roots, rule, scan)
+    def counting_compile(roots, rule=None, scan=False, point=False):
+        compiled.append((roots, rule, scan, point))
+        return compile_roots(roots, rule, scan, point)
 
     monkeypatch.setattr(ex, "_compile", counting_compile)
     ex.kernel.cache_clear()

@@ -419,6 +419,88 @@ def test_pair_values_raise_as_at_does_point_by_point(tri_am05):
     assert list(zip(rs, qs)) == [(f.at(t).r, f.at(t).q) for t in (3.0, 3.5)]
 
 
+def _point_cases():
+    """``_compiled_cases`` (the catalog's components, their first three
+    derivatives and two-variable trees among them) and leaf roots."""
+    yield from _compiled_cases()
+    leaves = [ex.Num(2.5), ex.Num(-0.0), ex.Var("t")]
+    points = [-1.5, 0.0, -0.0, math.inf, math.nan]
+    yield "leaves", leaves, points, None
+    yield "leaves with eps", leaves + [ex.Var("eps")], points, -0.5
+
+
+def test_point_kernels_match_walk_bit_for_bit():
+    """``kernel(*roots, point=True)`` at t gives the walk's bits, the
+    value itself for one root and the tuple of values for several, or the
+    walk's first error, root by root.  repr tells -0.0 from 0.0 and
+    prints every NaN as 'nan'."""
+    checked, raised = 0, 0
+    for name, trees, ts, eps in _point_cases():
+        for roots in [(tree,) for tree in trees] + [tuple(trees)]:
+            point = ex.kernel(*roots, point=True)
+            for t in ts:
+                want = _walk_batch(roots, [t], eps)
+                if isinstance(want[0], list):  # one column per root
+                    want = want[0][0] if len(roots) == 1 else \
+                        tuple(column[0] for column in want)
+                try:
+                    got = point(t, eps)
+                except EvalError as err:
+                    got = type(err), str(err)
+                assert repr(got) == repr(want), \
+                    (name, [ex.to_source(root) for root in roots], t)
+                checked += 1
+                raised += isinstance(want, tuple) and isinstance(want[0], type)
+    assert checked > 10000 and raised > 0
+
+
+@pytest.mark.parametrize("roots, t, eps, cls, message", [
+    ((ex.parse("t + 1"), _LOGT), -2.0, None,
+     EvalDomainError, "log of nonpositive value -2.0 at t=-2.0"),
+    ((ex.parse("1/(t - 1)"),), 1.0, None,
+     DivisionByZero, "division by zero at t=1.0"),
+    ((ex.parse("t*t"), ex.Bin("*", ex.parse("t*t"), _SIN)), math.inf, None,
+     EvalDomainError, "sin or cos of an infinite value in t*t*sin(t) at t=inf"),
+    ((ex.parse("t"), ex.parse("t*eps", ("t", "eps"))), 0.5, None,
+     EvalError, "variable 'eps' is not bound at t=0.5"),
+    ((ex.Var("eps"),), 0.5, None,
+     EvalError, "variable 'eps' is not bound at t=0.5"),
+], ids=["log", "division", "sin-inf-shared", "eps-unbound", "eps-leaf"])
+def test_point_errors_match_column_errors(roots, t, eps, cls, message):
+    with pytest.raises(cls) as point:
+        ex.kernel(*roots, point=True)(t, eps)
+    with pytest.raises(cls) as column:
+        ex.kernel(*roots)([t], eps)
+    assert type(point.value) is type(column.value) is cls
+    assert str(point.value) == str(column.value) == message
+
+
+@pytest.mark.parametrize("r, q, t", [
+    ("1e308*10^(2 - t)", "log(t - 2)", 1.0),  # r is inf and q raises
+    ("log(t - 2)", "t", 1.0),  # r raises
+    ("t", "1e308*10^(2 - t)", 1.0),  # q is inf
+    ("1e308*t", "1e308", 1.5),  # finite, but r + q overflows
+], ids=["inf-r-raising-q", "raising-r", "inf-q", "finite-overflowing-sum"])
+def test_at_reads_what_values_reads(tri_am05, r, q, t):
+    # f.at's one point call falls back to f.values((t,)) on an error or a
+    # non-finite r + q, so it raises values' checked error, r before q,
+    # and returns values' bits
+    from lcfn.calculus import FuzzyFunction
+    f = FuzzyFunction.from_strings(r, q, tri_am05, (0.0, 4.0))
+
+    def read(reader):
+        try:
+            return reader()
+        except EvalError as err:
+            return type(err), str(err)
+
+    def at():
+        element = f.at(t)
+        return [element.r], [element.q]
+
+    assert repr(read(at)) == repr(read(lambda: f.values((t,))))
+
+
 def test_pair_kernel_runs_a_shared_subtree_once_per_point(monkeypatch):
     calls = []
 

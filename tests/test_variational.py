@@ -620,17 +620,27 @@ def test_node_grid_refuses_more_than_its_maximum():
                               f"grid nodes, got {MAX_GRID_NODES + 1}")
 
 
-@pytest.mark.parametrize("call, got", [
-    (lambda f: critical_points(f, grid=2.5), "2.5"),
-    (lambda f: critical_points(f, grid=1024.0), "1024.0"),
-    (lambda f: dbr_reconstruct(f, grid=300.0), "300.0"),
-    (lambda f: lagrange_scan(f, grid=2.0), "4.0"),  # grid + 2 nodes
-], ids=["critical-2.5", "critical-1024.0", "reconstruct", "lagrange"])
-def test_a_grid_that_is_not_an_int_is_refused_by_name(call, got):
+_GRID_NOT_INT = "grid node count must be an int, got "
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda f: critical_points(f, grid=2.5), _GRID_NOT_INT + "2.5"),
+    (lambda f: critical_points(f, grid=1024.0), _GRID_NOT_INT + "1024.0"),
+    # below 2, but refused as not an int before its size is read
+    (lambda f: critical_points(f, grid=1.5), _GRID_NOT_INT + "1.5"),
+    (lambda f: dbr_reconstruct(f, grid=300.0), _GRID_NOT_INT + "300.0"),
+    # the caller's grid, not the grid + 2 nodes it becomes
+    (lambda f: lagrange_scan(f, grid=2.0), _GRID_NOT_INT + "2.0"),
+    (lambda f: verify_local_order(
+        f, CriticalPoint(1.5, 0.0, 1.0, Verdict.LOCAL_MIN), 0.1, 2.5),
+     "local-order sample count n must be an int, got 2.5"),
+], ids=["critical-2.5", "critical-1024.0", "critical-1.5", "reconstruct",
+        "lagrange", "local-order"])
+def test_a_grid_that_is_not_an_int_is_refused_by_name(call, message):
     f = catalog_scenario("s06_recovery_window").f
     with pytest.raises(TypeError) as err:
         call(f)
-    assert str(err.value) == f"grid node count must be an int, got {got}"
+    assert str(err.value) == message
 
 
 @pytest.mark.parametrize("grid", [0, -1])
