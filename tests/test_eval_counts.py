@@ -94,7 +94,7 @@ def test_square_integral_points_on_s09(monkeypatch):
     # every kernel call, counted by its number of points (a panel kernel
     # by the 15 nodes of RULE, a point kernel by one): the cross pair's 3
     # qag panels and the 64 Gauss-Legendre nodes of the direct route, one
-    # call each of the point kernel of c^2 (once one evaluate call each).
+    # evaluate call each, which is one call of the point kernel of c^2.
     # The zero class is read from the integral; the 2,048-point grid it
     # once took made 2,157 points in 68 calls, and any grid read past qag
     # and sample shows here
@@ -232,7 +232,7 @@ def test_repeated_checks_compile_no_kernel(monkeypatch):
     """Checkers rebuild their trees on every call; interned nodes make the
     rebuilt trees the very roots the kernel cache holds, so a second pass
     over the same checks compiles nothing (per-object kernels compiled 25,
-    then 22).  The first pass compiles 17: the column kernel of ``f.at``
+    then 22).  The first pass compiles 17: the point kernel of ``f.at``
     and the panel kernel of ``integrate`` are two compiles where f is
     both read at points and integrated, and ``dbr_forward_check`` and
     each Lagrange scan point compile one panel kernel over all their
