@@ -97,7 +97,7 @@ class FuzzyFunction(Value):
         if not a <= t <= b:
             raise OutsideDomain(f"t={t!r} outside [{a!r}, {b!r}]")
         try:
-            r, q = ex.kernel(self.r, self.q, point=True)(t, eps)
+            r, q = ex.kernel("point", self.r, self.q)(t, eps)
         except EvalError:
             r = q = math.nan
         if not math.isfinite(r + q):  # or finite values whose sum overflows
@@ -106,7 +106,7 @@ class FuzzyFunction(Value):
 
     def values(self, ts, eps: float | None = None) -> tuple[list, list]:
         """r and q at each of ``ts``, checked finite, in one kernel call."""
-        return sample(ex.kernel(self.r, self.q), (self.r, self.q),
+        return sample(ex.kernel("columns", self.r, self.q), (self.r, self.q),
                       ("component r", "component q"), ts, eps)
 
     def derivative(self, order: int = 1, var: str = "t") -> "FuzzyFunction":
@@ -236,7 +236,7 @@ def _integrate(f: FuzzyFunction, roots, spec: QuadratureSpec,
     if not (a <= lo <= hi <= b):
         raise OutsideDomain(f"[{lo!r}, {hi!r}] not inside [{a!r}, {b!r}]")
     weights, functions = (1.0, 1.0 + abs(f.gen.a_m)), len(roots) // 2
-    panel = ex.kernel(*roots, panel=True)
+    panel = ex.kernel("panel", *roots)
     return qag(partial(panel, eps, weights * functions), lo, hi, spec,
                weights, functions)
 

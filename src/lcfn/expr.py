@@ -16,14 +16,13 @@ tree more than MAX_HEIGHT operations high.
 Nodes are hash-consed: equal trees are one object, so ``parse(s) is
 parse(s)`` and ``==`` is identity.  Evaluation is compiled: :func:`_compile`
 turns a tuple of trees into one straight-line function that computes each
-shared subtree once per point, over a batch of points, returning the
-values or, given a quadrature rule, a panel's estimate per tree and its
-weighted error, from two weighted sums per tree, or, for one tree, its
-values with the points where it meets or crosses zero and its extremes;
-or at one point, with no loop, returning the value of each tree there;
-:func:`kernel` keeps the function of each recent tuple of roots in its
-four forms, as columns, as a scan, as a panel on quadrature's ``RULE``
-and as a point; :func:`evaluate` calls the one-tree point form.
+shared subtree once per point, in one of four forms: their values over a
+batch of points (``"columns"``), and for one tree the points where it meets
+or crosses zero and its extremes too (``"scan"``); a panel's estimate per
+tree and its weighted error on quadrature's ``RULE`` (``"panel"``); or the
+value of each tree at one point, with no loop (``"point"``).  :func:`kernel`
+keeps the function of each recent form and tuple of roots; :func:`evaluate`
+calls the one-tree point form.
 
 Differentiation is symbolic so downstream optimality checks see exact
 derivative expressions, and each node keeps its derivative; finite
@@ -357,53 +356,52 @@ def _above(height: int, offset: int) -> int:
 
 def evaluate(e: Expr, t: float, eps: float | None = None) -> float:
     """Evaluate at t (and eps for two-variable expressions): one call of
-    ``kernel(e, point=True)``.  The result is bit-identical to the
+    ``kernel("point", e)``.  The result is bit-identical to the
     reference tree walk ``walk`` in ``tests/oracles.py``."""
-    return kernel(e, point=True)(t, eps)
+    return kernel("point", e)(t, eps)
 
 
+FORMS = ("columns", "scan", "panel", "point")  #: kernel's first argument
 #: Kernels kept by :func:`kernel`, above the measured working set: 240
-#: cycles of perfbench's checker-sweep compile 652 (root tuple, panel,
-#: scan, point) keys, 60 column, 19 scan, 344 panel and 229 point
-#: kernels, and 960 cycles the same 652 (seeds 1, 101 and 1501).
+#: cycles of perfbench's checker-sweep compile 652 (form, roots) keys, 60
+#: column, 19 scan, 344 panel and 229 point kernels, and 960 cycles the
+#: same 652 (seeds 1, 101 and 1501).
 KERNELS = 1024
 
 
 @lru_cache(maxsize=KERNELS)
-def kernel(*roots, panel=False, scan=False, point=False):
-    """The function :func:`_compile` makes of ``roots``, given ``RULE``
-    if ``panel`` is true, ``scan`` and ``point``, compiled once per tuple
-    of nodes and flags.  Nodes are interned, so the key hashes in O(1)
-    and a checker that builds the same trees again gets this kernel back;
-    holding the roots keeps their nodes, and so that reuse, alive."""
-    return _compile(roots, RULE if panel else None, scan, point)
+def kernel(form, *roots):
+    """The ``form`` of :func:`_compile` of ``roots``, compiled once per
+    form and tuple of nodes.  Nodes are interned, so the key hashes in
+    O(1) and a checker that builds the same trees again gets this kernel
+    back; holding the roots keeps their nodes, and so that reuse, alive."""
+    return _compile(form, roots)
 
 
-def _compile(roots: tuple, rule: tuple | None = None, scan: bool = False,
-             point: bool = False):
+def _compile(form: str, roots: tuple):
     """One straight-line function doing, point after point, the float
-    operations of the tree walk :func:`_walk` of each root in turn.
-    Without a ``rule`` it maps ``(ts, eps)`` to the columns ``(values of
-    root 0, values of root 1, ...)``.  A quadrature ``rule``, a tuple of
-    ``(node, weight, second weight)`` triples, makes it a panel
-    ``(eps, weights, center, half) -> ((half*K0, half*K1, ...), error)``,
-    whose first two arguments the caller binds: at ``t = center +
+    operations of the tree walk :func:`_walk` of each root in turn, in one
+    of the ``FORMS``, of one root or more, a scan of one root; any other
+    call is a ``ValueError``.  ``"columns"`` maps ``(ts, eps)`` to the
+    columns ``(values of root 0, values of root 1, ...)``.  ``"panel"`` sums
+    over quadrature's ``RULE`` of ``(node, weight, second weight)`` triples:
+    it is ``(eps, weights, center, half) -> ((half*K0, half*K1, ...),
+    error)``, whose first two arguments the caller binds: at ``t = center +
     half*node``, node after node, each root's value times each weight is
-    added to its two sums ``Ki`` and ``Gi``, left to right from ``0.0``,
-    and no value is kept; then ``error = w0*abs(half*K0 - half*G0) +
-    w1*abs(half*K1 - half*G1) + ...``, added left to right, for
-    ``weights = (w0, w1, ...)``.  With ``scan`` true, for one root and no
-    rule, it is a column kernel that also keeps, point after point, the
-    index ``i`` of each point whose value times the one before is ``<=
-    0.0``, and the least and greatest of the values ``>= 0.0`` and of the
-    others; from those four it returns ``(ts, eps) -> (values, indices,
-    least, greatest, least absolute value)``, the last three ``inf``,
-    ``-inf`` and ``inf`` for no point.  A NaN value enters none of them.
-    With ``point`` true, and no rule or scan, it is ``(t, eps=None) ->
-    value`` for one root and ``-> (value of root 0, value of root 1,
-    ...)`` for several: the operations of one point, with no loop and
-    no list, and their ``return`` inside the ``try``, so that a root
-    that is a leaf (``t``, a constant) still gives it a body.
+    added to its two sums ``Ki`` and ``Gi``, left to right from ``0.0``, and
+    no value is kept; then ``error = w0*abs(half*K0 - half*G0) +
+    w1*abs(half*K1 - half*G1) + ...``, added left to right, for ``weights =
+    (w0, w1, ...)``.  ``"scan"`` is a column kernel that also keeps, point
+    after point, the index ``i`` of each point whose value times the one
+    before is ``<= 0.0``, and the least and greatest of the values ``>=
+    0.0`` and of the others; from those four it returns ``(ts, eps) ->
+    (values, indices, least, greatest, least absolute value)``, the last
+    three ``inf``, ``-inf`` and ``inf`` for no point.  A NaN value enters
+    none of them.  ``"point"`` is ``(t, eps=None) -> value`` for one root
+    and ``-> (value of root 0, value of root 1, ...)`` for several: the
+    operations of one point, with no loop and no list, and their ``return``
+    inside the ``try``, so that a root that is a leaf (``t``, a constant)
+    still gives it a body.
 
     A post-order walk (left before right, root after root) emits one
     ``vN = ...`` line per operation into the loop (for a point kernel,
@@ -425,6 +423,8 @@ def _compile(roots: tuple, rule: tuple | None = None, scan: bool = False,
     enter as the arguments ``kN``, never as text, so trees of one shape
     share one source and :func:`_factory` compiles each shape once.
     """
+    if form not in FORMS or not roots or form == "scan" and len(roots) > 1:
+        raise ValueError(f"no {form!r} kernel of root count {len(roots)}")
     lines, args, names = [], [], {}
 
     def arg(value) -> str:
@@ -462,17 +462,17 @@ def _compile(roots: tuple, rule: tuple | None = None, scan: bool = False,
 
     results = [emit(root) for root in roots]
     outs = range(len(roots))
-    if point:
+    if form == "point":
         head, init, loop, ret = "(t, eps=None)", "", "", ""
         lines.append(f"    return {', '.join(results)}\n")
-    elif rule is None:
+    elif form in ("columns", "scan"):
         head = "(ts, eps=None)"
         init = "".join(f"  o{i} = []; a{i} = o{i}.append\n" for i in outs)
         loop = "   for t in ts:\n"
         lines += [f"    a{i}({name})\n" for i, name in enumerate(results)]
         out = ", ".join(f"o{i}" for i in outs)
         ret = f"  return {out},\n"
-        if scan:  # the extremes of the values >= 0.0 and of the others
+        if form == "scan":  # the extremes of the values >= 0.0 and the others
             (v,) = results
             init += (f"  s = []; p = {arg(math.nan)}\n"
                      f"  pmin = nmin = {arg(math.inf)}; pmax = nmax = -pmin\n")
@@ -491,7 +491,7 @@ def _compile(roots: tuple, rule: tuple | None = None, scan: bool = False,
     else:
         head = "(eps, weights, center, half)"
         init = "".join(f"  K{i} = G{i} = 0.0\n" for i in outs)
-        loop = (f"   for x, wk, wg in {arg(rule)}:\n"
+        loop = (f"   for x, wk, wg in {arg(RULE)}:\n"
                 "    t = center + half * x\n")
         lines += [f"    K{i} = K{i} + wk * {name}; G{i} = G{i} + wg * {name}\n"
                   for i, name in enumerate(results)]
@@ -541,7 +541,7 @@ def _walk(e: Expr, t: float, eps: float | None) -> float:
 @lru_cache(maxsize=1024)
 def _factory(src: str):
     """The factory defined by ``src``, compiled once per tree shape and
-    kind (column, scan, panel or point kernel); the source names nothing
+    form of kernel (one of ``FORMS``); the source names nothing
     but its arguments, so it runs in an empty scope.
     1024 is above the measured working set: 240 cycles of perfbench's
     checker-sweep build 481-503 shapes (seeds 1, 101 and 1501), and 960

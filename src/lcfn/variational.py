@@ -90,7 +90,7 @@ def critical_points(f: FuzzyFunction, grid: int = SCAN_GRID
     ts = node_grid(a, b, grid)
     # sample checked vals finite; least is the smallest |g'|
     vals, brackets, lo, hi, least = sample(
-        ex.kernel(g1, scan=True), (g1,), ("center derivative g'",), ts)
+        ex.kernel("scan", g1), (g1,), ("center derivative g'",), ts)
     spacing = (b - a) / (grid - 1)
     scale = max(1.0, hi, -lo)
 
@@ -227,6 +227,8 @@ class DiracKernel(Value):
         (Wallis); dividing the integers first keeps large n finite.  An
         n above ``MAX_KERNEL_POWER`` is refused before any big-integer
         work."""
+        need_int(index, "kernel index k")
+        need_int(smoothness, "kernel smoothness l")
         if not (math.isfinite(epsilon) and epsilon > 0.0):
             raise ValueError(
                 f"epsilon must be finite and positive, got {epsilon!r}")

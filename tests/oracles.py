@@ -281,7 +281,8 @@ def critical_points(f, grid=SCAN_GRID):
     g1 = ex.differentiate(f.center_expr(), "t", 1)
     g2 = ex.differentiate(g1, "t", 1)
     ts = node_grid(a, b, grid)
-    (vals,) = sample(ex.kernel(g1), (g1,), ("center derivative g'",), ts)
+    (vals,) = sample(ex.kernel("columns", g1), (g1,),
+                     ("center derivative g'",), ts)
     spacing = (b - a) / (grid - 1)
     scale = max(1.0, max(vals), -min(vals))
 

@@ -267,7 +267,7 @@ def test_integrate_many_of_one_function_is_the_pair_run(name):
     # one qag run, as integrate ran before it became this case
     f = catalog_scenario(name).f
     weights = (1.0, 1.0 + abs(f.gen.a_m))
-    panel = partial(ex.kernel(f.r, f.q, panel=True), None, weights)
+    panel = partial(ex.kernel("panel", f.r, f.q), None, weights)
     for lo, hi in _sub_intervals(f):
         want = LCFN(*qag(panel, lo, hi, SPEC, weights), f.gen)
         (got,) = integrate_many([f], SPEC, lo, hi)
@@ -295,7 +295,7 @@ def _leaf_errors(fs, lo, hi, monkeypatch):
     weights = (1.0, 1.0 + abs(fs[0].gen.a_m))
     errors = []
     for f in fs:
-        panel = partial(ex.kernel(f.r, f.q, panel=True), None, weights)
+        panel = partial(ex.kernel("panel", f.r, f.q), None, weights)
         errors.append(sum(panel(0.5 * (a + b), 0.5 * (b - a))[1]
                           for a, b in leaves))
     return values, errors

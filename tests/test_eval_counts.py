@@ -100,11 +100,12 @@ def test_square_integral_points_on_s09(monkeypatch):
     # and sample shows here
     kernel, calls = ex.kernel, []
 
-    def counting_kernel(*roots, panel=False, point=False):
-        compiled = kernel(*roots, panel=panel, point=point)
+    def counting_kernel(form, *roots):
+        compiled = kernel(form, *roots)
 
-        def counted(first, *rest, **kwargs):  # ts, a panel's center, or t
-            calls.append(len(RULE) if panel else 1 if point else len(first))
+        def counted(first, *rest, **kwargs):  # ts, a panel's eps, or t
+            calls.append(len(RULE) if form == "panel"
+                         else 1 if form == "point" else len(first))
             return compiled(first, *rest, **kwargs)
         return counted
 
@@ -242,9 +243,9 @@ def test_repeated_checks_compile_no_kernel(monkeypatch):
     compiled = []
     compile_roots = ex._compile
 
-    def counting_compile(roots, rule=None, scan=False, point=False):
-        compiled.append((roots, rule, scan, point))
-        return compile_roots(roots, rule, scan, point)
+    def counting_compile(form, roots):
+        compiled.append((form, roots))
+        return compile_roots(form, roots)
 
     monkeypatch.setattr(ex, "_compile", counting_compile)
     ex.kernel.cache_clear()

@@ -5,6 +5,7 @@ import gc
 import math
 import random
 import sys
+from functools import partial
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -320,7 +321,7 @@ def test_batch_kernels_match_walk_bit_for_bit():
         groups = [tuple(trees)] + [tuple(trees[i:i + 2])
                                    for i in range(0, len(trees), 2)]
         for roots in groups:
-            kernel = ex._compile(roots)
+            kernel = ex._compile("columns", roots)
             good = [t for t in ts
                     if isinstance(_walk_batch(roots, [t], eps)[0], list)]
             got = kernel(good, eps)
@@ -351,7 +352,7 @@ def test_scan_kernels_match_column_kernels_bit_for_bit():
     checked, raised = 0, 0
     for name, trees, ts, eps in _compiled_cases():
         for tree in trees:
-            scan, column = ex.kernel(tree, scan=True), ex.kernel(tree)
+            scan, column = ex.kernel("scan", tree), ex.kernel("columns", tree)
             good = [t for t in ts
                     if isinstance(_batch(column, [t], eps)[0], list)]
             values, *records = scan(good, eps)
@@ -363,7 +364,7 @@ def test_scan_kernels_match_column_kernels_bit_for_bit():
                 raised += 1
             checked += len(good)
     assert checked > 5000 and raised > 0
-    assert ex.kernel(ex.Var("t"), scan=True)([]) == \
+    assert ex.kernel("scan", ex.Var("t"))([]) == \
         ([], [], math.inf, -math.inf, math.inf)
 
 
@@ -392,7 +393,7 @@ _SIN, _LOGT = ex.parse("sin(t)"), ex.parse("log(t)")
         "eps-unbound", "inf-r-raising-q"])
 def test_batch_errors_match_point_by_point(roots, ts, eps, cls, message):
     with pytest.raises(cls) as batch:
-        ex._compile(roots)(ts, eps)
+        ex._compile("columns", roots)(ts, eps)
     with pytest.raises(cls) as pointwise:
         for t in ts:
             for root in roots:
@@ -430,14 +431,14 @@ def _point_cases():
 
 
 def test_point_kernels_match_walk_bit_for_bit():
-    """``kernel(*roots, point=True)`` at t gives the walk's bits, the
+    """``kernel("point", *roots)`` at t gives the walk's bits, the
     value itself for one root and the tuple of values for several, or the
     walk's first error, root by root.  repr tells -0.0 from 0.0 and
     prints every NaN as 'nan'."""
     checked, raised = 0, 0
     for name, trees, ts, eps in _point_cases():
         for roots in [(tree,) for tree in trees] + [tuple(trees)]:
-            point = ex.kernel(*roots, point=True)
+            point = ex.kernel("point", *roots)
             for t in ts:
                 want = _walk_batch(roots, [t], eps)
                 if isinstance(want[0], list):  # one column per root
@@ -454,6 +455,21 @@ def test_point_kernels_match_walk_bit_for_bit():
     assert checked > 10000 and raised > 0
 
 
+@pytest.mark.parametrize("form, roots", [
+    ("scan", (_SIN, _LOGT)),
+    ("scan", ()), ("columns", ()), ("panel", ()), ("point", ()),
+    ("points", (_SIN,)),
+], ids=["scan-of-two", "scan-of-none", "columns-of-none", "panel-of-none",
+        "point-of-none", "misspelled"])
+def test_kernel_refuses_a_form_it_cannot_compile(form, roots):
+    # one setting per form: under the three flags this argument replaced,
+    # no root failed inside the generated source and a scan of two roots
+    # in unpacking them
+    with pytest.raises(ValueError) as err:
+        ex.kernel(form, *roots)
+    assert str(err.value) == f"no {form!r} kernel of root count {len(roots)}"
+
+
 @pytest.mark.parametrize("roots, t, eps, cls, message", [
     ((ex.parse("t + 1"), _LOGT), -2.0, None,
      EvalDomainError, "log of nonpositive value -2.0 at t=-2.0"),
@@ -468,9 +484,9 @@ def test_point_kernels_match_walk_bit_for_bit():
 ], ids=["log", "division", "sin-inf-shared", "eps-unbound", "eps-leaf"])
 def test_point_errors_match_column_errors(roots, t, eps, cls, message):
     with pytest.raises(cls) as point:
-        ex.kernel(*roots, point=True)(t, eps)
+        ex.kernel("point", *roots)(t, eps)
     with pytest.raises(cls) as column:
-        ex.kernel(*roots)([t], eps)
+        ex.kernel("columns", *roots)([t], eps)
     assert type(point.value) is type(column.value) is cls
     assert str(point.value) == str(column.value) == message
 
@@ -510,7 +526,7 @@ def test_pair_kernel_runs_a_shared_subtree_once_per_point(monkeypatch):
 
     monkeypatch.setitem(ex._FN, "sin", sin)
     s = ex.parse("sin(t)")  # compiled below, after the patch
-    rs, qs = ex._compile((ex.Bin("*", s, s),
+    rs, qs = ex._compile("columns", (ex.Bin("*", s, s),
                           ex.Bin("+", s, ex.Num(1.0))))([0.25, 0.5])
     assert calls == [0.25, 0.5]
     assert (rs, qs) == ([math.sin(0.25) ** 2, math.sin(0.5) ** 2],
@@ -541,19 +557,20 @@ def test_trees_of_one_shape_share_one_compiled_factory():
     first, second = ex.parse("2*t + 1"), ex.parse("3*t + 5")
     assert ex.evaluate(first, 0.5) == 2.0
     assert ex.evaluate(second, 0.5) == 6.5
-    first_kernel, second_kernel = ex.kernel(first), ex.kernel(second)
+    columns = partial(ex.kernel, "columns")
+    first_kernel, second_kernel = columns(first), columns(second)
     assert first_kernel is not second_kernel
     assert first_kernel.__code__ is second_kernel.__code__
     # '/' and '^' run raw, inline as '/' and '**', so they are two shapes;
     # a constant divisor or an integral exponent enters as an argument
     quotient, power = ex.parse("t / 4"), ex.parse("t ^ 4")
     assert (ex.evaluate(quotient, 0.5), ex.evaluate(power, 0.5)) == (0.125, 0.0625)
-    code = ex.kernel(quotient).__code__
-    assert ex.kernel(ex.parse("t / 5")).__code__ is code
-    assert ex.kernel(ex.parse("t ^ 3")).__code__ is ex.kernel(power).__code__
-    assert ex.kernel(power).__code__ is not code
+    code = columns(quotient).__code__
+    assert columns(ex.parse("t / 5")).__code__ is code
+    assert columns(ex.parse("t ^ 3")).__code__ is columns(power).__code__
+    assert columns(power).__code__ is not code
     # an inline '-' is another shape
-    assert ex.kernel(ex.parse("2*t - 1")).__code__ \
+    assert columns(ex.parse("2*t - 1")).__code__ \
         is not first_kernel.__code__
 
 

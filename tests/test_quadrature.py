@@ -337,8 +337,9 @@ def test_panel_kernel_gives_the_column_sums_bit_for_bit(f, eps):
     oracle stores the 15 values and sums the columns.  Both add left to
     right from 0.0, and the zero G7 weights add only +-0.0, so every panel
     gives the same bits, and so does ``integrate``."""
-    panel = partial(ex.kernel(f.r, f.q, panel=True), eps, _weights(f))
-    oracle = panel_of(partial(ex.kernel(f.r, f.q), eps=eps), _weights(f))
+    panel = partial(ex.kernel("panel", f.r, f.q), eps, _weights(f))
+    oracle = panel_of(partial(ex.kernel("columns", f.r, f.q), eps=eps),
+                      _weights(f))
     a, b = f.domain
     for lo, hi in [(a, b), (a, 0.5 * (a + b)), (0.5 * (a + b), b),
                    (a + 0.3 * (b - a), a + 0.31 * (b - a)), (a, a + 1e-9)]:
@@ -362,8 +363,8 @@ def test_panel_kernel_raises_as_the_column_route(r, cls, component):
     with pytest.raises(EvalError) as panel:
         integrate(f)
     with pytest.raises(EvalError) as columns:
-        qag(panel_of(ex.kernel(f.r, f.q), _weights(f)), 0.0, 1.0, SPEC,
-            _weights(f))
+        qag(panel_of(ex.kernel("columns", f.r, f.q), _weights(f)), 0.0, 1.0,
+            SPEC, _weights(f))
     assert type(panel.value) is type(columns.value) is cls
     assert str(panel.value) == str(columns.value)
     assert " at t=" in str(panel.value)
@@ -415,11 +416,11 @@ def test_qag_runs_as_the_reference_loop(f, lo, hi):
     values or errors from the same panels, and ``integrate`` gives
     ``qag``'s."""
     weights, calls, reference_calls = _weights(f), [], []
-    panel = partial(ex.kernel(f.r, f.q, panel=True), None, weights)
+    panel = partial(ex.kernel("panel", f.r, f.q), None, weights)
     got = _outcome(lambda: qag(_counted(panel, calls), lo, hi, SPEC, weights))
     assert got == _outcome(lambda: qag_reference(
-        _counted(panel_sums(ex.kernel(f.r, f.q)), reference_calls), lo, hi,
-        SPEC, weights))
+        _counted(panel_sums(ex.kernel("columns", f.r, f.q)), reference_calls),
+        lo, hi, SPEC, weights))
     assert calls == reference_calls
     assert got == _outcome(lambda: _components(integrate(f, SPEC, lo, hi)))
 
@@ -453,11 +454,11 @@ def test_joint_qag_runs_as_the_reference_loop(fs, lo, hi):
     function."""
     weights, calls, reference_calls = _weights(fs[0]), [], []
     roots = [root for f in fs for root in (f.r, f.q)]
-    panel = partial(ex.kernel(*roots, panel=True), None, weights * len(fs))
+    panel = partial(ex.kernel("panel", *roots), None, weights * len(fs))
     got = qag(_counted(panel, calls), lo, hi, SPEC, weights, len(fs))
     assert repr(got) == repr(qag_reference(
-        _counted(panel_sums(ex.kernel(*roots)), reference_calls), lo, hi,
-        SPEC, weights, len(fs)))
+        _counted(panel_sums(ex.kernel("columns", *roots)), reference_calls),
+        lo, hi, SPEC, weights, len(fs)))
     assert calls == reference_calls
     values = integrate_many(fs, SPEC, lo, hi)
     assert repr(got) == repr(tuple(x for v in values for x in _components(v)))

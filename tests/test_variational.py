@@ -643,6 +643,25 @@ def test_a_grid_that_is_not_an_int_is_refused_by_name(call, message):
     assert str(err.value) == message
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda f: DiracKernel.build(0.1, index=2.0),
+     "kernel index k must be an int, got 2.0"),
+    (lambda f: DiracKernel.build(0.1, index=1.5),
+     "kernel index k must be an int, got 1.5"),
+    (lambda f: DiracKernel.build(0.1, smoothness=1.0),
+     "kernel smoothness l must be an int, got 1.0"),
+    (lambda f: lagrange_scan(f, indices=(1, 2.0), grid=1),
+     "kernel index k must be an int, got 2.0"),
+], ids=["index-2.0", "index-1.5", "smoothness-1.0", "lagrange-ladder"])
+def test_a_mollifier_index_that_is_not_an_int_is_refused_by_name(call,
+                                                                  message):
+    # once a TypeError of math.comb that named neither
+    f = catalog_scenario("s06_recovery_window").f
+    with pytest.raises(TypeError) as err:
+        call(f)
+    assert str(err.value) == message
+
+
 @pytest.mark.parametrize("grid", [0, -1])
 def test_lagrange_scan_rejects_empty_grid(grid):
     f = catalog_scenario("s06_recovery_window").f
