@@ -462,9 +462,6 @@ def test_point_kernels_match_walk_bit_for_bit():
 ], ids=["scan-of-two", "scan-of-none", "columns-of-none", "panel-of-none",
         "point-of-none", "misspelled"])
 def test_kernel_refuses_a_form_it_cannot_compile(form, roots):
-    # one setting per form: under the three flags this argument replaced,
-    # no root failed inside the generated source and a scan of two roots
-    # in unpacking them
     with pytest.raises(ValueError) as err:
         ex.kernel(form, *roots)
     assert str(err.value) == f"no {form!r} kernel of root count {len(roots)}"

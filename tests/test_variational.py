@@ -634,16 +634,7 @@ _GRID_NOT_INT = "grid node count must be an int, got "
     (lambda f: verify_local_order(
         f, CriticalPoint(1.5, 0.0, 1.0, Verdict.LOCAL_MIN), 0.1, 2.5),
      "local-order sample count n must be an int, got 2.5"),
-], ids=["critical-2.5", "critical-1024.0", "critical-1.5", "reconstruct",
-        "lagrange", "local-order"])
-def test_a_grid_that_is_not_an_int_is_refused_by_name(call, message):
-    f = catalog_scenario("s06_recovery_window").f
-    with pytest.raises(TypeError) as err:
-        call(f)
-    assert str(err.value) == message
-
-
-@pytest.mark.parametrize("call, message", [
+    # the mollifier's index and smoothness, read by math.comb
     (lambda f: DiracKernel.build(0.1, index=2.0),
      "kernel index k must be an int, got 2.0"),
     (lambda f: DiracKernel.build(0.1, index=1.5),
@@ -652,10 +643,10 @@ def test_a_grid_that_is_not_an_int_is_refused_by_name(call, message):
      "kernel smoothness l must be an int, got 1.0"),
     (lambda f: lagrange_scan(f, indices=(1, 2.0), grid=1),
      "kernel index k must be an int, got 2.0"),
-], ids=["index-2.0", "index-1.5", "smoothness-1.0", "lagrange-ladder"])
-def test_a_mollifier_index_that_is_not_an_int_is_refused_by_name(call,
-                                                                  message):
-    # once a TypeError of math.comb that named neither
+], ids=["critical-2.5", "critical-1024.0", "critical-1.5", "reconstruct",
+        "lagrange", "local-order", "kernel-index-2.0", "kernel-index-1.5",
+        "kernel-smoothness-1.0", "lagrange-index-ladder"])
+def test_a_grid_that_is_not_an_int_is_refused_by_name(call, message):
     f = catalog_scenario("s06_recovery_window").f
     with pytest.raises(TypeError) as err:
         call(f)
