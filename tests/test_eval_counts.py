@@ -92,7 +92,8 @@ def test_ibp_check_evals_over_catalog(counts):
 
 def test_square_integral_points_on_s09(monkeypatch):
     # every kernel call, counted by its number of points (a panel kernel
-    # by the 15 nodes of RULE, a point kernel by one): the cross pair's 3
+    # by the 15 nodes of RULE, a point kernel by one, a column or scan
+    # kernel by the length of its column): the cross pair's 3
     # qag panels and the 64 Gauss-Legendre nodes of the direct route, one
     # evaluate call each, which is one call of the point kernel of c^2.
     # The zero class is read from the integral; the 2,048-point grid it
