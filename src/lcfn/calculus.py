@@ -116,14 +116,12 @@ class FuzzyFunction(Value):
 
     def center_expr(self) -> ex.Expr:
         """r + a_m*q as a single expression."""
-        return ex.add(self.r, ex.mul(ex.num(self.gen.a_m), self.q))
+        return ex.derived(_center, self.r, self.q, self.gen.a_m)
 
     def plus(self, other: "FuzzyFunction", lam: float = 1.0) -> "FuzzyFunction":
         self._check_compatible(other)
-        lam_e = ex.num(lam)
-        return FuzzyFunction(ex.add(self.r, ex.mul(lam_e, other.r)),
-                             ex.add(self.q, ex.mul(lam_e, other.q)),
-                             self.gen, self.domain,
+        r, q = ex.derived(_plus, self.r, self.q, other.r, other.q, lam)
+        return FuzzyFunction(r, q, self.gen, self.domain,
                              eps_aware=self.eps_aware or other.eps_aware)
 
     def cross_with(self, other: "FuzzyFunction") -> "FuzzyFunction":
@@ -131,12 +129,9 @@ class FuzzyFunction(Value):
         the result is again expression-backed (and symbolically
         differentiable)."""
         self._check_compatible(other)
-        am = self.gen.a_m
-        qq = ex.mul(self.q, other.q)
-        new_r = ex.sub(ex.mul(self.r, other.r), ex.mul(ex.num(am * am), qq))
-        new_q = ex.add(ex.add(ex.mul(self.r, other.q), ex.mul(other.r, self.q)),
-                       ex.mul(ex.num(2.0 * am), qq))
-        return FuzzyFunction(new_r, new_q, self.gen, self.domain,
+        r, q = ex.derived(_cross, self.r, self.q, other.r, other.q,
+                          self.gen.a_m)
+        return FuzzyFunction(r, q, self.gen, self.domain,
                              eps_aware=self.eps_aware or other.eps_aware)
 
     def _check_compatible(self, other: "FuzzyFunction") -> None:
@@ -144,6 +139,24 @@ class FuzzyFunction(Value):
             raise GeneratorMismatch("functions live over different generators")
         if self.domain != other.domain:
             raise ValueError("functions must share a domain")
+
+
+# The roots of center_expr, plus and cross_with, built through ex.derived.
+
+def _center(r: ex.Expr, q: ex.Expr, am: float) -> ex.Expr:
+    return ex.add(r, ex.mul(ex.num(am), q))
+
+
+def _plus(r: ex.Expr, q: ex.Expr, r2: ex.Expr, q2: ex.Expr, lam: float):
+    lam_e = ex.num(lam)
+    return ex.add(r, ex.mul(lam_e, r2)), ex.add(q, ex.mul(lam_e, q2))
+
+
+def _cross(r: ex.Expr, q: ex.Expr, r2: ex.Expr, q2: ex.Expr, am: float):
+    qq = ex.mul(q, q2)
+    return (ex.sub(ex.mul(r, r2), ex.mul(ex.num(am * am), qq)),
+            ex.add(ex.add(ex.mul(r, q2), ex.mul(r2, q)),
+                   ex.mul(ex.num(2.0 * am), qq)))
 
 
 def deriv(f: FuzzyFunction, t: float, eps: float | None = None) -> LCFN:

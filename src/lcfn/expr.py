@@ -22,7 +22,8 @@ or crosses zero and its extremes too (``"scan"``); a panel's estimate per
 tree and its weighted error on quadrature's ``RULE`` (``"panel"``); or the
 value of each tree at one point, with no loop (``"point"``).  :func:`kernel`
 keeps the function of each recent form and tuple of roots; :func:`evaluate`
-calls the one-tree point form.
+calls the one-tree point form.  :func:`derived` keeps, beside it, the trees
+a checker builds from other trees on every call.
 
 Differentiation is symbolic so downstream optimality checks see exact
 derivative expressions, and each node keeps its derivative; finite
@@ -362,10 +363,11 @@ def evaluate(e: Expr, t: float, eps: float | None = None) -> float:
 
 
 FORMS = ("columns", "scan", "panel", "point")  #: kernel's first argument
-#: Kernels kept by :func:`kernel`, above the measured working set: 240
-#: cycles of perfbench's checker-sweep compile 652 (form, roots) keys, 60
-#: column, 19 scan, 344 panel and 229 point kernels, and 960 cycles the
-#: same 652 (seeds 1, 101 and 1501).
+#: Entries kept by each of :func:`kernel` and :func:`derived`, above the
+#: measured working sets: 240 cycles of perfbench's checker-sweep compile
+#: 652 (form, roots) keys, 60 column, 19 scan, 344 panel and 229 point
+#: kernels, and 960 cycles the same 652 (seeds 1, 101 and 1501); they
+#: derive about 380 trees per seed.
 KERNELS = 1024
 
 
@@ -376,6 +378,16 @@ def kernel(form, *roots):
     O(1) and a checker that builds the same trees again gets this kernel
     back; holding the roots keeps their nodes, and so that reuse, alive."""
     return _compile(form, roots)
+
+
+@lru_cache(maxsize=KERNELS)
+def derived(build, *args):
+    """``build(*args)``, kept per builder and argument tuple.  ``build``
+    is a module-level function of nodes and numbers that reads nothing
+    else and returns nodes; each float reaches its trees through
+    :func:`num`, so arguments that compare equal (0.0 and -0.0) build
+    the one tree a fresh call returns."""
+    return build(*args)
 
 
 def _compile(form: str, roots: tuple):

@@ -248,13 +248,19 @@ class DiracKernel(Value):
         that window by definition, which the expression form does not
         encode, so only evaluate it there.
         """
-        x = ex.sub(ex.Var("t"), ex.num(center))
-        bump = ex.div(ex.add(ex.Call("cos",
-                                     ex.mul(ex.num(math.pi / self.epsilon), x)),
-                             ex.Num(1.0)),
-                      ex.Num(2.0))
-        return ex.mul(ex.num(1.0 / self.mass_norm),
-                      ex.pow_(bump, ex.num(float(self.power))))
+        return ex.derived(_bump, center, self.epsilon, self.mass_norm,
+                          self.power)
+
+
+def _bump(center: float, epsilon: float, mass_norm: float,
+          power: int) -> ex.Expr:
+    """The tree of ``DiracKernel.expression``, built through ex.derived."""
+    x = ex.sub(ex.Var("t"), ex.num(center))
+    bump = ex.div(ex.add(ex.Call("cos", ex.mul(ex.num(math.pi / epsilon), x)),
+                         ex.Num(1.0)),
+                  ex.Num(2.0))
+    return ex.mul(ex.num(1.0 / mass_norm),
+                  ex.pow_(bump, ex.num(float(power))))
 
 
 @lru_cache(maxsize=64)
@@ -418,14 +424,18 @@ def default_eta_catalog(gen, domain, modes: int = 4) -> tuple[FuzzyFunction, ...
     """Sine test functions vanishing at both endpoints: components
     sin(m*pi*(t - a)/(b - a)) for m = 1..modes, crossed with a zero and a
     same-sine noise component."""
-    a, b = domain
     out = []
-    for m in range(1, modes + 1):
-        s = ex.Call("sin", ex.mul(ex.num(m * math.pi / (b - a)),
-                                  ex.sub(ex.Var("t"), ex.num(a))))
+    for s in ex.derived(_sines, *domain, modes):
         out.append(FuzzyFunction(s, ex.Num(0.0), gen, domain))
         out.append(FuzzyFunction(s, s, gen, domain))
     return tuple(out)
+
+
+def _sines(a: float, b: float, modes: int) -> tuple[ex.Expr, ...]:
+    """The sines of ``default_eta_catalog``, built through ex.derived."""
+    return tuple(ex.Call("sin", ex.mul(ex.num(m * math.pi / (b - a)),
+                                       ex.sub(ex.Var("t"), ex.num(a))))
+                 for m in range(1, modes + 1))
 
 
 def dbr_forward_check(f: FuzzyFunction, g: FuzzyFunction,

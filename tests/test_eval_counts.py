@@ -16,11 +16,12 @@ wrapping each where ``calculus`` and ``variational`` import it, and each
 point (a read that falls back to ``f.values`` is counted there again).
 """
 import collections
+import operator
 import types
 
 import pytest
 
-from lcfn import calculus, expr as ex, variational
+from lcfn import Generator, calculus, expr as ex, variational
 from lcfn.errors import EvalError
 from lcfn.quadrature import RULE, QuadratureSpec
 from lcfn.scenarios import catalog_scenario, load_catalog
@@ -264,3 +265,51 @@ def test_repeated_checks_compile_no_kernel(monkeypatch):
     first = len(compiled)
     one_pass()
     assert (first, len(compiled) - first) == (17, 0)
+
+
+def _derived_trees(f, g, lam, center):
+    """The trees each of the five builders routed through ``ex.derived``
+    gives for f, g, ``lam`` and a bump at ``center``, as a tuple, with the
+    builder and the arguments that build them directly."""
+    kernel = variational.DiracKernel.build(0.25, 1, 2)
+    cross, plus, am = f.cross_with(g), f.plus(g, lam), f.gen.a_m
+    sines = variational.default_eta_catalog(f.gen, f.domain)[::2]
+    return [
+        ((cross.r, cross.q), calculus._cross, (f.r, f.q, g.r, g.q, am)),
+        ((plus.r, plus.q), calculus._plus, (f.r, f.q, g.r, g.q, lam)),
+        ((f.center_expr(),), calculus._center, (f.r, f.q, am)),
+        ((kernel.expression(center),), variational._bump,
+         (center, kernel.epsilon, kernel.mass_norm, kernel.power)),
+        (tuple(eta.r for eta in sines), variational._sines, (*f.domain, 4)),
+    ]
+
+
+@pytest.mark.parametrize("first, then", [(0.0, -0.0), (-0.0, 0.0)])
+def test_derived_trees_are_the_trees_built_directly(first, then):
+    """Through ``ex.derived`` each builder gives the very object (``is``)
+    that calling it directly on a cleared memo builds: on each catalog
+    pair as found again in the memo, and on the pair over a generator of
+    peak ``then`` (a_m = ``then``), with ``plus(lam=then)`` and a bump and
+    a domain at ``then``, as found in the entries that peak ``first`` (the
+    other zero) made."""
+    def over(scenario, zero):
+        gen = Generator.triangular(-1.0, zero, 2.0)
+        return tuple(calculus.FuzzyFunction(h.r, h.q, gen, (zero, 1.0))
+                     for h in (scenario.f, scenario.partner or scenario.f))
+
+    for scenario in load_catalog():
+        f, g = scenario.f, scenario.partner or scenario.f
+        ex.derived.cache_clear()
+        _derived_trees(f, g, -1.5, 0.5 * sum(f.domain))
+        _derived_trees(*over(scenario, first), first, first)
+        misses = ex.derived.cache_info().misses
+        found = (_derived_trees(f, g, -1.5, 0.5 * sum(f.domain))
+                 + _derived_trees(*over(scenario, then), then, then))
+        assert ex.derived.cache_info().misses == misses  # all ten found
+        ex.derived.cache_clear()
+        for trees, build, args in found:
+            direct = build(*args)
+            direct = direct if isinstance(direct, tuple) else (direct,)
+            assert len(direct) == len(trees), (scenario.name, build.__name__)
+            assert all(map(operator.is_, direct, trees)), (
+                scenario.name, build.__name__)

@@ -123,8 +123,9 @@ def test_chain_at_the_height_bound_has_a_third_derivative(op, third,
     # the deepest recursion, the compile of the third derivative of a '/'
     # chain, takes about 725 frames; MAX_HEIGHT promises it 750
     n, t = ex.MAX_HEIGHT, 0.9
-    ex.kernel.cache_clear()  # kernels hold their trees, and the trees hold
-    gc.collect()             # their derivatives: take them all afresh
+    ex.kernel.cache_clear()  # kernels and derived trees hold their trees,
+    ex.derived.cache_clear()  # and the trees hold their derivatives:
+    gc.collect()              # take them all afresh
     tree = ex.parse(chain(op, n))
     assert not hasattr(tree, "_derivatives")
     value = within_frames(
