@@ -72,12 +72,17 @@ class LCFN(Value):
         return abs(self.q) + abs(self.r + self.q * self.gen.a_m)
 
     def sign_class(self) -> SignClass:
+        """The class of the sign of the center; a NaN center has none and
+        raises ValueError."""
         c = self.r + self.q * self.gen.a_m
         if c > 0.0:
             return _POSITIVE
         if c < 0.0:
             return _NEGATIVE
-        return _ZERO
+        if c == 0.0:
+            return _ZERO
+        raise ValueError(f"element ({self.r!r}, {self.q!r}) has center "
+                         f"{c!r}, which has no sign class")
 
     def cross(self, other: "LCFN") -> "LCFN":
         if self.gen is not other.gen:
@@ -167,7 +172,9 @@ def compare_with_tier(b: LCFN, c: LCFN) -> tuple[Ordering, int | None]:
     2 = noise width, 3 = signed noise); Equal carries no tier.
 
     Exact float comparisons throughout; ties are genuine ties, never
-    tolerance artifacts, so the order is antisymmetric.  The centers are
+    tolerance artifacts, so the order is antisymmetric: a pair that no
+    comparison parts is a tie only when both coordinates are equal, and
+    otherwise (a NaN coordinate) raises ValueError.  The centers are
     computed as center() computes them, with b's a_m (equal generators
     share it up to the sign of a zero, which no comparison sees).
     """
@@ -195,7 +202,10 @@ def compare_with_tier(b: LCFN, c: LCFN) -> tuple[Ordering, int | None]:
         return _LESS_1
     if b.r > c.r:
         return _GREATER_1
-    return _TIE
+    if b.r == c.r and b.q == c.q:
+        return _TIE
+    raise ValueError(f"elements ({b.r!r}, {b.q!r}) and ({c.r!r}, {c.q!r}) "
+                     "have no place in the order: a coordinate is NaN")
 
 
 def compare(b: LCFN, c: LCFN) -> Ordering:

@@ -233,7 +233,8 @@ def _signed_term(sign, number, a, lone_a):
 def compare_with_tier(b, c):
     """``core.compare_with_tier`` from each element's ``center()``, its
     verdict tuple built per call; the library must return the same
-    verdict, its members the very ``Ordering`` members."""
+    verdict, its members the very ``Ordering`` members, or raise the same
+    ValueError for a pair that only a NaN coordinate keeps from a tie."""
     if b.gen is not c.gen:
         _require_same_gen(b, c)
     cb, cc = b.center(), c.center()
@@ -254,17 +255,23 @@ def compare_with_tier(b, c):
         return (Ordering.LESS, 1)
     if b.r > c.r:
         return (Ordering.GREATER, 1)
-    return (Ordering.EQUAL, None)
+    if b.r == c.r and b.q == c.q:
+        return (Ordering.EQUAL, None)
+    raise ValueError(f"elements ({b.r!r}, {b.q!r}) and ({c.r!r}, {c.q!r}) "
+                     "have no place in the order: a coordinate is NaN")
 
 
 def sign_class(b):
-    """``LCFN.sign_class`` from ``center()``."""
+    """``LCFN.sign_class`` from ``center()``; a NaN center raises."""
     c = b.center()
     if c > 0.0:
         return SignClass.POSITIVE
     if c < 0.0:
         return SignClass.NEGATIVE
-    return SignClass.ZERO
+    if c == 0.0:
+        return SignClass.ZERO
+    raise ValueError(f"element ({b.r!r}, {b.q!r}) has center {c!r}, "
+                     "which has no sign class")
 
 
 def norm(b):

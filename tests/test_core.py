@@ -356,17 +356,55 @@ def _order_pool(rng):
 
 
 def test_order_sign_and_norm_match_the_center_references():
+    raised = signless = 0
     for b, c in _order_pool(random.Random(2611)):
-        want = oracles.compare_with_tier(b, c)
-        got = compare_with_tier(b, c)
-        assert got == want and got[0] is want[0], (b, c)
-        assert compare(b, c) is want[0]
-        assert (b < c, b <= c, b > c, b >= c) == (
-            want[0] is Ordering.LESS, want[0] is not Ordering.GREATER,
-            want[0] is Ordering.GREATER, want[0] is not Ordering.LESS)
+        try:
+            want = oracles.compare_with_tier(b, c)
+        except ValueError as err:  # a NaN coordinate left them unparted
+            raised += 1
+            for order in (compare_with_tier, compare, LCFN.__lt__,
+                          LCFN.__le__, LCFN.__gt__, LCFN.__ge__):
+                with pytest.raises(ValueError) as got:
+                    order(b, c)
+                assert str(got.value) == str(err), (b, c)
+        else:
+            got = compare_with_tier(b, c)
+            assert got == want and got[0] is want[0], (b, c)
+            assert compare(b, c) is want[0]
+            assert (b < c, b <= c, b > c, b >= c) == (
+                want[0] is Ordering.LESS, want[0] is not Ordering.GREATER,
+                want[0] is Ordering.GREATER, want[0] is not Ordering.LESS)
         for e in (b, c):
-            assert e.sign_class() is oracles.sign_class(e)
+            try:
+                want_class = oracles.sign_class(e)
+            except ValueError as err:  # a NaN center
+                signless += 1
+                with pytest.raises(ValueError) as got:
+                    e.sign_class()
+                assert str(got.value) == str(err), e
+            else:
+                assert e.sign_class() is want_class
             assert repr(e.norm()) == repr(oracles.norm(e))
+    assert raised and signless  # the pool holds NaN pairs of both kinds
+
+
+def test_a_nan_is_neither_a_tie_nor_the_zero_class(tri_am0):
+    nan = math.nan
+    one = LCFN(1.0, 0.0, tri_am0)
+    for b in (LCFN(nan, 0.0, tri_am0), LCFN(1.0, nan, tri_am0)):
+        for b_, c_ in ((b, one), (one, b), (b, b)):
+            with pytest.raises(ValueError, match="no place in the order"):
+                compare_with_tier(b_, c_)
+            with pytest.raises(ValueError, match="no place in the order"):
+                b_ <= c_
+        with pytest.raises(ValueError, match="has center nan, which has no "
+                           "sign class"):
+            b.sign_class()
+    # equal coordinates stay a tie, infinite ones included, and a center
+    # of -0.0 stays the zero class
+    inf = LCFN(math.inf, 0.0, tri_am0)
+    assert compare_with_tier(inf, inf) == (Ordering.EQUAL, None)
+    assert LCFN(-0.0, -0.0, tri_am0).sign_class() is SignClass.ZERO
 
 
 def test_order_mismatch_raises_as_the_reference(tri_am0, tri_am05):
@@ -601,7 +639,7 @@ def test_parse_element_has_no_negative_zero(text, tri_am0):
 
 @pytest.mark.parametrize("bad", ["", "3+", "A+A+A", "3**A", "x", "3+2B", "1 2",
                                  "*A", "2*", "A2", "A A", "3+-2A", "1e", "2AA",
-                                 # not finite: r = nan would compare EQUAL to 5
+                                 # not finite: r = nan has no place in the order
                                  "1e999", "1e999-1e999", "9e307+9e307"])
 def test_parse_element_rejects(bad, tri_am0):
     with pytest.raises(ExprSyntaxError) as err:
