@@ -433,6 +433,37 @@ def test_ftc_examples(tri_am0):
     assert ftc_check(fn("exp(t)", "log(1 + t)", tri_am0, (0.0, 2.0))).passed
 
 
+def s08_fn(r, q):
+    """r + q*A on [0, 1] over the generator of scenario s08."""
+    return fn(r, q, catalog_scenario("s08_parabola_min").gen)
+
+
+def test_ftc_fails_on_an_integral_residual_alone():
+    # the integral of sign' = 0 is 0, not sign(1/2) - sign(-1/2) = 2,
+    # while each spot window of sign averages to its value
+    report = ftc_check(s08_fn("sign(t - 0.5)", "0"))
+    assert not report.passed
+    assert report.residuals["endpoint"] == 2.0
+    assert report.residuals["spot_max"] < 1e-12
+
+
+def test_ftc_fails_on_a_spot_residual_alone():
+    # the endpoint identity holds, but the window of width 2h around the
+    # kink of abs averages to h/2 = 1.5e-4, not abs(0) = 0
+    report = ftc_check(s08_fn("abs(t - 0.5)", "t"))
+    assert not report.passed
+    assert report.residuals["endpoint"] == 0.0
+    assert report.residuals["spot_max"] == pytest.approx(1.5e-4, rel=1e-6)
+
+
+def test_ibp_fails_across_a_jump():
+    # f = sign jumps by 2 at 1/2, which f' = 0 does not see: the identity
+    # is off by f's jump times g(1/2) = 1/2, so by 1
+    report = ibp_check(s08_fn("sign(t - 0.5)", "t"), s08_fn("t", "0"))
+    assert not report.passed
+    assert report.residuals["identity"] == pytest.approx(1.0, rel=1e-9)
+
+
 def test_product_rule_examples(tri_am0):
     f = fn("t", "1", tri_am0)
     g = fn("1", "t", tri_am0)
