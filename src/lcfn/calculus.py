@@ -142,7 +142,6 @@ class FuzzyFunction(Value):
 
 
 # The roots of center_expr, plus and cross_with, built through ex.derived.
-
 def _center(r: ex.Expr, q: ex.Expr, am: float) -> ex.Expr:
     return ex.add(r, ex.mul(ex.num(am), q))
 

@@ -363,11 +363,10 @@ def evaluate(e: Expr, t: float, eps: float | None = None) -> float:
 
 
 FORMS = ("columns", "scan", "panel", "point")  #: kernel's first argument
-#: Entries kept by each of :func:`kernel` and :func:`derived`, above the
-#: measured working sets: 240 cycles of perfbench's checker-sweep compile
-#: 652 (form, roots) keys, 60 column, 19 scan, 344 panel and 229 point
-#: kernels, and 960 cycles the same 652 (seeds 1, 101 and 1501); they
-#: derive about 380 trees per seed.
+#: Entries kept by each of :func:`kernel` and :func:`derived`, above their
+#: working sets on perfbench's checker-sweep (seeds 1, 101 and 1501): 652
+#: (form, roots) keys in 240 or 960 cycles, 60 column, 19 scan, 344 panel
+#: and 229 point kernels, and about 380 derived trees a seed.
 KERNELS = 1024
 
 
@@ -382,11 +381,9 @@ def kernel(form, *roots):
 
 @lru_cache(maxsize=KERNELS)
 def derived(build, *args):
-    """``build(*args)``, kept per builder and argument tuple.  ``build``
-    is a module-level function of nodes and numbers that reads nothing
-    else and returns nodes; each float reaches its trees through
-    :func:`num`, so arguments that compare equal (0.0 and -0.0) build
-    the one tree a fresh call returns."""
+    """``build(*args)`` per argument tuple, for a module-level ``build``
+    that reads only its arguments and puts each float in through
+    :func:`num`, so keys that compare equal (0.0, -0.0) build one tree."""
     return build(*args)
 
 

@@ -252,11 +252,10 @@ class DiracKernel(Value):
                           self.power)
 
 
-def _bump(center: float, epsilon: float, mass_norm: float,
-          power: int) -> ex.Expr:
+def _bump(center: float, eps: float, mass_norm: float, power: int) -> ex.Expr:
     """The tree of ``DiracKernel.expression``, built through ex.derived."""
     x = ex.sub(ex.Var("t"), ex.num(center))
-    bump = ex.div(ex.add(ex.Call("cos", ex.mul(ex.num(math.pi / epsilon), x)),
+    bump = ex.div(ex.add(ex.Call("cos", ex.mul(ex.num(math.pi / eps), x)),
                          ex.Num(1.0)),
                   ex.Num(2.0))
     return ex.mul(ex.num(1.0 / mass_norm),
