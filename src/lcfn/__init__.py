@@ -19,10 +19,9 @@ _EXPORTS = {
     "generator": "Generator ValidationReport load_generator validate",
     "quadrature": "QuadratureSpec",
     "variational": "CriticalPoint DiracKernel ReconstructionResult Verdict "
-                   "WitnessResult critical_points dbr_forward_check "
-                   "dbr_reconstruct default_eta_catalog lagrange_scan "
-                   "lagrange_witness mollifier_recovery verify_local_order "
-                   "witness_sequence",
+                   "critical_points dbr_forward_check dbr_reconstruct "
+                   "default_eta_catalog lagrange_point lagrange_scan "
+                   "verify_local_order",
 }
 _OWNER = {name: mod for mod, names in _EXPORTS.items() for name in names.split()}
 _SUBMODULES = {*_EXPORTS, "errors", "expr"}

@@ -24,7 +24,8 @@ from functools import lru_cache, partial
 
 from . import expr as ex
 from .core import LCFN
-from .errors import EvalError, GeneratorMismatch, OutsideDomain
+from .errors import (EvalError, GeneratorMismatch, OutsideDomain,
+                     WindowOutsideDomain)
 from .generator import Generator, same_generator
 # Not called here: perfbench hooks integrate_scalar.
 from .quadrature import QuadratureSpec, gauss_legendre, integrate_scalar, qag
@@ -302,7 +303,8 @@ class CumulativeIntegral:
 def ftc_check(f: FuzzyFunction,
               spec: QuadratureSpec = QuadratureSpec()) -> CheckReport:
     """integral of f' against f(b) - f(a), plus mean-value spot checks of
-    F' = f at interior points."""
+    F' = f at interior points; a spot window [t - h, t + h] whose ends do
+    not part raises."""
     a, b = f.domain
     fd = f.derivative()
     total = integrate(fd, spec)
@@ -314,6 +316,10 @@ def ftc_check(f: FuzzyFunction,
     spots = []
     for u in SPOT_FRACTIONS:
         t = a + (b - a) * u
+        if not t - h < t + h:
+            raise WindowOutsideDomain(
+                f"FTC spot window of h={h!r} at t={t!r} is a single point: "
+                "t - h is not below t + h")
         window = integrate(f, tight, t - h, t + h).scaled(1.0 / (2.0 * h))
         spots.append((window - f.at(t)).norm())
     spot_residual = max(spots)

@@ -80,9 +80,5 @@ class WindowOutsideDomain(LcfnError):
     pass
 
 
-class ZeroCenterAtT0(LcfnError):
-    pass
-
-
 class CatalogBoundaryViolation(LcfnError):
     """A test function does not vanish at the interval endpoints."""

@@ -22,11 +22,7 @@ from . import expr as ex
 from .calculus import (CheckReport, FuzzyFunction, finite, integrate,
                        integrate_many, need_int, node_grid, sample)
 from .core import LCFN, Ordering, compare
-from .errors import (
-    CatalogBoundaryViolation,
-    WindowOutsideDomain,
-    ZeroCenterAtT0,
-)
+from .errors import CatalogBoundaryViolation, WindowOutsideDomain
 # Not called here: perfbench hooks these names.
 from .quadrature import QuadratureSpec, adaptive_simpson, integrate_scalar
 from .value import Value
@@ -272,19 +268,6 @@ def _wallis(n: int) -> float:
 
 # -- Lagrange-lemma harness ----------------------------------------------------
 
-class WitnessResult(Value):
-    """One Lagrange witness at t0: ``epsilon`` is the effective (clamped)
-    window half-width, ``eta`` is supported on the window and zero
-    outside, ``b_k`` is the center of the integral of f (*) eta, and
-    ``limit`` is (r(t0) + a_m*q(t0))^2, the k -> inf target."""
-
-    __slots__ = ("t0", "index", "epsilon", "eta", "b_k", "limit")
-
-    def __init__(self, t0: float, index: int, epsilon: float,
-                 eta: FuzzyFunction, b_k: float, limit: float):
-        self._set(t0, index, epsilon, eta, b_k, limit)
-
-
 def _window(f: FuzzyFunction, t0: float, epsilon: float) -> float:
     """Half-width of the mollifier window at t0, clamped into the domain;
     a positive one too small to part t0 - eps from t0 + eps raises."""
@@ -308,101 +291,66 @@ def _eta(f: FuzzyFunction, t0: float, kernel: DiracKernel) -> FuzzyFunction:
                          (t0 - kernel.epsilon, t0 + kernel.epsilon))
 
 
-def _witness_integrand(f: FuzzyFunction, eta: FuzzyFunction) -> FuzzyFunction:
-    """f (*) eta on eta's window: the center of its integral is b_k."""
-    return FuzzyFunction(f.r, f.q, f.gen, eta.domain).cross_with(eta)
+def lagrange_point(f: FuzzyFunction, t0: float, epsilon: float = EPSILON,
+                   smoothness: int = SMOOTHNESS, indices=DEFAULT_INDICES,
+                   spec: QuadratureSpec = QuadratureSpec()) -> dict:
+    """The Lagrange lemma at one point: its witnesses and the mollifier
+    recovery of (r(t0), q(t0)).
 
-
-def lagrange_witness(f: FuzzyFunction, t0: float, epsilon: float = EPSILON,
-                     smoothness: int = SMOOTHNESS, index: int = 1,
-                     spec: QuadratureSpec = QuadratureSpec()) -> WitnessResult:
-    """The constructive witness for the Lagrange lemma at one point.
-
-    eta multiplies both components of f by a mollifier window at t0; the
-    center b_k of integral(f (*) eta) then approximates
-    (r(t0) + a_m*q(t0))^2 from the window average, so b_k turns strictly
-    positive for large index whenever the center of f(t0) is nonzero.
-    """
-    return witness_sequence(f, t0, epsilon, smoothness, (index,), spec)[0]
-
-
-def witness_sequence(f: FuzzyFunction, t0: float, epsilon: float = EPSILON,
-                     smoothness: int = SMOOTHNESS, indices=DEFAULT_INDICES,
-                     spec: QuadratureSpec = QuadratureSpec()
-                     ) -> tuple[WitnessResult, ...]:
-    """The witness of :func:`lagrange_witness` for each index of the
-    ladder, on one clamped window and one reading of f(t0), its integrals
-    on one subdivision (:func:`integrate_many`)."""
+    eta_k multiplies both components of f by the mollifier window at t0,
+    the crisp product (delta_k, 0) (*) f.  Its integral recovers the
+    components; the center b_k of integral(f (*) eta_k) approximates
+    (r(t0) + a_m*q(t0))^2, so b_k turns strictly positive for large k
+    wherever the center of f(t0) is nonzero.  A center within
+    ``ADMISSIBLE_CENTER`` of zero has no witness, only the recovery.
+    The window is clamped once and f(t0) read once; the recovery
+    integrand (the last index's window) and the witness integrands are
+    integrated in one :func:`integrate_many` call.  ``indices`` is the
+    ladder of k, strictly increasing."""
     if not indices:
         raise ValueError(
-            f"witness sequence needs a non-empty index ladder, got {indices!r}")
+            f"Lagrange point needs a non-empty index ladder, got {indices!r}")
+    if any(k >= later for k, later in zip(indices, indices[1:])):
+        raise ValueError(
+            f"index ladder must strictly increase, got {tuple(indices)!r}")
     eps_eff = _window(f, t0, epsilon)
-    center0 = f.at(t0).center()
-    if center0 == 0.0:
-        raise ZeroCenterAtT0(f"center of f({t0!r}) is zero; no witness exists")
+    exact = f.at(t0)
+    center0 = exact.center()
+    admissible = abs(center0) > ADMISSIBLE_CENTER
     etas = [_eta(f, t0, DiracKernel.build(eps_eff, smoothness, k))
-            for k in indices]
-    values = integrate_many([_witness_integrand(f, eta) for eta in etas], spec)
-    return tuple(WitnessResult(t0, k, eps_eff, eta, value.center(),
-                               center0 * center0)
-                 for k, eta, value in zip(indices, etas, values))
-
-
-def mollifier_recovery(f: FuzzyFunction, t0: float, epsilon: float = EPSILON,
-                       smoothness: int = SMOOTHNESS, index: int = 16,
-                       spec: QuadratureSpec = QuadratureSpec()
-                       ) -> tuple[LCFN, LCFN]:
-    """Recover (r(t0), q(t0)) through the crisp mollifier: the product of
-    f with the window (delta_k, 0) integrates to the component averages.
-    Returns (recovered, exact)."""
-    kernel = DiracKernel.build(_window(f, t0, epsilon), smoothness, index)
-    return integrate(_eta(f, t0, kernel), spec), f.at(t0)
+            for k in (indices if admissible else indices[-1:])]
+    integrands = [etas[-1]]  # the recovery's: the last index's window
+    if admissible:
+        on_window = FuzzyFunction(f.r, f.q, f.gen, etas[0].domain)
+        integrands += [on_window.cross_with(eta) for eta in etas]
+    recovered, *witnesses = integrate_many(integrands, spec)
+    record: dict = {"t0": t0, "center": center0, "admissible": admissible}
+    if admissible:
+        bs = [w.center() for w in witnesses]
+        limit = center0 * center0
+        record.update(b=bs, limit=limit, witness_ok=(
+            bs[-1] > 0.0
+            and abs(bs[-1] - limit) <= MOLLIFIER_TOL * max(1.0, limit)))
+    err = max(abs(recovered.r - exact.r), abs(recovered.q - exact.q))
+    record.update(recovered=[recovered.r, recovered.q],
+                  recovery_error=err, recovery_ok=err <= MOLLIFIER_TOL)
+    record["passed"] = record.get("witness_ok", True) and record["recovery_ok"]
+    return record
 
 
 def lagrange_scan(f: FuzzyFunction, epsilon: float = EPSILON,
                   smoothness: int = SMOOTHNESS, indices=DEFAULT_INDICES,
                   grid: int = LAGRANGE_GRID,
                   spec: QuadratureSpec = QuadratureSpec()) -> CheckReport:
-    """Scan interior points: wherever the center of f is materially
-    nonzero the witness sequence must end positive and near its target;
-    everywhere the crisp mollifier must recover the components.  Each
-    point clamps its window and reads f(t0) once, and integrates the
-    recovery integrand of :func:`mollifier_recovery` and, where admissible,
-    the witness integrands of :func:`witness_sequence` in one
-    :func:`integrate_many` call."""
+    """:func:`lagrange_point` at ``grid`` interior points: wherever the
+    center of f is materially nonzero the witness sequence must end
+    positive and near its target; everywhere the crisp mollifier must
+    recover the components."""
     need_int(grid, "grid node count")  # named before it becomes grid + 2
     if grid < 1:
         raise ValueError(f"Lagrange scan needs grid >= 1, got {grid!r}")
-    if not indices:
-        raise ValueError(
-            f"Lagrange scan needs a non-empty index ladder, got {indices!r}")
-
-    def scan_one(t0: float) -> dict:
-        eps_eff = _window(f, t0, epsilon)
-        exact = f.at(t0)
-        center0 = exact.center()
-        admissible = abs(center0) > ADMISSIBLE_CENTER
-        etas = [_eta(f, t0, DiracKernel.build(eps_eff, smoothness, k))
-                for k in (indices if admissible else indices[-1:])]
-        integrands = [etas[-1]]  # the recovery's: the last index's window
-        if admissible:
-            integrands += [_witness_integrand(f, eta) for eta in etas]
-        recovered, *witnesses = integrate_many(integrands, spec)
-        record: dict = {"t0": t0, "center": center0, "admissible": admissible}
-        if admissible:
-            bs = [w.center() for w in witnesses]
-            limit = center0 * center0
-            record.update(b=bs, limit=limit, witness_ok=(
-                bs[-1] > 0.0
-                and abs(bs[-1] - limit) <= MOLLIFIER_TOL * max(1.0, limit)))
-        err = max(abs(recovered.r - exact.r), abs(recovered.q - exact.q))
-        record.update(recovered=[recovered.r, recovered.q],
-                      recovery_error=err, recovery_ok=err <= MOLLIFIER_TOL)
-        record["passed"] = (record.get("witness_ok", True)
-                            and record["recovery_ok"])
-        return record
-
-    records = [scan_one(t0) for t0 in node_grid(*f.domain, grid + 2)[1:-1]]
+    records = [lagrange_point(f, t0, epsilon, smoothness, indices, spec)
+               for t0 in node_grid(*f.domain, grid + 2)[1:-1]]
     worst = max(r["recovery_error"] for r in records)
     return CheckReport(
         check="lagrange-scan",

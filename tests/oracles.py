@@ -147,15 +147,15 @@ def kernel_value(kernel, x):
     return base ** kernel.power / kernel.mass_norm
 
 
-def b_direct(f, witness, spec, smoothness=SMOOTHNESS):
-    """b_k of ``witness`` as one scalar quadrature of
-    (r + a_m*q)^2 * delta over its window."""
+def b_direct(f, t0, epsilon, index, spec, smoothness=SMOOTHNESS):
+    """b_k of the Lagrange witness of index k at t0, on a window of
+    half-width ``epsilon`` (already clamped), as one scalar quadrature of
+    (r + a_m*q)^2 * delta over that window."""
     squared = ex.pow_(f.center_expr(), ex.Num(2.0))
-    kernel = DiracKernel.build(witness.epsilon, smoothness, witness.index)
-    t0, eps = witness.t0, witness.epsilon
+    kernel = DiracKernel.build(epsilon, smoothness, index)
     return integrate_scalar(
         lambda t: ex.evaluate(squared, t) * kernel_value(kernel, t - t0),
-        t0 - eps, t0 + eps, spec)
+        t0 - epsilon, t0 + epsilon, spec)
 
 
 def reconstruction_rows(f, u, ts):

@@ -28,11 +28,10 @@ from lcfn import (
     dbr_reconstruct,
     ftc_check,
     ibp_check,
-    mollifier_recovery,
+    lagrange_point,
     scalar_le,
     square_integral,
     verify_local_order,
-    witness_sequence,
 )
 from lcfn.scenarios import catalog_scenario, load_catalog
 
@@ -232,17 +231,17 @@ def test_criterion_08_optimality():
 def test_criterion_09_dirac_lagrange():
     gen = catalog_scenario("s06_recovery_window").gen
     f = FuzzyFunction.from_strings("1", "0", gen, (0.0, 1.0))
-    results = witness_sequence(f, 0.5, epsilon=0.2, smoothness=1,
-                               indices=(1, 2, 4, 8, 16))
-    bs = [w.b_k for w in results]
+    bs = lagrange_point(f, 0.5, epsilon=0.2, smoothness=1,
+                        indices=(1, 2, 4, 8, 16))["b"]
     ladder_ok = all(later >= earlier - 1e-9
                     for earlier, later in zip(bs, bs[1:]))
     ok = ladder_ok and abs(bs[-1] - 1.0) < 0.05
 
     recovery = catalog_scenario("s06_recovery_window")
-    recovered, _ = mollifier_recovery(recovery.f, 1.5, epsilon=0.2, index=16)
-    rec_err = max(abs(recovered.r - math.sin(1.5)),
-                  abs(recovered.q - math.cos(1.5)))
+    recovered_r, recovered_q = lagrange_point(
+        recovery.f, 1.5, epsilon=0.2, indices=(16,))["recovered"]
+    rec_err = max(abs(recovered_r - math.sin(1.5)),
+                  abs(recovered_q - math.cos(1.5)))
     ok = ok and rec_err < 0.05
     report(9, "witness ladder b_k -> 1 and mollifier recovery within 0.05",
            ok, f"b={['%.6f' % b for b in bs]}, recovery err={rec_err:.4f}")

@@ -27,6 +27,7 @@ from lcfn.errors import (
     NonFiniteIntegrand,
     OutsideDomain,
     QuadratureNonConvergent,
+    WindowOutsideDomain,
 )
 from lcfn import calculus, expr as ex
 from lcfn.quadrature import (
@@ -431,6 +432,21 @@ def test_ftc_examples(tri_am0):
     constant = ftc_check(fn("3", "-1", tri_am0))
     assert constant.passed and constant.residuals["endpoint"] == 0.0
     assert ftc_check(fn("exp(t)", "log(1 + t)", tri_am0, (0.0, 2.0))).passed
+
+
+@pytest.mark.parametrize("domain, t, h", [
+    # h = 0.05*(b - a) is 0.0: the window average divided by zero
+    ((0.0, 5e-324), 0.0, 0.0),
+    # h = 3e-4 is below half an ulp of t: the window is the point t and
+    # its average was 0, so spot_max read |f(t)| where the FTC holds
+    ((1e14, 100000000000001.0), 100000000000000.2, 3e-4),
+    ((1e300, 1.0000000000000002e300), 1e300, 3e-4),
+], ids=["h-zero", "1e14", "1e300"])
+def test_ftc_refuses_a_spot_window_that_is_a_point(tri_am0, domain, t, h):
+    with pytest.raises(WindowOutsideDomain) as err:
+        ftc_check(fn("t", "1", tri_am0, domain))
+    assert str(err.value) == (f"FTC spot window of h={h!r} at t={t!r} is a "
+                              "single point: t - h is not below t + h")
 
 
 def s08_fn(r, q):

@@ -445,6 +445,30 @@ def test_dbr_reconstruct_domain_too_narrow_exits_2(tri):
     assert result.stdout == ""
 
 
+@pytest.mark.parametrize("ladder, shown", [("16,1", "(16, 1)"),
+                                           ("2,2", "(2, 2)")])
+def test_lagrange_index_ladder_that_does_not_increase_exits_2(tmp_path,
+                                                              ladder, shown):
+    # 16,1 was judged at k = 1 alone and exited 0
+    path = scenario_path(tmp_path, "s06_recovery_window.json")
+    result = run_cli("verify", "lagrange", "--scenario", path, "--grid", "3",
+                     "--k", ladder)
+    assert result.returncode == 2
+    assert result.stderr == ("error: index ladder must strictly increase, "
+                             f"got {shown}\n")
+    assert result.stdout == ""
+
+
+def test_ftc_spot_window_that_is_a_point_exits_2(tri):
+    # h = 0 once raised ZeroDivisionError with a traceback and exit 1
+    result = run_cli("verify", "ftc", "--gen", tri, "--r", "t", "--q", "1",
+                     "--domain", "0", "5e-324")
+    assert result.returncode == 2
+    assert result.stderr == ("error: FTC spot window of h=0.0 at t=0.0 is a "
+                             "single point: t - h is not below t + h\n")
+    assert result.stdout == ""
+
+
 def test_lagrange_grid_zero_exits_2(tmp_path):
     path = scenario_path(tmp_path, "s06_recovery_window.json")
     result = run_cli("verify", "lagrange", "--scenario", path, "--grid", "0")

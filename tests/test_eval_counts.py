@@ -164,14 +164,16 @@ def test_lagrange_scan_evals(counts):
                       "evaluate": 0}
 
 
-def test_witness_sequence_evals(counts):
-    # the b_k integrals of the default ladder on one subdivision (one
-    # integral per index took 1,095 points in 73 calls); the
+def test_lagrange_point_evals(counts):
+    # one reading of f(t0) and the recovery and the b_k integrals of the
+    # default ladder on one subdivision, where the recovery adds no panel
+    # to the b_k integrals alone (one integral per index took 1,095
+    # points in 73 calls); the
     # one-quadrature oracle the witness used to compute as well took
     # 18,867 -> 11,778 points, adaptive Simpson 11,778 -> scalar
     # Gauss-Kronrod 1,980
-    variational.witness_sequence(catalog_scenario("s06_recovery_window").f,
-                                 1.5)
+    variational.lagrange_point(catalog_scenario("s06_recovery_window").f,
+                               1.5)
     assert counts == {"points": 345, "calls": 23, "sampled": 1, "evaluate": 0}
 
 
@@ -198,12 +200,11 @@ def test_critical_points_evals_over_catalog(counts):
 
 @pytest.mark.parametrize("name", ["s06_recovery_window", "s03_center_zero_line"])
 def test_lagrange_scan_matches_witness_and_recovery(name):
-    """Each scan point integrates the recovery integrand of
-    ``mollifier_recovery`` and, where admissible, the witness integrands
-    of ``witness_sequence`` on one subdivision: its records are one
-    ``integrate_many`` of those functions, bit for bit, and agree with the
-    two harnesses, which integrate on subdivisions of their own, within
-    the quadrature tolerance."""
+    """Each scan point integrates the recovery integrand and, where
+    admissible, the witness integrands on one subdivision: its records
+    are one ``integrate_many`` of those functions, bit for bit, and agree
+    with one ``integrate`` per function, each on a subdivision of its
+    own, within the quadrature tolerance."""
     f = catalog_scenario(name).f
     indices, spec = (1, 2, 4), QuadratureSpec()
     report = variational.lagrange_scan(f, indices=indices, grid=3)
@@ -219,13 +220,12 @@ def test_lagrange_scan_matches_witness_and_recovery(name):
                    .cross_with(eta) for eta in etas]
         recovered, *witnesses = calculus.integrate_many(fs, spec)
         assert record["recovered"] == [recovered.r, recovered.q]
-        alone, _ = variational.mollifier_recovery(f, t0, index=indices[-1])
+        alone, *ws = [calculus.integrate(g, spec) for g in fs]
         assert abs(recovered.r - alone.r) <= spec.abs_tol
         assert abs(recovered.q - alone.q) <= spec.abs_tol
         if record["admissible"]:
             assert record["b"] == [w.center() for w in witnesses]
-            ws = variational.witness_sequence(f, t0, indices=indices)
-            assert all(abs(b - w.b_k) <= spec.abs_tol
+            assert all(abs(b - w.center()) <= spec.abs_tol
                        for b, w in zip(record["b"], ws))
     admissible = [r["admissible"] for r in report.records]
     assert admissible == ([True] * 3 if name.startswith("s06") else [False] * 3)

@@ -1,7 +1,9 @@
 """The package surface: `lcfn.__all__`, lazy submodule imports, dir()."""
 import os
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -50,12 +52,19 @@ def test_cli_import_compiles_no_code():
 
 
 def test_all_names_resolve_and_are_cached():
-    assert len(lcfn.__all__) == 41
+    assert len(lcfn.__all__) == 38
     assert lcfn.__all__ == sorted(set(lcfn.__all__))
     for name in lcfn.__all__:
         value = getattr(lcfn, name)
         assert vars(lcfn)[name] is value
         assert getattr(value, "__module__", "").startswith("lcfn.")
+
+
+def test_readme_counts_the_names_in_all():
+    readme = (Path(__file__).parents[1] / "README.md").read_text("utf-8")
+    counts = re.findall(r"Each of the (\d+) names in\s+`lcfn\.__all__`",
+                        readme)
+    assert counts == [str(len(lcfn.__all__))]
 
 
 def test_star_import_binds_exactly_all():

@@ -14,17 +14,12 @@ from lcfn import (
     dbr_reconstruct,
     default_eta_catalog,
     integrate,
+    lagrange_point,
     lagrange_scan,
-    lagrange_witness,
-    mollifier_recovery,
     verify_local_order,
-    witness_sequence,
 )
-from lcfn.errors import (
-    CatalogBoundaryViolation,
-    WindowOutsideDomain,
-    ZeroCenterAtT0,
-)
+from lcfn.calculus import integrate_many
+from lcfn.errors import CatalogBoundaryViolation, WindowOutsideDomain
 from lcfn.quadrature import QuadratureSpec, adaptive_simpson
 from lcfn.calculus import MAX_GRID_NODES, node_grid
 from lcfn.scenarios import catalog_scenario, load_catalog
@@ -33,7 +28,6 @@ from lcfn.variational import (
     CriticalPoint,
     LocalOrderReport,
     ReconstructionResult,
-    WitnessResult,
 )
 from lcfn import LCFN, expr as ex, variational
 from conftest import assert_frozen_value
@@ -295,8 +289,7 @@ def test_kernel_power_is_bounded_before_the_big_integers(monkeypatch):
 
 def test_lagrange_harnesses_reject_nan_epsilon():
     f = catalog_scenario("s06_recovery_window").f
-    for run in (lambda: lagrange_witness(f, 1.5, epsilon=math.nan),
-                lambda: mollifier_recovery(f, 1.5, epsilon=math.nan),
+    for run in (lambda: lagrange_point(f, 1.5, epsilon=math.nan),
                 lambda: lagrange_scan(f, epsilon=math.nan, grid=1)):
         with pytest.raises(ValueError, match="got nan"):
             run()
@@ -306,51 +299,62 @@ def test_lagrange_harnesses_reject_nan_epsilon():
 
 def test_witness_constant_function(tri_am0):
     f = fn("1", "0", tri_am0)
-    results = witness_sequence(f, 0.5, epsilon=0.2, smoothness=1)
-    bs = [w.b_k for w in results]
+    point = lagrange_point(f, 0.5, epsilon=0.2, smoothness=1)
+    bs = point["b"]
     assert all(abs(b - 1.0) < 0.05 for b in bs)
     assert abs(bs[-1] - 1.0) < 1e-8  # constant center: no smoothing error
-    assert results[-1].limit == 1.0
+    assert point["limit"] == 1.0
 
 
 def test_witness_linear_function(tri_am0):
     f = fn("t", "0", tri_am0)
-    results = witness_sequence(f, 0.5, epsilon=0.2, smoothness=1)
-    assert results[-1].limit == 0.25
-    assert abs(results[-1].b_k - 0.25) < 0.01
+    point = lagrange_point(f, 0.5, epsilon=0.2, smoothness=1)
+    assert point["limit"] == 0.25
+    assert abs(point["b"][-1] - 0.25) < 0.01
     # smoothing error shrinks along the ladder
-    errs = [abs(w.b_k - 0.25) for w in results]
+    errs = [abs(b - 0.25) for b in point["b"]]
     assert errs[0] > errs[-1]
 
 
 def test_witness_two_routes_agree(tri_am0):
     f = fn("sin(t)", "cos(t)", tri_am0, (0.5, 2.5))
-    w = lagrange_witness(f, 1.5, epsilon=0.2, index=4)
-    assert w.b_k == pytest.approx(b_direct(f, w, QuadratureSpec()), abs=1e-9)
+    b_k, = lagrange_point(f, 1.5, epsilon=0.2, indices=(4,))["b"]
+    assert b_k == pytest.approx(b_direct(f, 1.5, 0.2, 4, QuadratureSpec()),
+                                abs=1e-9)
 
 
-def test_witness_window_clamped(tri_am0):
+def test_witness_window_clamped(tri_am0, monkeypatch):
+    # the window is read off the functions given to integrate_many
     f = fn("1", "0", tri_am0)
-    w = lagrange_witness(f, 0.1, epsilon=0.2, index=1)
-    assert w.epsilon == pytest.approx(0.45 * 0.1)
-    lo, hi = w.eta.domain
-    assert lo == pytest.approx(0.1 - w.epsilon)
-    assert hi == pytest.approx(0.1 + w.epsilon)
+    calls, joint = [], variational.integrate_many
+    monkeypatch.setattr(variational, "integrate_many",
+                        lambda fs, spec: calls.append(fs) or joint(fs, spec))
+    lagrange_point(f, 0.1, epsilon=0.2, indices=(1,))
+    (recovery, witness), = calls
+    lo, hi = witness.domain
+    epsilon = 0.5 * (hi - lo)
+    assert epsilon == pytest.approx(0.45 * 0.1)
+    assert lo == pytest.approx(0.1 - epsilon)
+    assert hi == pytest.approx(0.1 + epsilon)
+    assert recovery.domain == witness.domain
 
 
 def test_witness_zero_center_rejected(tri_am05):
+    # a center of exactly zero has no witness, only the recovery
     f = fn("t", "-2*t", tri_am05)
     for t0 in (0.25, 0.5, 0.8046875):
-        with pytest.raises(ZeroCenterAtT0):
-            lagrange_witness(f, t0)
+        point = lagrange_point(f, t0)
+        assert point["center"] == 0.0
+        assert point["admissible"] is False and "b" not in point
+        assert point["recovery_ok"] and point["passed"]
 
 
 def test_witness_outside_domain_rejected(tri_am0):
     f = fn("1", "0", tri_am0)
     with pytest.raises(WindowOutsideDomain):
-        lagrange_witness(f, 0.0)
+        lagrange_point(f, 0.0)
     with pytest.raises(WindowOutsideDomain):
-        lagrange_witness(f, 1.2)
+        lagrange_point(f, 1.2)
 
 
 @pytest.mark.parametrize("t0, epsilon", [(0.5, 1e-300),
@@ -361,10 +365,9 @@ def test_collapsed_window_names_epsilon_and_t0(tri_am0, t0, epsilon):
     f = fn("1", "0", tri_am0)
     message = (f"mollifier window of epsilon={epsilon!r} at t0={t0!r} is a "
                "single point: t0 - epsilon is not below t0 + epsilon")
-    for run in (lagrange_witness, mollifier_recovery):
-        with pytest.raises(WindowOutsideDomain) as err:
-            run(f, t0, epsilon=epsilon)
-        assert str(err.value) == message
+    with pytest.raises(WindowOutsideDomain) as err:
+        lagrange_point(f, t0, epsilon=epsilon)
+    assert str(err.value) == message
 
 
 def test_scan_computes_the_kernel_mass_once(monkeypatch):
@@ -388,21 +391,36 @@ def test_scan_computes_the_kernel_mass_once(monkeypatch):
 
 def test_mollifier_recovery(tri_am0):
     scenario = catalog_scenario("s06_recovery_window")
-    recovered, exact = mollifier_recovery(scenario.f, 1.5, epsilon=0.2,
-                                          index=16)
-    assert recovered.r == pytest.approx(math.sin(1.5), abs=0.05)
-    assert recovered.q == pytest.approx(math.cos(1.5), abs=0.05)
-    assert (exact.r, exact.q) == (math.sin(1.5), math.cos(1.5))
+    point = lagrange_point(scenario.f, 1.5, epsilon=0.2, indices=(16,))
+    recovered_r, recovered_q = point["recovered"]
+    assert recovered_r == pytest.approx(math.sin(1.5), abs=0.05)
+    assert recovered_q == pytest.approx(math.cos(1.5), abs=0.05)
+    # the error is read against the exact f(1.5) = sin(1.5) + cos(1.5)A
+    assert point["recovery_error"] == max(abs(recovered_r - math.sin(1.5)),
+                                          abs(recovered_q - math.cos(1.5)))
 
 
 @pytest.mark.parametrize("k", [1, 16])
 @pytest.mark.parametrize("t0", [1.0, 1.5, 2.3])
 def test_mollifier_recovery_integrates_the_witness_window(t0, k):
     # (delta_k, 0) (*) f is the witness's eta, so the recovery is its
-    # integral, bit for bit
+    # integral: bit for bit on the one subdivision it shares with the
+    # witness f (*) eta, and within the tolerance of the crisp product
+    # integrated alone
     f = catalog_scenario("s06_recovery_window").f
-    recovered, _ = mollifier_recovery(f, t0, index=k)
-    assert recovered == integrate(lagrange_witness(f, t0, index=k).eta)
+    point = lagrange_point(f, t0, indices=(k,))
+    kernel = DiracKernel.build(variational._window(f, t0, variational.EPSILON),
+                               variational.SMOOTHNESS, k)
+    delta = kernel.expression(t0)
+    window = (t0 - kernel.epsilon, t0 + kernel.epsilon)
+    eta = FuzzyFunction(ex.mul(f.r, delta), ex.mul(f.q, delta), f.gen, window)
+    on_window = FuzzyFunction(f.r, f.q, f.gen, window)
+    recovered, witness = integrate_many([eta, on_window.cross_with(eta)])
+    assert point["recovered"] == [recovered.r, recovered.q]
+    assert point["b"] == [witness.center()]
+    crisp = FuzzyFunction(delta, ex.Num(0.0), f.gen, window)
+    alone = integrate(crisp.cross_with(on_window))
+    assert (alone - recovered).norm() <= QuadratureSpec().abs_tol
 
 
 def test_lagrange_scan_recovery_scenario():
@@ -572,8 +590,8 @@ def test_catalog_witnesses_eventually_positive():
             value = scenario.f.at(t0)
             if abs(value.center()) < 1e-3:
                 continue
-            w = lagrange_witness(scenario.f, t0, epsilon=0.2, index=8)
-            assert w.b_k > 0.0, (scenario.name, t0)
+            point = lagrange_point(scenario.f, t0, epsilon=0.2, indices=(8,))
+            assert point["b"][0] > 0.0, (scenario.name, t0)
 
 
 def test_dbr_residual_scales_with_quadrature_tolerance():
@@ -666,12 +684,25 @@ def test_lagrange_scan_rejects_empty_index_ladder():
         lagrange_scan(f, indices=(), grid=1)
 
 
-def test_witness_sequence_rejects_empty_index_ladder():
+def test_lagrange_point_rejects_empty_index_ladder():
     f = catalog_scenario("s06_recovery_window").f
     for indices in ((), []):
-        with pytest.raises(ValueError, match="witness sequence needs a "
+        with pytest.raises(ValueError, match="Lagrange point needs a "
                            "non-empty index ladder, got"):
-            witness_sequence(f, 0.5, indices=indices)
+            lagrange_point(f, 0.5, indices=indices)
+
+
+@pytest.mark.parametrize("indices", [(16, 1), (2, 2), [1, 4, 2]])
+def test_lagrange_point_rejects_a_ladder_that_does_not_increase(indices):
+    # a ladder was once judged at its last entry: (16, 1) gave the k = 1
+    # verdict and never judged k = 16
+    f = catalog_scenario("s06_recovery_window").f
+    message = f"index ladder must strictly increase, got {tuple(indices)!r}"
+    for run in (lambda: lagrange_point(f, 1.5, indices=indices),
+                lambda: lagrange_scan(f, indices=indices, grid=1)):
+        with pytest.raises(ValueError) as err:
+            run()
+        assert str(err.value) == message
 
 
 def test_dbr_forward_rejects_empty_catalog():
@@ -712,11 +743,6 @@ _GRID = ((0.0, -0.5, 0.5), (1.0, 0.5, 0.5))
     (DiracKernel.build(0.25, 1, 2),
      "DiracKernel(epsilon=0.25, smoothness=1, index=2, mass_norm=0.13671875)",
      (0.25, 1, 2, 0.13671875), DiracKernel.build(0.25, 1, 3)),
-    (WitnessResult(0.5, 2, 0.25, _F, 1.5, 0.25),
-     f"WitnessResult(t0=0.5, index=2, epsilon=0.25, eta={_F_TEXT}, b_k=1.5, "
-     "limit=0.25)",
-     (0.5, 2, 0.25, _F, 1.5, 0.25),
-     WitnessResult(0.5, 2, 0.25, _F, 1.5, 0.5)),
     (ReconstructionResult(u=LCFN(0.5, 0.25, _GEN), f=_F, spec=QuadratureSpec(),
                           residual_grid=_GRID, max_center_residual=0.5,
                           max_coord_residual=0.5),
@@ -728,6 +754,6 @@ _GRID = ((0.0, -0.5, 0.5), (1.0, 0.5, 0.5))
      ReconstructionResult(LCFN(0.5, 0.25, _GEN), _F, QuadratureSpec(), _GRID,
                           0.5, 0.25)),
 ], ids=["critical-point", "local-order", "local-order-defaults",
-        "dirac-kernel", "witness", "reconstruction"])
+        "dirac-kernel", "reconstruction"])
 def test_results_are_frozen_values(value, text, key, other):
     assert_frozen_value(value, text, key, other)
