@@ -44,8 +44,11 @@ EXIT_NONCONVERGENT = 3
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    try:
+        args = _build_parser(argv[0] if argv else None).parse_args(argv)
+    except _UsageError:  # the full parser's usage lists every verb
+        args = _build_parser().parse_args(argv)
     try:
         doc, failed = args.handler(args)
         _emit(doc, args)
@@ -71,72 +74,88 @@ class _Parser(argparse.ArgumentParser):
         self._negative_number_matcher = self._NEGATIVE
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(
+class _UsageError(Exception):
+    pass
+
+
+class _OneVerbParser(_Parser):
+    """The parser of one verb.  Its usage would list that verb alone, so
+    on any usage error it raises, and ``main`` parses again in full."""
+
+    def error(self, message):
+        raise _UsageError(message)
+
+
+def _build_parser(verb=None) -> argparse.ArgumentParser:
+    """The ``lcfn`` parser with the subparser of ``verb`` only, when it
+    names one, else with all of them: a launch builds the verb it runs."""
+    one = verb in _VERBS
+    parser = (_OneVerbParser if one else _Parser)(
         prog="lcfn",
         description="Arithmetic, order, calculus, and variational checks "
                     "for linearly correlated fuzzy numbers.")
     sub = parser.add_subparsers(dest="verb", required=True)
-
-    def common(p, scenario=False, quadrature=False):
-        p.add_argument("--format", choices=("json", "text", "csv"),
-                       default="json")
-        p.add_argument("--out", default=None, help="write output to a file")
-        if quadrature:
-            p.add_argument("--tol", type=float, default=None,
-                           help="quadrature absolute tolerance override")
-        p.add_argument("--gen", default=None, help="generator config path")
-        if scenario:
-            p.add_argument("--scenario", default=None, help="scenario path")
-            p.add_argument("--r", dest="r_src", default=None)
-            p.add_argument("--q", dest="q_src", default=None)
-            p.add_argument("--domain", nargs=2, type=float, default=None,
-                           metavar=("A", "B"))
-
-    p = sub.add_parser("compare", help="three-way order comparison")
-    common(p)
-    p.add_argument("left")
-    p.add_argument("right")
-    p.set_defaults(handler=_cmd_compare)
-
-    for name, handler in (("norm", _cmd_norm), ("classify", _cmd_classify)):
-        p = sub.add_parser(name)
-        common(p)
-        p.add_argument("element")
+    for name in (verb,) if one else _VERBS:
+        add_arguments, handler, help_ = _VERBS[name]
+        p = sub.add_parser(name, help=help_) if help_ else sub.add_parser(name)
+        add_arguments(p)
         p.set_defaults(handler=handler)
+    return parser
 
-    p = sub.add_parser("cross", help="interactive product of two elements")
-    common(p)
+
+def _common(p, scenario=False, quadrature=False):
+    p.add_argument("--format", choices=("json", "text", "csv"),
+                   default="json")
+    p.add_argument("--out", default=None, help="write output to a file")
+    if quadrature:
+        p.add_argument("--tol", type=float, default=None,
+                       help="quadrature absolute tolerance override")
+    p.add_argument("--gen", default=None, help="generator config path")
+    if scenario:
+        p.add_argument("--scenario", default=None, help="scenario path")
+        p.add_argument("--r", dest="r_src", default=None)
+        p.add_argument("--q", dest="q_src", default=None)
+        p.add_argument("--domain", nargs=2, type=float, default=None,
+                       metavar=("A", "B"))
+
+
+def _two_elements(p):
+    _common(p)
     p.add_argument("left")
     p.add_argument("right")
-    p.set_defaults(handler=_cmd_cross)
 
-    p = sub.add_parser("alpha-level")
-    common(p)
+
+def _one_element(p):
+    _common(p)
+    p.add_argument("element")
+
+
+def _alpha_level_args(p):
+    _common(p)
     p.add_argument("--alpha", type=float, required=True)
     p.add_argument("element", nargs="?", default=None,
                    help="omit to query the generator itself")
-    p.set_defaults(handler=_cmd_alpha_level)
 
-    p = sub.add_parser("differentiate")
-    common(p, scenario=True)
+
+def _differentiate_args(p):
+    _common(p, scenario=True)
     p.add_argument("--at", type=float, required=True)
-    p.set_defaults(handler=_cmd_differentiate)
 
-    p = sub.add_parser("integrate")
-    common(p, scenario=True, quadrature=True)
-    p.set_defaults(handler=_cmd_integrate)
 
-    p = sub.add_parser("critical-points")
-    common(p, scenario=True)
+def _integrate_args(p):
+    _common(p, scenario=True, quadrature=True)
+
+
+def _critical_points_args(p):
+    _common(p, scenario=True)
     p.add_argument("--grid", type=int, default=vr.SCAN_GRID)
-    p.set_defaults(handler=_cmd_critical_points)
 
-    p = sub.add_parser("verify", help="run a theorem checker")
+
+def _verify_args(p):
     p.add_argument("what", choices=("lagrange", "dbr-forward",
                                     "dbr-reconstruct", "interchange",
                                     "ftc", "ibp"))
-    common(p, scenario=True, quadrature=True)
+    _common(p, scenario=True, quadrature=True)
     # each defaults to None: the library default applies unless given
     p.add_argument("--eps0", type=float)
     p.add_argument("--epsilon", type=float)
@@ -144,9 +163,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", dest="indices",
                    help="comma-separated mollifier index ladder")
     p.add_argument("--grid", type=int)
-    p.set_defaults(handler=_cmd_verify)
-
-    return parser
 
 
 # -- argument plumbing ---------------------------------------------------------
@@ -296,6 +312,22 @@ def _cmd_verify(args):
         report = vr.lagrange_scan(scenario.f, spec=spec, **given)
     doc = _doc("verify", what=what, report=report.to_dict())
     return doc, not report.passed
+
+
+# verb: (its arguments, its handler, its help line), in the order that
+# `lcfn -h` lists them
+_VERBS = {
+    "compare": (_two_elements, _cmd_compare, "three-way order comparison"),
+    "norm": (_one_element, _cmd_norm, None),
+    "classify": (_one_element, _cmd_classify, None),
+    "cross": (_two_elements, _cmd_cross,
+              "interactive product of two elements"),
+    "alpha-level": (_alpha_level_args, _cmd_alpha_level, None),
+    "differentiate": (_differentiate_args, _cmd_differentiate, None),
+    "integrate": (_integrate_args, _cmd_integrate, None),
+    "critical-points": (_critical_points_args, _cmd_critical_points, None),
+    "verify": (_verify_args, _cmd_verify, "run a theorem checker"),
+}
 
 
 def _index_ladder(text: str) -> tuple[int, ...]:

@@ -480,6 +480,52 @@ def test_ibp_fails_across_a_jump():
     assert report.residuals["identity"] == pytest.approx(1.0, rel=1e-9)
 
 
+def test_product_rule_fails_under_a_wrong_derivative(tri_am0, monkeypatch):
+    # a differentiate that returns its argument makes the left side f*g
+    # and the right side 2*f*g, off by |f(t)*g(t)|
+    f, g = fn("t", "1", tri_am0), fn("1", "t", tri_am0)
+    monkeypatch.setattr(ex, "differentiate", lambda e, var="t", order=1: e)
+    report = product_rule_check(f, g, 0.7)
+    assert not report.passed
+    assert report.residuals["pointwise"] == f.at(0.7).cross(g.at(0.7)).norm()
+
+
+def test_square_integral_fails_on_a_route_gap_alone():
+    # c^2 = (sign(t - 0.3) + 1)^2 jumps from 0 to 4 at 0.3: the adaptive
+    # route finds 2.8, the fixed Gauss-Legendre rule misses by 0.04
+    value, report = square_integral(s08_fn("sign(t - 0.3) + 1", "0"))
+    assert not report.passed
+    assert value.center() == pytest.approx(2.8, abs=1e-9)
+    assert report.residuals["route_gap"] == pytest.approx(0.0402, abs=1e-4)
+
+
+def test_square_integral_fails_on_a_negative_center_alone(tri_am0,
+                                                          monkeypatch):
+    # both routes agree on a center below -abs_tol, which a square's
+    # integral cannot have: only the positivity half can fail it
+    negative = -10.0 * SPEC.abs_tol
+    monkeypatch.setattr(calculus, "integrate",
+                        lambda f, spec: LCFN(negative, 0.0, f.gen))
+    monkeypatch.setattr(calculus, "gauss_legendre", lambda *args: negative)
+    _, report = square_integral(fn("t", "0", tri_am0))
+    assert report.residuals["route_gap"] == 0.0
+    assert not report.passed
+
+
+@pytest.mark.parametrize("eps0, passed", [(1.00005, False), (1.5, True)])
+def test_interchange_fails_across_a_kink_in_eps(eps0, passed):
+    # at 1.00005 the central difference in eps straddles the kink of
+    # |eps - 1| at 1 and reads 0.25, the symbolic partial 0.5
+    g = FuzzyFunction.from_strings(
+        "abs(eps - 1)*t", "t", catalog_scenario("s08_parabola_min").gen,
+        (0.0, 1.0), two_variable=True)
+    report = interchange_check(g, eps0)
+    assert report.passed is passed
+    assert report.residuals["rhs_r"] == pytest.approx(0.5, abs=1e-12)
+    if not passed:
+        assert report.residuals["norm"] == pytest.approx(0.25, abs=1e-4)
+
+
 def test_product_rule_examples(tri_am0):
     f = fn("t", "1", tri_am0)
     g = fn("1", "t", tri_am0)

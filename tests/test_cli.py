@@ -1,4 +1,5 @@
 """End-to-end CLI tests: verbs, formats, exit codes, determinism."""
+import argparse
 import gc
 import json
 import subprocess
@@ -9,7 +10,7 @@ import pytest
 from importlib import resources
 
 from lcfn import expr as ex
-from lcfn.cli import main
+from lcfn.cli import _build_parser, main
 
 
 def run_cli(*argv):
@@ -469,6 +470,17 @@ def test_ftc_spot_window_that_is_a_point_exits_2(tri):
     assert result.stdout == ""
 
 
+def test_ftc_spot_window_is_averaged_over_its_rounded_width(tri, capsys):
+    # at t ~ 1e9 the window [t - h, t + h] is 0.0006000995635986328 wide,
+    # not 2h = 0.0006: dividing by 2h gave spot_max 165939.3 and exit 1
+    code = main(["verify", "ftc", "--gen", tri, "--r", "t", "--q", "1",
+                 "--domain", "1e9", "1000000001"])
+    residuals = json.loads(capsys.readouterr().out)["report"]["residuals"]
+    assert code == 0
+    assert residuals["endpoint"] == 0.0
+    assert residuals["spot_max"] < 1e-6
+
+
 def test_lagrange_grid_zero_exits_2(tmp_path):
     path = scenario_path(tmp_path, "s06_recovery_window.json")
     result = run_cli("verify", "lagrange", "--scenario", path, "--grid", "0")
@@ -555,6 +567,78 @@ def test_tol_only_on_quadrature_verbs(argv, capsys):
         main([*argv, "--tol", "1e-3"])
     assert exit_.value.code == 2
     assert "unrecognized arguments: --tol" in capsys.readouterr().err
+
+
+# -- the parser a launch builds ---------------------------------------------------
+
+VERBS = ("compare", "norm", "classify", "cross", "alpha-level",
+         "differentiate", "integrate", "critical-points", "verify")
+# per verb, what leaves a positional, a required option or an option value
+# missing, and a value its option's type refuses (the element verbs take
+# no typed option)
+MISSING = {"compare": ["1"], "norm": [], "classify": [], "cross": ["1"],
+           "alpha-level": [], "differentiate": [],
+           "integrate": ["--domain", "0"],
+           "critical-points": ["--domain", "0"], "verify": []}
+BAD_TYPE = {"alpha-level": ["--alpha", "x"], "differentiate": ["--at", "x"],
+            "integrate": ["--tol", "x"], "critical-points": ["--grid", "x"],
+            "verify": ["ftc", "--eps0", "x"]}
+USAGE_FORMS = [[], ["-h"], ["nope"], ["--bogus", "norm"], ["-h", "norm"],
+               ["verify", "nope"]]
+for _verb in VERBS:
+    USAGE_FORMS += [[_verb, "--help"], [_verb, "--bogus"],
+                    [_verb, *MISSING[_verb]], [_verb, "--format", "xml"]]
+    if _verb in BAD_TYPE:
+        USAGE_FORMS.append([_verb, *BAD_TYPE[_verb]])
+
+
+@pytest.mark.parametrize("argv", USAGE_FORMS,
+                         ids=lambda argv: " ".join(argv) or "(none)")
+def test_help_and_usage_errors_match_the_full_parser(argv, capsys):
+    with pytest.raises(SystemExit) as launched:
+        main(argv)
+    through_main = capsys.readouterr()
+    with pytest.raises(SystemExit) as full:
+        _build_parser().parse_args(argv)
+    assert launched.value.code == full.value.code
+    assert through_main == capsys.readouterr()
+
+
+@pytest.fixture
+def built(monkeypatch):
+    """The names of the subparsers built, in order."""
+    names = []
+    add_parser = argparse._SubParsersAction.add_parser
+
+    def counting(self, name, **kwargs):
+        names.append(name)
+        return add_parser(self, name, **kwargs)
+    monkeypatch.setattr(argparse._SubParsersAction, "add_parser", counting)
+    return names
+
+
+@pytest.mark.parametrize("verb", VERBS)
+def test_a_verb_builds_its_own_subparser_alone(verb, built, capsys):
+    with pytest.raises(SystemExit):
+        main([verb, "--help"])
+    assert built == [verb]
+    built.clear()
+    with pytest.raises(SystemExit):  # a usage error reparses in full
+        main([verb, "--bogus"])
+    assert built == [verb, *VERBS]
+
+
+@pytest.mark.parametrize("argv", [[], ["-h"], ["nope"], ["--bogus", "norm"]])
+def test_no_verb_builds_every_subparser(argv, built, capsys):
+    with pytest.raises(SystemExit):
+        main(argv)
+    assert built == list(VERBS)
+
+
+def test_a_run_builds_one_subparser(tri, built, capsys):
+    assert main(["norm", "--gen", tri, "3+2A"]) == 0
+    assert built == ["norm"]
+    assert json.loads(capsys.readouterr().out)["norm"] == 5.0
 
 
 # -- tree height ----------------------------------------------------------------
