@@ -11,11 +11,9 @@ __version__ = "0.1.0"
 #: The public names, by the submodule that defines them.
 _EXPORTS = {
     "calculus": "CheckReport CumulativeIntegral FuzzyFunction deriv ftc_check "
-                "ibp_check integrate interchange_check product_rule_check "
-                "square_integral",
-    "core": "LCFN Ordering SignClass annihilator_witness compare "
-            "compare_with_tier cross_oracle element_payload format_element "
-            "parse_element scalar_ge scalar_le",
+                "ibp_check integrate interchange_check square_integral",
+    "core": "LCFN Ordering SignClass compare compare_with_tier cross_oracle "
+            "element_payload parse_element",
     "generator": "Generator ValidationReport load_generator validate",
     "quadrature": "QuadratureSpec",
     "variational": "CriticalPoint DiracKernel ReconstructionResult Verdict "

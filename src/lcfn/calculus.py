@@ -12,10 +12,10 @@ subdivision, and each function held to its own tolerance.
 Components are interned expressions, so the kernels (``expr.kernel``)
 and the derivative of a function rebuilt from the same trees are found
 again, not redone.
-The checkers turn the calculus theorems (linearity, fundamental theorem,
-product rule, integration by parts, positivity of the squared integral,
-whose center also decides the zero class, derivative / integral
-interchange) into numeric residuals with pinned tolerances.
+The checkers turn the calculus theorems (fundamental theorem,
+integration by parts, positivity of the squared integral, whose center
+also decides the zero class, derivative / integral interchange) into
+numeric residuals with pinned tolerances.
 """
 from __future__ import annotations
 
@@ -33,7 +33,6 @@ from .value import Value
 
 FTC_TOL = 1e-8
 IBP_TOL = 1e-8
-PRODUCT_RULE_TOL = 1e-8
 DERIV_FD_TOL = 1e-6
 INTERCHANGE_TOL = 1e-6
 SPOT_FRACTIONS = (0.21, 0.5, 0.79)  # FTC spot checks, as domain fractions
@@ -333,24 +332,6 @@ def ftc_check(f: FuzzyFunction,
     return CheckReport(
         check="ftc", passed=passed, tolerance=FTC_TOL,
         residuals={"endpoint": residual, "spot_max": spot_residual},
-        notes=tuple(notes))
-
-
-def product_rule_check(f: FuzzyFunction, g: FuzzyFunction,
-                       t: float) -> CheckReport:
-    """(f*g)'(t) against f(t)*g'(t) + f'(t)*g(t), both sides symbolic."""
-    fd, gd = f.derivative(), g.derivative()
-    lhs = deriv(f.cross_with(g), t)
-    rhs = f.at(t).cross(deriv(g, t)) + deriv(f, t).cross(g.at(t))
-    residual = (lhs - rhs).norm()
-    notes = []
-    for component in (fd.r, fd.q, gd.r, gd.q):
-        if ex.kink_hits(component, t):
-            notes.append(f"abs kink at t={t!r}; sign(0)=0 convention used")
-            break
-    return CheckReport(
-        check="product-rule", passed=residual < PRODUCT_RULE_TOL,
-        tolerance=PRODUCT_RULE_TOL, residuals={"pointwise": residual},
         notes=tuple(notes))
 
 

@@ -173,10 +173,12 @@ def compare_with_tier(b: LCFN, c: LCFN) -> tuple[Ordering, int | None]:
 
     Exact float comparisons throughout; ties are genuine ties, never
     tolerance artifacts, so the order is antisymmetric: a pair that no
-    comparison parts is a tie only when both coordinates are equal, and
-    otherwise (a NaN coordinate) raises ValueError.  The centers are
-    computed as center() computes them, with b's a_m (equal generators
-    share it up to the sign of a zero, which no comparison sees).
+    comparison parts has equal coordinates.  A NaN center, which a NaN
+    coordinate or inf - inf gives, raises ValueError before tier 2, where
+    it would order the element against anything and make cycles.  The
+    centers are computed as center() computes them, with b's a_m (equal
+    generators share it up to the sign of a zero, which no comparison
+    sees).
     """
     if b.gen is not c.gen:
         _require_same_gen(b, c)
@@ -186,6 +188,10 @@ def compare_with_tier(b: LCFN, c: LCFN) -> tuple[Ordering, int | None]:
         return _LESS_1
     if cb > cc:
         return _GREATER_1
+    if cb != cc:
+        raise ValueError(f"elements ({b.r!r}, {b.q!r}) and ({c.r!r}, "
+                         f"{c.q!r}) have no place in the order: a center "
+                         "is NaN")
     ab, ac = abs(b.q), abs(c.q)
     if ab < ac:
         return _LESS_2
@@ -202,33 +208,11 @@ def compare_with_tier(b: LCFN, c: LCFN) -> tuple[Ordering, int | None]:
         return _LESS_1
     if b.r > c.r:
         return _GREATER_1
-    if b.r == c.r and b.q == c.q:
-        return _TIE
-    raise ValueError(f"elements ({b.r!r}, {b.q!r}) and ({c.r!r}, {c.q!r}) "
-                     "have no place in the order: a coordinate is NaN")
+    return _TIE  # no NaN center, so no NaN coordinate: all are equal
 
 
 def compare(b: LCFN, c: LCFN) -> Ordering:
     return compare_with_tier(b, c)[0]
-
-
-def scalar_le(lam: float, b: LCFN) -> bool:
-    """lam <= B, with lam embedded as the element lam + 0*A; a NaN lam
-    has no place in the order and raises ValueError."""
-    return compare(_embedded(lam, b), b) is not _GREATER
-
-
-def scalar_ge(lam: float, b: LCFN) -> bool:
-    """B <= lam, with lam embedded as the element lam + 0*A; a NaN lam
-    has no place in the order and raises ValueError."""
-    return compare(b, _embedded(lam, b)) is not _GREATER
-
-
-def _embedded(lam: float, b: LCFN) -> LCFN:
-    lam = float(lam)
-    if lam != lam:
-        raise ValueError(f"lam is {lam!r}, which has no place in the order")
-    return _element(LCFN, lam, 0.0, b.gen)
 
 
 def cross_oracle(b: LCFN, c: LCFN) -> LCFN:
@@ -245,21 +229,6 @@ def cross_oracle(b: LCFN, c: LCFN) -> LCFN:
     # q - 0.0 is q, even for q = -0.0, so the scalar's q drops out
     return _element(LCFN, cc * b.r + cb * c.r - cb * cc,
                     cc * b.q + cb * c.q, b.gen)
-
-
-def annihilator_witness(b: LCFN) -> LCFN:
-    """A C outside the zero class with B (*) C != 0, for any B != 0.
-
-    Mirrors the constructive choice: the embedded real r when r != 0;
-    otherwise q*A when a_m != 0, else the embedded real q.
-    """
-    if b.r == 0.0 and b.q == 0.0:
-        raise ValueError("the zero element annihilates everything")
-    if b.r != 0.0:
-        return _element(LCFN, float(b.r), 0.0, b.gen)
-    if b.gen.a_m != 0.0:
-        return _element(LCFN, 0.0, b.q, b.gen)
-    return _element(LCFN, float(b.q), 0.0, b.gen)
 
 
 # -- textual literals and report payloads ------------------------------------
@@ -296,21 +265,6 @@ def parse_element(src: str, gen: Generator) -> LCFN:
         raise ExprSyntaxError(f"element literal {src!r} is not finite", 0)
     # + 0.0 turns a signed -0.0 into 0.0
     return _element(LCFN, r + 0.0, q + 0.0, gen)
-
-
-def format_element(b: LCFN) -> str:
-    if b.q == 0.0:
-        return repr(b.r)
-    if b.q == 1.0:
-        qa = "A"
-    elif b.q == -1.0:
-        qa = "-A"
-    else:
-        qa = f"{b.q!r}A"
-    if b.r == 0.0:
-        return qa
-    joiner = "" if qa.startswith("-") else "+"
-    return f"{b.r!r}{joiner}{qa}"
 
 
 def element_payload(b: LCFN) -> dict:

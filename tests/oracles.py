@@ -234,7 +234,7 @@ def compare_with_tier(b, c):
     """``core.compare_with_tier`` from each element's ``center()``, its
     verdict tuple built per call; the library must return the same
     verdict, its members the very ``Ordering`` members, or raise the same
-    ValueError for a pair that only a NaN coordinate keeps from a tie."""
+    ValueError for a pair with a NaN center, before tier 2 sees it."""
     if b.gen is not c.gen:
         _require_same_gen(b, c)
     cb, cc = b.center(), c.center()
@@ -242,6 +242,10 @@ def compare_with_tier(b, c):
         return (Ordering.LESS, 1)
     if cb > cc:
         return (Ordering.GREATER, 1)
+    if cb != cc:
+        raise ValueError(f"elements ({b.r!r}, {b.q!r}) and ({c.r!r}, "
+                         f"{c.q!r}) have no place in the order: a center "
+                         "is NaN")
     ab, ac = abs(b.q), abs(c.q)
     if ab < ac:
         return (Ordering.LESS, 2)
@@ -255,10 +259,7 @@ def compare_with_tier(b, c):
         return (Ordering.LESS, 1)
     if b.r > c.r:
         return (Ordering.GREATER, 1)
-    if b.r == c.r and b.q == c.q:
-        return (Ordering.EQUAL, None)
-    raise ValueError(f"elements ({b.r!r}, {b.q!r}) and ({c.r!r}, {c.q!r}) "
-                     "have no place in the order: a coordinate is NaN")
+    return (Ordering.EQUAL, None)
 
 
 def sign_class(b):

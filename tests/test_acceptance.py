@@ -29,7 +29,6 @@ from lcfn import (
     ftc_check,
     ibp_check,
     lagrange_point,
-    scalar_le,
     square_integral,
     verify_local_order,
 )
@@ -96,7 +95,7 @@ def test_criterion_02_square_positivity():
         else:
             b = lattice_element(rng, g)
         sq = b.square()
-        if not scalar_le(0.0, sq):
+        if not LCFN.zero(g) <= sq:
             violations += 1
         if (sq.sign_class() is SignClass.ZERO) != (b.center() == 0.0):
             violations += 1
