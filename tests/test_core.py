@@ -286,12 +286,12 @@ def test_order_extends_real_order(tri_am05):
 
 def test_compare_scalar_examples(tri_am05, tri_am0):
     # a scalar lam is the element lam + 0*A, ordered by the dunders
-    lam = LCFN.from_scalar
-    assert lam(0.0, tri_am05) <= LCFN(1, -2, tri_am05)    # center exactly 0
+    scalar = LCFN.from_scalar
+    assert scalar(0.0, tri_am05) <= LCFN(1, -2, tri_am05)  # center exactly 0
     b = LCFN(0, 1, tri_am05)                              # center 0.5
-    assert b <= lam(1.0, tri_am05) and not lam(1.0, tri_am05) <= b
+    assert b <= scalar(1.0, tri_am05) and not scalar(1.0, tri_am05) <= b
     b = LCFN(2, 0, tri_am0)
-    assert lam(2.0, tri_am0) <= b and b <= lam(2.0, tri_am0)  # embedded real
+    assert scalar(2.0, tri_am0) <= b <= scalar(2.0, tri_am0)  # embedded real
 
 
 # lam <= B and B <= lam, with lam embedded as lam + 0*A
