@@ -14,7 +14,7 @@ _EXPORTS = {
                 "ibp_check integrate interchange_check square_integral",
     "core": "LCFN Ordering SignClass compare compare_with_tier cross_oracle "
             "element_payload parse_element",
-    "generator": "Generator ValidationReport load_generator validate",
+    "generator": "Generator load_generator",
     "quadrature": "QuadratureSpec",
     "variational": "CriticalPoint DiracKernel ReconstructionResult Verdict "
                    "critical_points dbr_forward_check dbr_reconstruct "

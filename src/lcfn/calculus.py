@@ -303,12 +303,15 @@ def ftc_check(f: FuzzyFunction,
               spec: QuadratureSpec = QuadratureSpec()) -> CheckReport:
     """integral of f' against f(b) - f(a), plus mean-value spot checks of
     F' = f at interior points; a spot window [t - h, t + h] whose ends do
-    not part raises."""
+    not part raises.  Each tolerance is scaled by max(1, the norms of the
+    values it compares), so round-off at large values does not fail."""
     a, b = f.domain
     fd = f.derivative()
     total = integrate(fd, spec)
-    endpoint = f.at(b) - f.at(a)
+    fa, fb = f.at(a), f.at(b)
+    endpoint = fb - fa
     residual = (total - endpoint).norm()
+    passed = residual < FTC_TOL * max(1.0, total.norm(), fa.norm(), fb.norm())
 
     h = min(3e-4, 0.05 * (b - a))
     tight = QuadratureSpec(min(spec.abs_tol, 1e-13))
@@ -322,13 +325,15 @@ def ftc_check(f: FuzzyFunction,
                 "t - h is not below t + h")
         # the mean over the window as rounded: near t's ulp, hi - lo is not 2h
         window = integrate(f, tight, lo, hi).scaled(1.0 / (hi - lo))
-        spots.append((window - f.at(t)).norm())
+        value = f.at(t)
+        spots.append((window - value).norm())
+        passed = passed and spots[-1] < DERIV_FD_TOL * max(
+            1.0, window.norm(), value.norm())
     spot_residual = max(spots)
 
     notes = []
     if ex.kink_hits(fd.r, a) or ex.kink_hits(fd.q, a):
         notes.append("abs kink at left endpoint; sign(0)=0 convention used")
-    passed = residual < FTC_TOL and spot_residual < DERIV_FD_TOL
     return CheckReport(
         check="ftc", passed=passed, tolerance=FTC_TOL,
         residuals={"endpoint": residual, "spot_max": spot_residual},

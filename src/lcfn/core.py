@@ -268,12 +268,11 @@ def parse_element(src: str, gen: Generator) -> LCFN:
 
 
 def element_payload(b: LCFN) -> dict:
-    return {
-        "r": b.r,
-        "q": b.q,
-        "center": b.center(),
-        "class": b.sign_class().value,
-    }
+    """b's coordinates, center and sign class; a NaN center has no class,
+    so it gets None, and the CLI's finiteness check names the NaN."""
+    center = b.center()
+    return {"r": b.r, "q": b.q, "center": center,
+            "class": None if center != center else b.sign_class().value}
 
 
 def _require_same_gen(b: LCFN, c: LCFN) -> None:

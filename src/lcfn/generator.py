@@ -30,56 +30,39 @@ PIECEWISE_LINEAR = "piecewise-linear"
 #: Reflected-branch deviation below this means mirror symmetry.
 MIRROR_TOL = 1e-12
 
-Knot = tuple[float, float]
 _MU = itemgetter(1)  # a knot's membership
-
-
-class ValidationReport(Value):
-    """Outcome of a successful validation; ``asymmetry_gap`` is the largest
-    |reflected left branch - right branch|."""
-
-    __slots__ = ("a_m", "support", "asymmetry_gap")
-
-    def __init__(self, a_m: float, support: tuple[float, float],
-                 asymmetry_gap: float):
-        self._set(a_m, support, asymmetry_gap)
 
 
 class Generator(Value):
     """Immutable generator; safe to share between threads.
 
-    ``knots`` is the membership polyline as (x, mu) pairs, validated on
-    construction; ``a_m``, derived from them, is the abscissa of the unique
-    mu = 1 knot.  The knots alone identify the generator: a triangular one
-    equals its 3-knot piecewise-linear twin.
+    ``knots`` is the membership polyline as (x, mu) pairs of numbers, any
+    iterable of them, converted once to a tuple of float pairs and
+    validated on construction; ``a_m``, derived from them, is the abscissa
+    of the unique mu = 1 knot.  The knots alone identify the generator: a
+    triangular one equals its 3-knot piecewise-linear twin.
     """
 
     # _left and _right are alpha_level's branches, both ascending in mu:
     # the knots up to the peak, and the knots from the peak reversed.
     __slots__ = ("knots", "a_m", "_left", "_right")
 
-    def __init__(self, knots: tuple[Knot, ...]):
-        a_m = validate(knots).a_m
-        peak = [float(mu) for _, mu in knots].index(1.0)
-        self._set(knots, a_m, knots[: peak + 1],
-                  tuple(reversed(knots[peak:])))
+    def __init__(self, knots):
+        try:
+            pairs = tuple((float(x), float(mu)) for x, mu in knots)
+        except (TypeError, ValueError, OverflowError):
+            raise GeneratorError(
+                f"knots must be [x, mu] pairs of numbers, got {knots!r}"
+            ) from None
+        left, right = _branches(pairs)
+        self._set(pairs, left[-1][0], left, right)
 
     def __reduce__(self):  # a_m is derived, not a constructor argument
         return Generator, (self.knots,)
 
     @classmethod
     def triangular(cls, left: float, peak: float, right: float) -> "Generator":
-        return cls.piecewise_linear(((left, 0.0), (peak, 1.0), (right, 0.0)))
-
-    @classmethod
-    def piecewise_linear(cls, knots) -> "Generator":
-        try:
-            pairs = tuple((float(x), float(mu)) for x, mu in knots)
-        except (TypeError, ValueError):
-            raise GeneratorError(
-                f"knots must be [x, mu] pairs of numbers, got {knots!r}"
-            ) from None
-        return cls(pairs)
+        return cls(((left, 0.0), (peak, 1.0), (right, 0.0)))
 
     @classmethod
     def from_config(cls, cfg: dict) -> "Generator":
@@ -91,18 +74,11 @@ class Generator(Value):
             if kind == TRIANGULAR:
                 return cls.triangular(cfg["left"], cfg["peak"], cfg["right"])
             if kind == PIECEWISE_LINEAR:
-                return cls.piecewise_linear(cfg["knots"])
+                return cls(cfg["knots"])
         except KeyError as missing:
             raise GeneratorError(
                 f"{kind} generator config is missing key {missing}") from None
         raise GeneratorError(f"unknown generator kind: {kind!r}")
-
-    def to_config(self) -> dict:
-        if len(self.knots) == 3:
-            (left, _), (peak, _), (right, _) = self.knots
-            return {"kind": TRIANGULAR, "left": left, "peak": peak,
-                    "right": right}
-        return {"kind": PIECEWISE_LINEAR, "knots": [list(k) for k in self.knots]}
 
     @property
     def support(self) -> tuple[float, float]:
@@ -123,25 +99,15 @@ class Generator(Value):
             return (self.a_m, self.a_m)
         return (_branch_x_at(self._left, alpha), _branch_x_at(self._right, alpha))
 
-    def center_at_zero(self) -> "Generator":
-        """Shift the polyline so the peak sits at 0.
 
-        The generated space is unchanged as a set: the shift is absorbed
-        into the deterministic coordinate of each element.
-        """
-        if self.a_m == 0.0:
-            return self
-        shifted = tuple((x - self.a_m, mu) for x, mu in self.knots)
-        return Generator(shifted)
-
-
-def validate(knots) -> ValidationReport:
-    """Check all generator invariants, returning a report or raising.
+def _branches(knots: tuple) -> tuple[tuple, tuple]:
+    """Check every generator invariant of the float knots and return the
+    two branches, both ascending in mu: the knots up to the peak, and the
+    knots from the peak reversed.
 
     Raises UnsortedKnots, NotNormal, PlateauAtOne, Symmetric, or the base
     GeneratorError for the remaining structural defects.
     """
-    knots = tuple((float(x), float(mu)) for x, mu in knots)
     if len(knots) < 3:
         raise GeneratorError("need at least three knots")
     for i in range(1, len(knots)):
@@ -157,7 +123,7 @@ def validate(knots) -> ValidationReport:
                 "overflows a float")
         if not 0.0 <= mu <= 1.0:
             raise GeneratorError(f"membership {mu} at x={x} outside [0, 1]")
-    if not math.isfinite(knots[-1][0] - knots[0][0]):  # bounds asymmetry_gap
+    if not math.isfinite(knots[-1][0] - knots[0][0]):  # bounds the mirror gap
         raise GeneratorError(
             f"knot {len(knots) - 1} lies too far from knot 0: the support "
             "width overflows a float")
@@ -181,7 +147,7 @@ def validate(knots) -> ValidationReport:
 
     a_m = knots[peak][0]
     left = knots[: peak + 1]
-    right = tuple(reversed(knots[peak:]))  # ascending in mu
+    right = tuple(reversed(knots[peak:]))
     for i, (x, _) in enumerate(left):
         if not math.isfinite(2.0 * a_m - x):
             raise GeneratorError(
@@ -190,18 +156,13 @@ def validate(knots) -> ValidationReport:
 
     # Two piecewise-linear branches coincide iff they coincide at the union
     # of their breakpoint membership values, so this grid test is exact.
-    grid = sorted({mu for _, mu in left} | {mu for _, mu in right})
-    gap = 0.0
-    for mu in grid:
-        reflected = 2.0 * a_m - _branch_x_at(left, mu)
-        gap = max(gap, abs(reflected - _branch_x_at(right, mu)))
-    if gap < MIRROR_TOL:
+    grid = {mu for _, mu in knots}
+    if all(abs(2.0 * a_m - _branch_x_at(left, mu) - _branch_x_at(right, mu))
+           < MIRROR_TOL for mu in grid):
         raise Symmetric(
             f"branches mirror each other within {MIRROR_TOL:g}; "
             "coordinates would not be unique")
-
-    return ValidationReport(a_m=a_m, support=(knots[0][0], knots[-1][0]),
-                            asymmetry_gap=gap)
+    return left, right
 
 
 def same_generator(g1: Generator, g2: Generator) -> bool:

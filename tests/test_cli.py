@@ -95,6 +95,8 @@ GOOD_GEN = {"kind": "triangular", "left": -1, "peak": 0, "right": 2}
      "missing key 'right'"),
     ("--gen", {"kind": "piecewise-linear", "knots": 5},
      "knots must be [x, mu] pairs of numbers, got 5"),
+    ("--gen", {"kind": "triangular", "left": -10 ** 400, "peak": 0,
+               "right": 2}, "knots must be [x, mu] pairs of numbers"),
     ("--gen", [1, 2], "generator config must be a JSON object, got list"),
     ("--gen", {"kind": "triangular", "left": -1, "peak": 0,
                "right": float("inf")}, "knot 2 has a non-finite abscissa inf"),
@@ -108,8 +110,8 @@ GOOD_GEN = {"kind": "triangular", "left": -1, "peak": 0, "right": 2}
     ("--scenario", {"gen": GOOD_GEN, "domain": [0, 1], "r": "t", "q": "t",
                     "eps0": [1]}, "'eps0' must be a number, got [1]"),
     ("--scenario", [1, 2], "scenario must be a JSON object, got list"),
-], ids=["gen-missing-key", "gen-knots-int", "gen-list", "gen-infinite-knot",
-        "gen-spacing-overflow",
+], ids=["gen-missing-key", "gen-knots-int", "gen-huge-int", "gen-list",
+        "gen-infinite-knot", "gen-spacing-overflow",
         "scenario-domain", "scenario-r-int", "scenario-eps0-list",
         "scenario-list"])
 def test_malformed_config_exits_2(tmp_path, flag, config, message):
@@ -481,6 +483,24 @@ def test_ftc_spot_window_is_averaged_over_its_rounded_width(tri, capsys):
     assert residuals["spot_max"] < 1e-6
 
 
+@pytest.mark.parametrize("r, residual, absolute", [
+    ("1e10", "spot_max", 1e-6), ("1e9*t", "endpoint", 1e-8),
+    # f(1) - f(0) is small, but each end is read at 1e10
+    ("1e10 + sin(t)", "endpoint", 1e-8),
+], ids=["constant-1e10", "slope-1e9", "offset-1e10"])
+def test_ftc_tolerance_scales_with_the_values_it_compares(tri, capsys, r,
+                                                          residual, absolute):
+    # round-off at this scale is above the absolute tolerance (spot_max
+    # 1.9e-6, endpoint 1.2e-7 and 2.7e-7), which failed each with exit 1;
+    # each tolerance is scaled by max(1, the norms compared), and the
+    # report still shows FTC_TOL
+    code = main(["verify", "ftc", "--gen", tri, "--r", r, "--q", "0",
+                 "--domain", "0", "1"])
+    report = json.loads(capsys.readouterr().out)["report"]
+    assert code == 0 and report["passed"] and report["tolerance"] == 1e-8
+    assert absolute < report["residuals"][residual] < 1e-5
+
+
 def test_lagrange_grid_zero_exits_2(tmp_path):
     path = scenario_path(tmp_path, "s06_recovery_window.json")
     result = run_cli("verify", "lagrange", "--scenario", path, "--grid", "0")
@@ -793,3 +813,15 @@ def test_overflowed_product_exits_2(tri, fmt):
     assert ("error: non-finite result: result.center: inf, result.r: inf"
             in result.stderr)
     assert "Infinity" not in result.stdout and result.stdout == ""
+
+
+@pytest.mark.parametrize("fmt", ["json", "text"])
+def test_product_that_overflows_to_nan_exits_2(tri, fmt, capsys):
+    # (1e200 + 1e200A)^2 reads inf - inf in each coordinate: its NaN center
+    # once died in sign_class with a message naming no non-finite result
+    code = main(["cross", "--gen", tri, "--format", fmt, "1e200+1e200A",
+                 "1e200+1e200A"])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert err == ("error: non-finite result: result.center: nan, "
+                   "result.q: nan, result.r: nan\n")

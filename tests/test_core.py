@@ -102,9 +102,9 @@ PINNED_PL = ((-2.0, 0.0), (-1.0, 0.4), (0.5, 1.0), (1.0, 0.7), (3.0, 0.0))
      "(2.0, 0.0)), a_m=0.3))", -2897028113142013836),
 ], ids=["triangular", "signed-zero", "extremes"])
 def test_lcfn_is_a_frozen_slotted_value(r, q, knots, text, hashed):
-    b = LCFN(r, q, Generator.piecewise_linear(knots))
+    b = LCFN(r, q, Generator(knots))
     assert repr(b) == text and hash(b) == hashed
-    assert b == LCFN(r=r, q=q, gen=Generator.piecewise_linear(knots))
+    assert b == LCFN(r=r, q=q, gen=Generator(knots))
     assert not hasattr(b, "__dict__")
     with pytest.raises(dataclasses.FrozenInstanceError):
         b.r = 2.0
@@ -131,7 +131,7 @@ def _assert_closed(x):
             delattr(x, name)
 
 
-_B_GEN = Generator.piecewise_linear(PINNED_GEN)
+_B_GEN = Generator(PINNED_GEN)
 _B, _C = LCFN(1.5, -2.0, _B_GEN), LCFN(-0.25, 3.0, _B_GEN)
 _F = FuzzyFunction.from_strings("t^2", "sin(t)", _B_GEN, (0.0, 1.0))
 
@@ -338,8 +338,7 @@ def _order_pool(rng):
     """Pairs over one generator or two equal ones (signed-zero peaks
     included): edge coordinates, continuous ones, and near ties whose
     second r is up to three ulps from the tie, by math.nextafter."""
-    twins = [(Generator.piecewise_linear(knots),
-              Generator.piecewise_linear(knots))
+    twins = [(Generator(knots), Generator(knots))
              for knots in (PINNED_GEN, PINNED_PL)]
     twins.append((Generator.triangular(-1.0, 0.0, 2.0),
                   Generator.triangular(-1.0, -0.0, 2.0)))
@@ -489,8 +488,7 @@ EDGE_COORDS = (0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
 
 
 def test_cross_oracle_matches_the_composed_form_bit_for_bit(tri_am0):
-    gens = (tri_am0, Generator.piecewise_linear(PINNED_GEN),
-            Generator.piecewise_linear(PINNED_PL))
+    gens = (tri_am0, Generator(PINNED_GEN), Generator(PINNED_PL))
     rng = random.Random(4242)
     pairs = [(LCFN(r1, q1, g), LCFN(r2, q2, g))
              for g in gens
@@ -499,7 +497,7 @@ def test_cross_oracle_matches_the_composed_form_bit_for_bit(tri_am0):
     pairs += [(continuous_element(rng, g), continuous_element(rng, g))
               for g in gens for _ in range(300)]
     # an equal twin generator: both forms keep b's generator object
-    twin = Generator.piecewise_linear(PINNED_GEN)
+    twin = Generator(PINNED_GEN)
     pairs.append((LCFN(1.5, -2.0, gens[1]), LCFN(0.25, 3.0, twin)))
     for b, c in pairs:
         got, want = cross_oracle(b, c), oracles.cross_composed(b, c)
@@ -705,3 +703,6 @@ def assert_parses_alike(text: str, gen: Generator) -> None:
 def test_element_payload(tri_am05):
     payload = element_payload(LCFN(1, -2, tri_am05))
     assert payload == {"r": 1.0, "q": -2.0, "center": 0.0, "class": "zero"}
+    # a NaN center has no sign class: None, for the CLI to refuse by name
+    payload = element_payload(LCFN(math.inf, -math.inf, tri_am05))
+    assert math.isnan(payload["center"]) and payload["class"] is None

@@ -52,7 +52,7 @@ def test_cli_import_compiles_no_code():
 
 
 def test_all_names_resolve_and_are_cached():
-    assert len(lcfn.__all__) == 33
+    assert len(lcfn.__all__) == 31
     assert lcfn.__all__ == sorted(set(lcfn.__all__))
     for name in lcfn.__all__:
         value = getattr(lcfn, name)
